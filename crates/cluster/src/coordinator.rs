@@ -2,13 +2,16 @@
 //! canonical merging, and failure handling.
 //!
 //! [`ClusterCoordinator`] is the multi-node twin of the single-machine
-//! [`ShardedDataset`](maxrs_core::ShardedDataset): the same engaged-shard
-//! routing, the same boundary-spanning crop + span-event decomposition, the
-//! same canonical [`merge_sweep`] and min-next-breakpoint widening — with
+//! [`ShardedDataset`](maxrs_core::ShardedDataset): the same shard routing
+//! ([`ShardRoute`]), the same crop + span-event decomposition, the same
+//! canonical [`merge_sweep`] and min-next-breakpoint canonicalization — with
 //! the per-shard work pushed to [`ShardServer`](crate::ShardServer)s behind
-//! a pluggable [`Transport`].  Every accumulation that touches floats
-//! happens in **global shard order**, so all four [`Query`] variants are
-//! bit-identical to the unsharded [`PreparedDataset::run`]
+//! a pluggable [`Transport`].  Those operations make the cluster a
+//! [`SweepHost`], and the one query driver of `maxrs-core`
+//! ([`run_on_host`]) answers every [`Query`] variant on it, batches sharing
+//! sweep groups exactly as on a prepared dataset.  Every accumulation that
+//! touches floats happens in **global shard order**, so all four variants
+//! are bit-identical to the unsharded [`PreparedDataset::run`]
 //! (maxrs_core::PreparedDataset::run) — proven by the determinism suite on
 //! both transports and both storage backends.
 //!
@@ -28,12 +31,9 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use maxrs_core::shard::shard_slab;
-use maxrs_core::sweep::extract_best;
 use maxrs_core::{
-    best_candidate, candidate_points, merge_sweep, min_rs_in_memory, min_strip_scan, parallel_map,
-    EngineOptions, ExecutionStrategy, MaxCrsResult, MaxRsResult, ObjectRecord, Query, QueryAnswer,
-    QueryBatch, QueryRun, SlabPartition, SlabTuple, SpanEvent,
+    merge_sweep, parallel_map, run_on_host, EngineOptions, ExecutionStrategy, ObjectRecord, Query,
+    QueryBatch, QueryRun, ShardRoute, SlabTuple, SpanEvent, SweepHost,
 };
 use maxrs_em::{external_sort_by_key, EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
@@ -96,7 +96,6 @@ struct Member {
 
 struct ShardRef {
     server: usize,
-    slab: Interval,
     len: u64,
     prepare_io: IoSnapshot,
 }
@@ -207,7 +206,6 @@ impl ClusterCoordinator {
                 }
                 shard_map[id] = Some(ShardRef {
                     server: i,
-                    slab: shard_slab(&coordinator.boundaries, id),
                     len: info.len,
                     prepare_io: info.prepare_io,
                 });
@@ -283,14 +281,12 @@ impl ClusterCoordinator {
     /// single-machine
     /// [`ShardedDataset::shards_touched`](maxrs_core::ShardedDataset::shards_touched).
     pub fn shards_touched(&self, query: &Query) -> usize {
-        let (size, root) = query_root(query);
-        self.engaged_sources(size, root).len()
+        ShardRoute::engaged_by(&self.boundaries, query).len()
     }
 
     /// How many servers the sweep passes of `query` fan out to.
     pub fn fan_out(&self, query: &Query) -> usize {
-        let (size, root) = query_root(query);
-        self.engaged_servers(&self.engaged_sources(size, root))
+        self.engaged_servers(&ShardRoute::engaged_by(&self.boundaries, query))
             .len()
     }
 
@@ -332,94 +328,36 @@ impl ClusterCoordinator {
     /// Answers one query, bit-identical to the unsharded
     /// [`PreparedDataset::run`](maxrs_core::PreparedDataset::run).
     pub fn run(&self, query: &Query) -> Result<QueryRun> {
-        query.validate()?;
-        let before = self.merge_ctx.stats();
-        let agg = Mutex::new(IoSnapshot::default());
-        let answer = self.answer(query, &agg)?;
-        let remote = *agg.lock().expect("io lock");
-        let io = remote + self.merge_ctx.stats().delta(&before);
+        let mut runs = self.run_batch(std::slice::from_ref(query))?;
+        Ok(runs.pop().expect("one query in, one run out"))
+    }
+
+    /// Validates and plans `queries` into sweep groups, then answers them —
+    /// see [`run_planned`](ClusterCoordinator::run_planned).
+    pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<QueryRun>> {
+        self.run_planned(&QueryBatch::new(queries)?)
+    }
+
+    /// Answers an already planned batch through the query driver: one
+    /// distributed sweep pass per sweep group, shared by the group's
+    /// members exactly as on a prepared dataset.  Each run's I/O is its
+    /// attributed share of the server-side transfers plus the coordinator's
+    /// merge device.
+    pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
         let workers = self.members.len();
         let strategy = if workers > 1 {
             ExecutionStrategy::ExternalParallel
         } else {
             ExecutionStrategy::ExternalSequential
         };
-        Ok(QueryRun {
-            answer,
-            strategy,
-            workers,
-            io,
-        })
-    }
-
-    /// Validates and answers a batch of queries, one after another.
-    ///
-    /// Unlike the single-machine batch executor the cluster does not share
-    /// sweep passes between queries of the same rectangle size yet — each
-    /// query runs its own fan-out (answers are identical either way; only
-    /// the I/O sharing differs).
-    pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<QueryRun>> {
-        QueryBatch::new(queries)?;
-        queries.iter().map(|q| self.run(q)).collect()
-    }
-
-    /// Answers an already planned batch query-by-query (see
-    /// [`run_batch`](ClusterCoordinator::run_batch) for the sharing caveat).
-    pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
-        batch.queries().iter().map(|q| self.run(q)).collect()
-    }
-
-    fn answer(&self, query: &Query, agg: &Mutex<IoSnapshot>) -> Result<QueryAnswer> {
-        match *query {
-            Query::MaxRs { size } => Ok(QueryAnswer::MaxRs(self.cluster_max_rs(size, &[], agg)?)),
-            Query::TopK { size, k } => Ok(QueryAnswer::TopK(self.top_k(size, k, agg)?)),
-            Query::ApproxMaxCrs { diameter, .. } => {
-                let sigma = query.sigma_fraction().expect("approx variant has a sigma");
-                Ok(QueryAnswer::MaxCrs(
-                    self.approx_max_crs(diameter, sigma, agg)?,
-                ))
-            }
-            Query::MinRs { size, domain } => {
-                Ok(QueryAnswer::MinRs(self.min_rs(size, domain, agg)?))
-            }
-        }
+        let host = ClusterSweep {
+            cluster: self,
+            remote_io: Mutex::new(IoSnapshot::default()),
+        };
+        run_on_host(&host, batch, strategy, workers)
     }
 
     // ---- routing ------------------------------------------------------------
-
-    /// Engaged source shards: same strictly-out-of-reach rule as the
-    /// single-machine dataset.
-    fn engaged_sources(&self, size: RectSize, root: Interval) -> Vec<usize> {
-        let half = size.width / 2.0;
-        (0..self.shards.len())
-            .filter(|&i| {
-                let s = self.shards[i].slab;
-                !(s.hi + half < root.lo || s.lo - half > root.hi)
-            })
-            .collect()
-    }
-
-    fn clipped_partition(&self, root: Interval) -> SlabPartition {
-        let mut bounds = Vec::with_capacity(self.boundaries.len() + 2);
-        bounds.push(root.lo);
-        for &b in &self.boundaries {
-            if b > root.lo && b < root.hi {
-                bounds.push(b);
-            }
-        }
-        bounds.push(root.hi);
-        SlabPartition::new(bounds)
-    }
-
-    fn slab_owners(&self, partition: &SlabPartition) -> Vec<usize> {
-        (0..partition.num_slabs())
-            .map(|t| {
-                self.boundaries
-                    .partition_point(|&b| b <= partition.boundaries[t])
-                    .min(self.shards.len() - 1)
-            })
-            .collect()
-    }
 
     /// Server indices hosting any of the given shards, ascending, deduped.
     fn engaged_servers(&self, shards: &[usize]) -> Vec<usize> {
@@ -539,7 +477,7 @@ impl ClusterCoordinator {
     /// two-round distribute/solve protocol (see [`crate::protocol`]) plus
     /// the canonical [`merge_sweep`] on the coordinator's merge device.
     /// Returns the merged root slab-file, exactly the file the
-    /// single-machine `sharded_slab_file` produces.
+    /// single-machine `ShardedDataset` sweep produces.
     fn cluster_slab_file(
         &self,
         size: RectSize,
@@ -548,10 +486,12 @@ impl ClusterCoordinator {
         suppressed: &[Rect],
         agg: &Mutex<IoSnapshot>,
     ) -> Result<TupleFile<SlabTuple>> {
-        let partition = self.clipped_partition(root);
-        let owners = self.slab_owners(&partition);
+        let ShardRoute {
+            partition,
+            owners,
+            engaged,
+        } = ShardRoute::new(&self.boundaries, size, root);
         let m = partition.num_slabs();
-        let engaged = self.engaged_sources(size, root);
         let servers = self.engaged_servers(&engaged);
         let pass = PassSpec {
             size,
@@ -667,47 +607,10 @@ impl ClusterCoordinator {
         body
     }
 
-    /// The full distributed MaxRS pipeline: sweep → extract → canonicalize.
-    fn cluster_max_rs(
-        &self,
-        size: RectSize,
-        suppressed: &[Rect],
-        agg: &Mutex<IoSnapshot>,
-    ) -> Result<MaxRsResult> {
-        if self.len == 0 {
-            return Ok(MaxRsResult::empty());
-        }
-        let merged = self.cluster_slab_file(size, 1.0, Interval::UNBOUNDED, suppressed, agg)?;
-        let result = extract_best(&self.merge_ctx, &merged);
-        self.merge_ctx.delete_file(merged)?;
-        self.canonicalize(size, Interval::UNBOUNDED, suppressed, result?, agg)
-    }
-
-    /// Min-next-breakpoint canonicalization across the cluster: every
+    /// The per-server halves of min-next-breakpoint canonicalization: every
     /// server reports the minimum over its hosted shards, the coordinator
     /// takes the minimum across servers — together exactly the all-shards
-    /// loop of the single-machine canonicalize.
-    fn canonicalize(
-        &self,
-        size: RectSize,
-        root: Interval,
-        suppressed: &[Rect],
-        result: MaxRsResult,
-        agg: &Mutex<IoSnapshot>,
-    ) -> Result<MaxRsResult> {
-        if !result.region.x_lo.is_finite() && !result.region.x_hi.is_finite() {
-            // The empty-dataset sentinel; nothing to widen.
-            return Ok(result);
-        }
-        let hi = self.min_breakpoint(size, root, result.region.x_lo, suppressed, agg)?;
-        let x = Interval::new(result.region.x_lo, hi.max(result.region.x_hi));
-        Ok(MaxRsResult {
-            center: Point::new(x.representative(), result.center.y),
-            total_weight: result.total_weight,
-            region: Rect::new(x.lo, x.hi, result.region.y_lo, result.region.y_hi),
-        })
-    }
-
+    /// minimum of the single-machine dataset.
     fn min_breakpoint(
         &self,
         size: RectSize,
@@ -733,37 +636,15 @@ impl ClusterCoordinator {
         Ok(hi)
     }
 
-    /// Greedy suppression rounds; each round is a full distributed MaxRS
-    /// over the objects not strictly inside any already-chosen rectangle
-    /// (carried statelessly in every request).
-    fn top_k(&self, size: RectSize, k: usize, agg: &Mutex<IoSnapshot>) -> Result<Vec<MaxRsResult>> {
-        let mut results = Vec::new();
-        let mut suppressed: Vec<Rect> = Vec::new();
-        for _ in 0..k {
-            let best = self.cluster_max_rs(size, &suppressed, agg)?;
-            if best.total_weight <= 0.0 {
-                break;
-            }
-            suppressed.push(Rect::centered_at(best.center, size));
-            results.push(best);
-        }
-        Ok(results)
-    }
-
-    /// Steps 1–3 of ApproxMaxCRS: distributed MaxRS on the MBR transform,
-    /// then the five-candidate refinement with per-shard sums accumulated
-    /// in shard order (the same order the single-machine refine uses).
-    fn approx_max_crs(
+    /// ApproxMaxCRS refinement: the candidates' per-shard weight sums,
+    /// accumulated in shard order (the order the single-machine dataset
+    /// uses).
+    fn candidate_sums(
         &self,
+        candidates: &[Point],
         diameter: f64,
-        sigma_fraction: f64,
         agg: &Mutex<IoSnapshot>,
-    ) -> Result<MaxCrsResult> {
-        if self.len == 0 {
-            return Ok(MaxCrsResult::empty());
-        }
-        let best = self.cluster_max_rs(RectSize::square(diameter), &[], agg)?;
-        let candidates = candidate_points(best.center, diameter, sigma_fraction);
+    ) -> Result<Vec<f64>> {
         let request = Request::Evaluate {
             candidates: candidates.to_vec(),
             diameter,
@@ -774,108 +655,15 @@ impl ClusterCoordinator {
             let Response::Evaluated { sums, .. } = response else {
                 return Err(wrong_reply("Evaluate"));
             };
-            for (shard, s) in sums {
-                per_shard.insert(shard, s);
-            }
+            per_shard.extend(sums);
         }
         let mut totals = vec![0.0f64; candidates.len()];
-        for shard in 0..self.shards.len() as u32 {
-            if let Some(sums) = per_shard.get(&shard) {
-                for (t, s) in totals.iter_mut().zip(sums.iter()) {
-                    *t += s;
-                }
+        for sums in per_shard.values() {
+            for (t, s) in totals.iter_mut().zip(sums) {
+                *t += s;
             }
         }
-        Ok(best_candidate(&candidates, &totals))
-    }
-
-    /// MinRS: the weight-negated pass over the domain's x-slab, the strip
-    /// scan on the merged slab-file, and the canonical finalization — all
-    /// mirroring the single-machine MinRS group.
-    fn min_rs(&self, size: RectSize, domain: Rect, agg: &Mutex<IoSnapshot>) -> Result<MaxRsResult> {
-        if domain.x_lo == domain.x_hi || domain.y_lo == domain.y_hi {
-            return self.degenerate_min_rs(size, domain, agg);
-        }
-        if self.len == 0 {
-            return Ok(MaxRsResult {
-                center: domain.center(),
-                total_weight: 0.0,
-                region: domain,
-            });
-        }
-        let slab = Interval::new(domain.x_lo, domain.x_hi);
-        let slab_file = self.cluster_slab_file(size, -1.0, slab, &[], agg)?;
-        let best = {
-            let mut reader = self.merge_ctx.open_reader(&slab_file);
-            let tuples = std::iter::from_fn(|| match reader.next_record() {
-                Ok(Some(t)) => Some(Ok(t)),
-                Ok(None) => None,
-                Err(e) => Some(Err(e.into())),
-            });
-            min_strip_scan(tuples, slab, domain)
-        };
-        self.merge_ctx.delete_file(slab_file)?;
-        match best? {
-            None => {
-                // Defensive mirror of the in-memory fallback: evaluate the
-                // domain center over the full object stream, fetched and
-                // scanned in shard order so the accumulation is exactly the
-                // single-machine all-shards scan.
-                let center = domain.center();
-                let query_rect = Rect::centered_at(center, size);
-                let mut total = 0.0;
-                for record in self.fetch_all_objects(agg)? {
-                    if query_rect.contains_open(&record.0.point) {
-                        total += record.0.weight;
-                    }
-                }
-                Ok(MaxRsResult {
-                    center,
-                    total_weight: total,
-                    region: domain,
-                })
-            }
-            Some((negated_sum, x, y, from_tuple)) => {
-                let x = if from_tuple {
-                    let hi = self.min_breakpoint(size, slab, x.lo, &[], agg)?;
-                    Interval::new(x.lo, hi.max(x.hi))
-                } else {
-                    x
-                };
-                let center = Point::new(
-                    x.representative().clamp(domain.x_lo, domain.x_hi),
-                    y.representative().clamp(domain.y_lo, domain.y_hi),
-                );
-                Ok(MaxRsResult {
-                    center,
-                    // `0.0 - x` so an uncovered minimum reports +0.0
-                    // (mirrors `min_rs_in_memory`).
-                    total_weight: 0.0 - negated_sum,
-                    region: Rect::new(x.lo, x.hi, y.lo, y.hi),
-                })
-            }
-        }
-    }
-
-    /// Degenerate-domain MinRS: fetch every shard's records in shard order
-    /// and delegate to the in-memory reference, exactly like the sharded
-    /// executor's one-scan delegate.
-    fn degenerate_min_rs(
-        &self,
-        size: RectSize,
-        domain: Rect,
-        agg: &Mutex<IoSnapshot>,
-    ) -> Result<MaxRsResult> {
-        if self.len == 0 {
-            return Ok(MaxRsResult {
-                center: domain.center(),
-                total_weight: 0.0,
-                region: domain,
-            });
-        }
-        let records = self.fetch_all_objects(agg)?;
-        let points: Vec<WeightedPoint> = records.iter().map(|r| r.0).collect();
-        Ok(min_rs_in_memory(&points, size, domain))
+        Ok(totals)
     }
 
     /// Every shard's object records concatenated in global shard order.
@@ -900,11 +688,59 @@ impl ClusterCoordinator {
     }
 }
 
-fn query_root(query: &Query) -> (RectSize, Interval) {
-    match *query {
-        Query::MaxRs { size } | Query::TopK { size, .. } => (size, Interval::UNBOUNDED),
-        Query::MinRs { size, domain } => (size, Interval::new(domain.x_lo, domain.x_hi)),
-        Query::ApproxMaxCrs { diameter, .. } => (RectSize::square(diameter), Interval::UNBOUNDED),
+/// One batch's view of the cluster as a [`SweepHost`]: the coordinator plus
+/// the server-side transfers its requests reported, so batches running side
+/// by side meter their remote I/O apart.
+struct ClusterSweep<'a> {
+    cluster: &'a ClusterCoordinator,
+    remote_io: Mutex<IoSnapshot>,
+}
+
+impl SweepHost for ClusterSweep<'_> {
+    type Error = ClusterError;
+
+    fn is_empty(&self) -> bool {
+        self.cluster.len == 0
+    }
+
+    fn scratch(&self) -> &EmContext {
+        &self.cluster.merge_ctx
+    }
+
+    fn sweep(
+        &self,
+        size: RectSize,
+        weight_scale: f64,
+        root: Interval,
+        suppressed: &[Rect],
+    ) -> Result<TupleFile<SlabTuple>> {
+        self.cluster
+            .cluster_slab_file(size, weight_scale, root, suppressed, &self.remote_io)
+    }
+
+    fn next_breakpoint(
+        &self,
+        size: RectSize,
+        root: Interval,
+        suppressed: &[Rect],
+        x: f64,
+    ) -> Result<f64> {
+        self.cluster
+            .min_breakpoint(size, root, x, suppressed, &self.remote_io)
+    }
+
+    fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
+        self.cluster
+            .candidate_sums(candidates, diameter, &self.remote_io)
+    }
+
+    fn objects(&self) -> Result<Vec<WeightedPoint>> {
+        let records = self.cluster.fetch_all_objects(&self.remote_io)?;
+        Ok(records.iter().map(|r| r.0).collect())
+    }
+
+    fn io(&self) -> IoSnapshot {
+        *self.remote_io.lock().expect("io lock") + self.cluster.merge_ctx.stats()
     }
 }
 

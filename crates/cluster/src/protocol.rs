@@ -19,8 +19,8 @@
 //! interleaved queries from several coordinators, and failover need no
 //! session bookkeeping.  Top-k suppression rounds stay stateless the same
 //! way: every request carries the list of already-chosen rectangles
-//! ([`PassSpec::suppressed`]) and servers filter their object files per
-//! request.
+//! ([`PassSpec::suppressed`]) and servers skip the objects inside them in
+//! every scan of the request.
 //!
 //! The encoding is length-prefixed little-endian, reusing the exact on-disk
 //! [`Record`] codecs for records, so a record crosses the wire bit-identical

@@ -6,11 +6,15 @@
 //! calls it directly; the TCP transport calls it from connection threads
 //! (all request state is per-call, so `handle` is freely concurrent).
 //!
-//! Every handler is a **verbatim mirror** of the corresponding phase of the
-//! single-machine [`ShardedDataset`](maxrs_core::ShardedDataset): the same
-//! cropping rule, the same piece ordering, the same scans — restricted to
-//! the shards this server hosts.  That is what makes the coordinator's
-//! merged answers bit-identical to the unsharded sweep.
+//! The handlers run the single-machine
+//! [`ShardedDataset`](maxrs_core::ShardedDataset)'s phases on the shards
+//! this server hosts, with the same shared pieces of `maxrs-core`: the crop
+//! rule ([`SlabPartition::crop`]), the suppression predicate
+//! ([`is_suppressed`]), the per-slab recursion and the breakpoint scan.
+//! Pieces concatenate in the same global source order, which is what makes
+//! the coordinator's merged answers bit-identical to the unsharded sweep.
+//! Every sweep pass is validated before any scan, so a malformed
+//! [`PassSpec`] becomes a [`Response::Error`], never a panic.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -18,10 +22,10 @@ use std::path::Path;
 use maxrs_core::shard::prepare_shard;
 use maxrs_core::sweep::{next_breakpoint_after, solve_rects};
 use maxrs_core::{
-    evaluate_candidates, EngineOptions, ExactMaxRsOptions, ObjectRecord, PreparedDataset,
-    RectRecord, Result as CoreResult, SlabPartition, SpanEvent,
+    evaluate_candidates, is_suppressed, CoreError, EngineOptions, ExactMaxRsOptions,
+    PreparedDataset, Query, RectRecord, Result as CoreResult, SlabPartition, SpanEvent,
 };
-use maxrs_em::{EmContext, IoSnapshot, TupleFile};
+use maxrs_em::{EmContext, IoSnapshot};
 use maxrs_geometry::{Rect, WeightedPoint};
 
 use crate::protocol::{PassSpec, PieceSet, Request, Response, ShardInfo};
@@ -61,7 +65,8 @@ impl ShardServer {
     }
 
     /// Prepares and hosts shard `id` from its objects on the simulated
-    /// backend of the server's engine options.
+    /// backend of the server's engine options.  An id outside `0..K` or
+    /// one already hosted is an [`CoreError::InvalidParameter`].
     pub fn host(&mut self, id: usize, objects: &[WeightedPoint]) -> CoreResult<()> {
         self.host_inner(id, None, objects)
     }
@@ -83,15 +88,17 @@ impl ShardServer {
         directory: Option<&Path>,
         objects: &[WeightedPoint],
     ) -> CoreResult<()> {
-        assert!(
-            id < self.num_shards,
-            "shard id {id} out of range for {} shards",
-            self.num_shards
-        );
-        assert!(
-            !self.hosted.iter().any(|h| h.id == id),
-            "shard {id} already hosted"
-        );
+        if id >= self.num_shards {
+            return Err(CoreError::InvalidParameter(format!(
+                "shard id {id} out of range for {} shards",
+                self.num_shards
+            )));
+        }
+        if self.hosts(id) {
+            return Err(CoreError::InvalidParameter(format!(
+                "shard {id} already hosted"
+            )));
+        }
         let (data, prepare_io) = prepare_shard(self.opts, directory, objects)?;
         let at = self.hosted.partition_point(|h| h.id < id);
         self.hosted.insert(
@@ -186,83 +193,84 @@ impl ShardServer {
         }
     }
 
+    /// Checks a pass once, before any scan: at least two strictly
+    /// increasing bounds, one owner per slab, owner and engaged ids below
+    /// `K`, and a positive finite rectangle size.
+    fn check_pass(&self, pass: &PassSpec) -> CoreResult<SlabPartition> {
+        let malformed =
+            |detail: String| CoreError::InvalidParameter(format!("malformed pass: {detail}"));
+        if pass.bounds.len() < 2 || !pass.bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err(malformed(format!(
+                "bounds {:?} are not at least two strictly increasing values",
+                pass.bounds
+            )));
+        }
+        if pass.owners.len() != pass.bounds.len() - 1 {
+            return Err(malformed(format!(
+                "{} owners for {} slabs",
+                pass.owners.len(),
+                pass.bounds.len() - 1
+            )));
+        }
+        if let Some(id) = pass
+            .owners
+            .iter()
+            .chain(&pass.engaged)
+            .find(|&&id| id as usize >= self.num_shards)
+        {
+            return Err(malformed(format!(
+                "shard id {id} out of range for {} shards",
+                self.num_shards
+            )));
+        }
+        Query::max_rs(pass.size).validate()?;
+        Ok(SlabPartition::new(pass.bounds.clone()))
+    }
+
+    /// The hosted shards a pass engages as sources, ascending.
+    fn engaged<'a>(&'a self, pass: &'a PassSpec) -> impl Iterator<Item = &'a HostedShard> {
+        self.hosted
+            .iter()
+            .filter(|h| pass.engaged.contains(&(h.id as u32)))
+    }
+
     /// Round 1: the cropping scan of
-    /// [`ShardedDataset`](maxrs_core::ShardedDataset)'s `distribute_source`,
-    /// run for every hosted engaged source.  Pieces whose owner slab is
-    /// hosted elsewhere are exported; span events always travel to the
-    /// coordinator (they merge on the coordinator's device).  Pieces whose
-    /// owner slab is hosted *here* are dropped — round 2 re-derives them
-    /// with the same one-pass scan, which keeps the server stateless.
+    /// [`ShardedDataset`](maxrs_core::ShardedDataset)'s phase 1, run for
+    /// every hosted engaged source.  Pieces whose owner slab is hosted
+    /// elsewhere are exported; span events always travel to the coordinator
+    /// (they merge on the coordinator's device).  Pieces whose owner slab is
+    /// hosted *here* are dropped — round 2 re-derives them with the same
+    /// one-pass scan, which keeps the server stateless.
     fn distribute(&self, pass: &PassSpec) -> CoreResult<Response> {
-        let partition = SlabPartition::new(pass.bounds.clone());
+        let partition = self.check_pass(pass)?;
         let mut spans: Vec<(u32, Vec<SpanEvent>)> = Vec::new();
-        let mut exported: BTreeMap<(u32, u32), Vec<RectRecord>> = BTreeMap::new();
-        for h in &self.hosted {
-            if !pass.engaged.contains(&(h.id as u32)) {
-                continue;
-            }
-            let (ctx, file) = h.data.external_parts().expect("shards are external");
-            let filtered = filtered_file(ctx, file, &pass.suppressed)?;
+        let mut exported: Vec<PieceSet> = Vec::new();
+        for h in self.engaged(pass) {
             let mut events: Vec<SpanEvent> = Vec::new();
-            let scan = (|| -> CoreResult<()> {
-                let mut reader = ctx.open_reader(filtered.file());
-                while let Some(rec) = reader.next_record()? {
-                    let record =
-                        RectRecord::new(rec.0.to_rect(pass.size), pass.weight_scale * rec.0.weight);
-                    let j = partition.locate(record.rect.x_lo);
-                    let k = partition.locate(record.rect.x_hi);
-                    if j == k {
-                        export_piece(&mut exported, self, pass, h.id, j, &record);
-                    } else {
-                        let left = RectRecord::new(
-                            Rect::new(
-                                record.rect.x_lo,
-                                partition.boundaries[j + 1],
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                            ),
-                            record.weight,
-                        );
-                        export_piece(&mut exported, self, pass, h.id, j, &left);
-                        let right = RectRecord::new(
-                            Rect::new(
-                                partition.boundaries[k],
-                                record.rect.x_hi,
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                            ),
-                            record.weight,
-                        );
-                        export_piece(&mut exported, self, pass, h.id, k, &right);
-                        if k > j + 1 {
-                            events.extend(SpanEvent::pair(
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                                record.weight,
-                                (j + 1) as u32,
-                                (k - 1) as u32,
-                            ));
-                        }
+            let mut pieces: BTreeMap<u32, Vec<RectRecord>> = BTreeMap::new();
+            crop_scan(
+                h,
+                pass,
+                &partition,
+                |t, piece| {
+                    if !self.hosts(pass.owners[t] as usize) {
+                        pieces.entry(t as u32).or_default().push(piece);
                     }
-                }
-                Ok(())
-            })();
-            filtered.cleanup(ctx)?;
-            scan?;
+                },
+                |pair| events.extend(pair),
+            )?;
             if !events.is_empty() {
                 spans.push((h.id as u32, events));
             }
+            exported.extend(pieces.into_iter().map(|(slab, rects)| PieceSet {
+                source: h.id as u32,
+                slab,
+                rects,
+            }));
         }
         Ok(Response::Distributed {
             spans,
-            exported: exported
-                .into_iter()
-                .map(|((source, slab), rects)| PieceSet {
-                    source,
-                    slab,
-                    rects,
-                })
-                .collect(),
+            exported,
             io: IoSnapshot::default(),
         })
     }
@@ -270,17 +278,11 @@ impl ShardServer {
     /// Round 2: re-derive the locally hosted sources' pieces for the global
     /// slabs owned here, interleave them with the imported pieces in global
     /// source order (the exact concatenation order of the single-machine
-    /// `solve_slab`), and run the ordinary per-slab recursion.
+    /// sweep's per-slab solve), and run the ordinary per-slab recursion.
     fn solve(&self, pass: &PassSpec, imported: &[PieceSet]) -> CoreResult<Response> {
-        let partition = SlabPartition::new(pass.bounds.clone());
+        let partition = self.check_pass(pass)?;
         let m = partition.num_slabs();
         let owners: Vec<usize> = pass.owners.iter().map(|&o| o as usize).collect();
-        if owners.len() != m {
-            return Err(maxrs_core::CoreError::InvalidParameter(format!(
-                "pass has {m} slabs but {} owners",
-                owners.len()
-            )));
-        }
         let owned: Vec<usize> = (0..m).filter(|&t| self.hosts(owners[t])).collect();
         if owned.is_empty() {
             return Ok(Response::Solved {
@@ -297,48 +299,18 @@ impl ShardServer {
         // sources happen to be co-hosted, which is what keeps the summed
         // `IoSnapshot` invariant across server topologies.
         let mut pieces: BTreeMap<(usize, usize), Vec<RectRecord>> = BTreeMap::new();
-        for h in &self.hosted {
-            if !pass.engaged.contains(&(h.id as u32)) {
-                continue;
-            }
-            let (ctx, file) = h.data.external_parts().expect("shards are external");
-            let filtered = filtered_file(ctx, file, &pass.suppressed)?;
-            let scan = (|| -> CoreResult<()> {
-                let mut reader = ctx.open_reader(filtered.file());
-                while let Some(rec) = reader.next_record()? {
-                    let record =
-                        RectRecord::new(rec.0.to_rect(pass.size), pass.weight_scale * rec.0.weight);
-                    let j = partition.locate(record.rect.x_lo);
-                    let k = partition.locate(record.rect.x_hi);
-                    if j == k {
-                        push_owned(self, &owners, &mut pieces, h.id, j, &record);
-                    } else {
-                        let left = RectRecord::new(
-                            Rect::new(
-                                record.rect.x_lo,
-                                partition.boundaries[j + 1],
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                            ),
-                            record.weight,
-                        );
-                        push_owned(self, &owners, &mut pieces, h.id, j, &left);
-                        let right = RectRecord::new(
-                            Rect::new(
-                                partition.boundaries[k],
-                                record.rect.x_hi,
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                            ),
-                            record.weight,
-                        );
-                        push_owned(self, &owners, &mut pieces, h.id, k, &right);
+        for h in self.engaged(pass) {
+            crop_scan(
+                h,
+                pass,
+                &partition,
+                |t, piece| {
+                    if self.hosts(owners[t]) {
+                        pieces.entry((h.id, t)).or_default().push(piece);
                     }
-                }
-                Ok(())
-            })();
-            filtered.cleanup(ctx)?;
-            scan?;
+                },
+                |_| {},
+            )?;
         }
 
         // Merge the imported piece sets.  The keys cannot collide with the
@@ -348,7 +320,7 @@ impl ShardServer {
         for ps in imported {
             let (source, t) = (ps.source as usize, ps.slab as usize);
             if t >= m || !self.hosts(owners[t]) {
-                return Err(maxrs_core::CoreError::InvalidParameter(format!(
+                return Err(CoreError::InvalidParameter(format!(
                     "imported piece set routed to a non-owned slab {t}"
                 )));
             }
@@ -385,7 +357,7 @@ impl ShardServer {
     /// The per-server half of min-next-breakpoint canonicalization: the
     /// minimum of [`next_breakpoint_after`] over every hosted shard (the
     /// coordinator takes the minimum across servers, which together is
-    /// exactly the all-shards loop of the single-machine canonicalize).
+    /// exactly the all-shards minimum of the single-machine dataset).
     fn breakpoint(
         &self,
         size: maxrs_geometry::RectSize,
@@ -393,13 +365,13 @@ impl ShardServer {
         after_x: f64,
         suppressed: &[Rect],
     ) -> CoreResult<Response> {
+        Query::max_rs(size).validate()?;
         let mut hi = f64::INFINITY;
         for h in &self.hosted {
             let (ctx, file) = h.data.external_parts().expect("shards are external");
-            let filtered = filtered_file(ctx, file, suppressed)?;
-            let scanned = next_breakpoint_after(ctx, filtered.file(), size, root, after_x);
-            filtered.cleanup(ctx)?;
-            hi = hi.min(scanned?);
+            hi = hi.min(next_breakpoint_after(
+                ctx, file, size, root, suppressed, after_x,
+            )?);
         }
         Ok(Response::Breakpoint {
             hi,
@@ -409,7 +381,7 @@ impl ShardServer {
 
     /// ApproxMaxCRS refinement scan: per hosted shard, the candidates'
     /// open-disk weight sums over the **full** object file (refinement never
-    /// sees top-k suppression, mirroring the single-machine `refine_crs`).
+    /// sees top-k suppression).
     fn evaluate(
         &self,
         candidates: &[maxrs_geometry::Point],
@@ -451,84 +423,31 @@ impl std::fmt::Debug for ShardServer {
     }
 }
 
-/// Exports a cropped piece when its owner slab is hosted on another server;
-/// locally-owned pieces are regenerated in round 2 instead.
-fn export_piece(
-    exported: &mut BTreeMap<(u32, u32), Vec<RectRecord>>,
-    server: &ShardServer,
+/// The crop scan of one hosted source shard: every object outside the
+/// pass's suppressed rectangles, transformed and weight-scaled, goes through
+/// [`SlabPartition::crop`]; pieces reach `on_piece` with their global slab,
+/// span-event pairs reach `on_span`.
+fn crop_scan(
+    shard: &HostedShard,
     pass: &PassSpec,
-    source: usize,
-    t: usize,
-    record: &RectRecord,
-) {
-    let owner = pass
-        .owners
-        .get(t)
-        .map(|&o| o as usize)
-        .unwrap_or(usize::MAX);
-    if !server.hosts(owner) {
-        exported
-            .entry((source as u32, t as u32))
-            .or_default()
-            .push(*record);
-    }
-}
-
-/// Collects a piece of a locally-owned global slab; pieces of slabs owned
-/// elsewhere are dropped (they were exported in round 1).
-fn push_owned(
-    server: &ShardServer,
-    owners: &[usize],
-    pieces: &mut BTreeMap<(usize, usize), Vec<RectRecord>>,
-    source: usize,
-    t: usize,
-    record: &RectRecord,
-) {
-    if server.hosts(owners[t]) {
-        pieces.entry((source, t)).or_default().push(*record);
-    }
-}
-
-/// An object file with the top-k suppression filter applied: borrowed when
-/// no suppression is active, a materialized temporary otherwise.
-enum Filtered<'a> {
-    Borrowed(&'a TupleFile<ObjectRecord>),
-    Owned(TupleFile<ObjectRecord>),
-}
-
-impl<'a> Filtered<'a> {
-    fn file(&self) -> &TupleFile<ObjectRecord> {
-        match self {
-            Filtered::Borrowed(f) => f,
-            Filtered::Owned(f) => f,
+    partition: &SlabPartition,
+    mut on_piece: impl FnMut(usize, RectRecord),
+    mut on_span: impl FnMut([SpanEvent; 2]),
+) -> CoreResult<()> {
+    let (ctx, file) = shard.data.external_parts().expect("shards are external");
+    let mut reader = ctx.open_reader(file);
+    while let Some(rec) = reader.next_record()? {
+        if is_suppressed(&pass.suppressed, &rec) {
+            continue;
+        }
+        let record = RectRecord::new(rec.0.to_rect(pass.size), pass.weight_scale * rec.0.weight);
+        let crop = partition.crop(&record);
+        for (t, piece) in crop.pieces.into_iter().flatten() {
+            on_piece(t, piece);
+        }
+        if let Some(pair) = crop.span {
+            on_span(pair);
         }
     }
-
-    fn cleanup(self, ctx: &EmContext) -> CoreResult<()> {
-        if let Filtered::Owned(f) = self {
-            ctx.delete_file(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// Applies the suppression filter exactly like the single-machine top-k
-/// rounds: an object strictly inside any chosen rectangle is removed, order
-/// preserved.
-fn filtered_file<'a>(
-    ctx: &EmContext,
-    file: &'a TupleFile<ObjectRecord>,
-    suppressed: &[Rect],
-) -> CoreResult<Filtered<'a>> {
-    if suppressed.is_empty() {
-        return Ok(Filtered::Borrowed(file));
-    }
-    let filtered = ctx.filter_map_file(file, |rec: ObjectRecord| {
-        if suppressed.iter().any(|r| r.contains_open(&rec.0.point)) {
-            None
-        } else {
-            Some(rec)
-        }
-    })?;
-    Ok(Filtered::Owned(filtered))
+    Ok(())
 }

@@ -9,14 +9,16 @@
 //! equals the single-machine [`ShardedDataset`], empty datasets and
 //! tie-collapsed (empty) shards answer like the unsharded pipeline.  The
 //! aggregated `IoSnapshot` of a cluster query is invariant across server
-//! topologies, transports and storage backends.
+//! topologies, transports and storage backends, and a batch shares its
+//! sweep passes on the cluster as on a prepared dataset.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use maxrs_cluster::{
-    partition_objects, serve_tcp, ClusterConfig, ClusterCoordinator, InProcessTransport,
-    ShardServer, TcpServerHandle, TcpTransport, Transport,
+    partition_objects, serve_tcp, ClusterConfig, ClusterCoordinator, InProcessTransport, Request,
+    Response, ShardServer, TcpServerHandle, TcpTransport, Transport, TransportError,
 };
 use maxrs_core::{
     EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query, ShardLayout,
@@ -377,4 +379,70 @@ fn io_snapshot_is_invariant_across_topology_transport_and_backend() {
         3,
     ));
     assert_eq!(reference, fs, "backend changed the I/O");
+}
+
+/// Counts every request attempt before handing it to the wrapped transport.
+struct CountingTransport {
+    inner: InProcessTransport,
+    calls: Arc<AtomicU64>,
+}
+
+impl Transport for CountingTransport {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn call(&self, request: &Request, timeout: Duration) -> Result<Response, TransportError> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.inner.call(request, timeout)
+    }
+}
+
+#[test]
+fn cluster_batches_share_sweep_passes() {
+    let extent = 1000.0;
+    let objects = pseudo_random_objects(1500, 61, extent);
+    let opts = options_with(StorageBackend::Sim);
+    let calls = Arc::new(AtomicU64::new(0));
+    let transports: Vec<Box<dyn Transport>> = build_servers(opts, &objects, 4, 2)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            Box::new(CountingTransport {
+                inner: InProcessTransport::new(format!("srv{i}"), Arc::new(s)),
+                calls: Arc::clone(&calls),
+            }) as Box<dyn Transport>
+        })
+        .collect();
+    let cluster = ClusterCoordinator::connect(opts, test_config(), transports).unwrap();
+
+    let size = RectSize::square(0.12 * extent);
+    let queries = [
+        Query::max_rs(size),
+        Query::top_k(size, 3),
+        Query::approx_max_crs(size.width),
+    ];
+    let rpcs = || calls.load(Ordering::SeqCst);
+
+    let start = rpcs();
+    let single: Vec<_> = queries.iter().map(|q| cluster.run(q).unwrap()).collect();
+    let single_rpcs = rpcs() - start;
+    let start = rpcs();
+    let batched = cluster.run_batch(&queries).unwrap();
+    let batched_rpcs = rpcs() - start;
+
+    let total = |runs: &[maxrs_core::QueryRun]| -> u64 { runs.iter().map(|r| r.io.total()).sum() };
+    for ((query, one), many) in queries.iter().zip(&single).zip(&batched) {
+        assert_eq!(one.answer, many.answer, "{} diverged", query.name());
+    }
+    assert!(
+        total(&batched) < total(&single),
+        "batch moved {} blocks, one at a time {}",
+        total(&batched),
+        total(&single)
+    );
+    assert!(
+        batched_rpcs < single_rpcs,
+        "batch made {batched_rpcs} requests, one at a time {single_rpcs}"
+    );
 }

@@ -3,12 +3,14 @@
 //! silently wrong answer — under both the in-process and the TCP transport.
 //! Also pins the health-state machine: consecutive failed requests cross the
 //! failure threshold into fast-fail, and `revive` re-admits a recovered
-//! server.
+//! server; and a server answers malformed sweep passes with an error reply,
+//! never a panic.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use maxrs_cluster::protocol::PassSpec;
 use maxrs_cluster::{
     partition_objects, serve_tcp, ClusterConfig, ClusterCoordinator, ClusterError,
     FaultInjectedTransport, InProcessTransport, InjectedFault, Request, Response, ShardHealth,
@@ -16,7 +18,7 @@ use maxrs_cluster::{
 };
 use maxrs_core::{EngineOptions, ExactMaxRsOptions, MaxRsEngine, Query};
 use maxrs_em::EmConfig;
-use maxrs_geometry::{RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, RectSize, WeightedPoint};
 
 fn objects(n: usize, seed: u64) -> Vec<WeightedPoint> {
     let mut state = seed.max(1);
@@ -414,4 +416,107 @@ fn topology_violations_are_rejected_at_connect() {
         matches!(err, ClusterError::Topology { ref detail } if detail.contains("boundaries")),
         "got {err:?}"
     );
+}
+
+#[test]
+fn malformed_requests_get_error_responses_instead_of_panics() {
+    let data = objects(400, 29);
+    let (boundaries, parts) = partition_objects(&data, 2, 8192);
+    let mut server = ShardServer::new(opts(), boundaries.clone());
+    server.host(0, &parts[0]).unwrap();
+    server.host(1, &parts[1]).unwrap();
+
+    // Hosting a shard id twice or outside 0..K is a typed error.
+    assert!(server.host(1, &parts[1]).is_err());
+    assert!(server.host(2, &[]).is_err());
+
+    let valid = PassSpec {
+        size: RectSize::square(50.0),
+        weight_scale: 1.0,
+        root: Interval::UNBOUNDED,
+        bounds: vec![f64::NEG_INFINITY, boundaries[0], f64::INFINITY],
+        owners: vec![0, 1],
+        engaged: vec![0, 1],
+        suppressed: Vec::new(),
+    };
+    assert!(matches!(
+        server.handle(&Request::Distribute(valid.clone())),
+        Response::Distributed { .. }
+    ));
+
+    // Sizes as the wire decoder builds them, unchecked.
+    let bad_sizes = [
+        RectSize {
+            width: 0.0,
+            height: 0.0,
+        },
+        RectSize {
+            width: f64::NAN,
+            height: 1.0,
+        },
+        RectSize {
+            width: 1.0,
+            height: f64::INFINITY,
+        },
+    ];
+    let mut malformed = vec![
+        PassSpec {
+            bounds: vec![0.0],
+            owners: vec![],
+            ..valid.clone()
+        },
+        PassSpec {
+            bounds: vec![],
+            owners: vec![],
+            ..valid.clone()
+        },
+        PassSpec {
+            bounds: vec![f64::NEG_INFINITY, 5.0, 5.0, f64::INFINITY],
+            owners: vec![0, 0, 1],
+            ..valid.clone()
+        },
+        PassSpec {
+            bounds: vec![f64::NEG_INFINITY, f64::NAN, f64::INFINITY],
+            ..valid.clone()
+        },
+        PassSpec {
+            owners: vec![0],
+            ..valid.clone()
+        },
+        PassSpec {
+            owners: vec![0, 2],
+            ..valid.clone()
+        },
+        PassSpec {
+            engaged: vec![0, 7],
+            ..valid.clone()
+        },
+    ];
+    malformed.extend(bad_sizes.map(|size| PassSpec {
+        size,
+        ..valid.clone()
+    }));
+    let requests = malformed
+        .into_iter()
+        .flat_map(|pass| {
+            [
+                Request::Distribute(pass.clone()),
+                Request::Solve {
+                    pass,
+                    imported: Vec::new(),
+                },
+            ]
+        })
+        .chain(bad_sizes.map(|size| Request::Breakpoint {
+            size,
+            root: Interval::UNBOUNDED,
+            after_x: 0.0,
+            suppressed: Vec::new(),
+        }));
+    for request in requests {
+        assert!(
+            matches!(server.handle(&request), Response::Error { .. }),
+            "{request:?} was not rejected"
+        );
+    }
 }

@@ -59,29 +59,6 @@ pub fn approx_max_crs(
     diameter: f64,
     opts: &ApproxMaxCrsOptions,
 ) -> Result<MaxCrsResult> {
-    approx_max_crs_impl(ctx, objects, diameter, opts, false)
-}
-
-/// [`approx_max_crs`] over an object file already sorted by x (see
-/// [`sort_objects_by_x`](crate::exact::sort_objects_by_x)): the MaxRS step
-/// of Algorithm 3 runs through a presorted [`SweepPass`], skipping the
-/// external sort.  Used by [`PreparedDataset`](crate::PreparedDataset).
-pub fn approx_max_crs_presorted(
-    ctx: &EmContext,
-    sorted_objects: &TupleFile<ObjectRecord>,
-    diameter: f64,
-    opts: &ApproxMaxCrsOptions,
-) -> Result<MaxCrsResult> {
-    approx_max_crs_impl(ctx, sorted_objects, diameter, opts, true)
-}
-
-fn approx_max_crs_impl(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
-    diameter: f64,
-    opts: &ApproxMaxCrsOptions,
-    presorted: bool,
-) -> Result<MaxCrsResult> {
     if diameter <= 0.0 || !diameter.is_finite() {
         return Err(CoreError::InvalidParameter(format!(
             "circle diameter must be positive and finite, got {diameter}"
@@ -98,38 +75,13 @@ fn approx_max_crs_impl(
     }
 
     // 1. Solve MaxRS on the MBRs of the circles (d x d squares): one sweep
-    // kernel pass, sort-free when the input is presorted.
-    let pass = if presorted {
-        SweepPass::presorted(ctx, &opts.exact)
-    } else {
-        SweepPass::new(ctx, &opts.exact)
-    };
-    let rect_result = pass.max_rs(objects, RectSize::square(diameter))?;
+    // kernel pass.
+    let p0 = SweepPass::new(ctx, &opts.exact)
+        .max_rs(objects, RectSize::square(diameter))?
+        .center;
 
-    // 2 + 3. Shift, evaluate, pick (shared with the batched executor, which
-    // reuses one MaxRS pass for several piggybacked queries).
-    refine_from_p0(
-        ctx,
-        objects,
-        rect_result.center,
-        diameter,
-        opts.sigma_fraction,
-    )
-}
-
-/// Steps 2–3 of Algorithm 3 given the MaxRS centroid `p0`: generate the five
-/// candidate points and evaluate their circular range sums with one scan of
-/// the object file.  Shared by [`approx_max_crs`] and the batched executor,
-/// which piggybacks this refinement on a MaxRS sweep other queries already
-/// paid for.
-pub(crate) fn refine_from_p0(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
-    p0: Point,
-    diameter: f64,
-    sigma_fraction: f64,
-) -> Result<MaxCrsResult> {
-    let candidates = candidate_points(p0, diameter, sigma_fraction);
+    // 2 + 3. Shift, evaluate with one scan of the object file, pick.
+    let candidates = candidate_points(p0, diameter, opts.sigma_fraction);
     let weights = evaluate_candidates(ctx, objects, &candidates, diameter)?;
     Ok(best_candidate(&candidates, &weights))
 }

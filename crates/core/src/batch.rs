@@ -1,5 +1,5 @@
-//! Batched multi-query execution: answer M queries over one
-//! [`PreparedDataset`](crate::PreparedDataset) in shared sweep passes.
+//! The query driver: answer a batch of [`Query`]s over any dataset in
+//! shared sweep passes.
 //!
 //! A serving workload rarely asks one question of a dataset — it asks many:
 //! MaxRS at a few rectangle sizes, top-k follow-ups, a MinRS sanity check, a
@@ -7,56 +7,73 @@
 //! per question even though queries of the *same* rectangle size share their
 //! transform, their slab recursion and their winning strip.  [`QueryBatch`]
 //! plans a slice of [`Query`]s into **sweep groups** — queries whose answers
-//! fall out of one [`SweepPass`] — and the executor
-//! runs each group's kernel pass once:
+//! fall out of one sweep pass — and the driver runs each group's pass once:
 //!
 //! * [`Query::MaxRs`], [`Query::TopK`] and [`Query::ApproxMaxCrs`] of one
 //!   rectangle size (a circle's MBR is the `d × d` square) share one
 //!   positive-weight pass: MaxRS answers *are* the pass's canonical best,
-//!   top-k piggybacks its first round on it (later suppression rounds are
+//!   top-k takes it as its first round (later suppression rounds are
 //!   shared up to the largest requested `k`), and ApproxMaxCRS refines the
-//!   shared centroid with its own 5-candidate scan.
+//!   shared centroid with its own 5-candidate sums.
 //! * [`Query::MinRs`] queries sharing a size and a domain x-slab share one
 //!   weight-negated pass; each member streams its own domain-clipped strip
 //!   scan over the shared slab-file.
 //!
-//! Independent groups execute concurrently on the existing
+//! # One driver, many hosts
+//!
+//! The driver asks a dataset for a handful of operations only, the
+//! [`SweepHost`] trait: one sweep pass (size, weight scale, root slab and the
+//! suppressed rectangles of earlier top-k rounds in, merged root slab-file
+//! out), the next arrangement breakpoint for canonicalization, the
+//! ApproxMaxCRS candidate sums, the objects themselves and an I/O meter.
+//! Top-k suppression is a scan predicate — every scan of a round leaves out
+//! the objects strictly inside an already chosen rectangle — so no host
+//! materializes per-round copies of its data.  A single x-sorted object
+//! file ([`PreparedDataset`](crate::PreparedDataset),
+//! [`DeltaDataset`](crate::DeltaDataset)), the local
+//! [`ShardedDataset`](crate::ShardedDataset) and the remote shards behind
+//! `maxrs-cluster`'s coordinator all implement it, and [`run_on_host`]
+//! answers every variant on each of them with the same code, so the paths
+//! cannot drift apart.
+//!
+//! On a single file, independent groups execute concurrently on the
 //! [`parallel_map`](crate::parallel::parallel_map()) worker pool; the sharded
 //! [`IoStats`](maxrs_em::IoStats) keep the global count exact, and
 //! [`measure_thread_io`](maxrs_em::measure_thread_io()) attributes each group's
 //! transfers to its queries.  Answers are **bit-identical** to per-query
 //! [`PreparedDataset::run`](crate::PreparedDataset::run) calls — in fact the
-//! per-query path *is* a batch of one, so the single-query and batched code
-//! can never diverge.  One caveat carries over from strategy selection: when
-//! several groups run concurrently, each group's sweep combines its slabs
-//! with the flat sequential MergeSweep instead of the parallel pairwise tree
-//! a lone query would use, which for **integer-valued weights** is exactly
-//! identical and for arbitrary floats shares the last-bit association caveat
-//! of [`merge_sweep_tree`](crate::merge_sweep::merge_sweep_tree()) — the
-//! same caveat that already applies between execution strategies.
+//! per-query path *is* a batch of one.  One caveat carries over from strategy
+//! selection: when several groups run concurrently, each group's sweep
+//! combines its slabs with the flat sequential MergeSweep instead of the
+//! parallel pairwise tree a lone query would use, which for
+//! **integer-valued weights** is exactly identical and for arbitrary floats
+//! shares the last-bit association caveat of
+//! [`merge_sweep_tree`](crate::merge_sweep::merge_sweep_tree()) — the same
+//! caveat that already applies between execution strategies.
 //!
 //! # I/O attribution
 //!
 //! Each [`QueryRun::io`] reports the query's marginal cost (its exclusive
 //! scans and rounds); a group's shared pass is charged to the group's first
-//! query in batch order.  Summing the runs therefore reproduces the batch's
-//! exact total — nothing is double-counted and nothing is dropped.
+//! query in batch order, the shared top-k rounds to its first top-k query.
+//! Summing the runs therefore reproduces the batch's exact total — nothing
+//! is double-counted and nothing is dropped.
 
 use std::collections::HashMap;
 
 use maxrs_em::{measure_thread_io, EmContext, IoSnapshot, TupleFile};
-use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
+use maxrs_geometry::{range_sum_rect, Interval, Point, Rect, RectSize, WeightedPoint};
 
-use crate::approx::refine_from_p0;
+use crate::approx::{best_candidate, candidate_points, evaluate_candidates};
 use crate::engine::ExecutionStrategy;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::exact::ExactMaxRsOptions;
 use crate::extensions::{min_rs_in_memory, min_strip_scan, MinStrip};
 use crate::parallel::parallel_map;
 use crate::query::{Query, QueryAnswer, QueryRun};
-use crate::records::ObjectRecord;
+use crate::records::{ObjectRecord, SlabTuple};
 use crate::result::{MaxCrsResult, MaxRsResult};
-use crate::sweep::{next_breakpoint_after, SweepPass};
+use crate::sweep::{extract_best, next_breakpoint_after, SweepPass};
 
 /// A validated slice of queries planned into shared sweep groups.
 ///
@@ -89,14 +106,14 @@ pub struct QueryBatch {
 
 /// One shared pass and the batch positions it answers.
 #[derive(Debug, Clone)]
-pub(crate) struct SweepGroup {
-    pub(crate) kind: GroupKind,
+struct SweepGroup {
+    kind: GroupKind,
     /// Indices into the batch's query list, in batch order.
-    pub(crate) members: Vec<usize>,
+    members: Vec<usize>,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) enum GroupKind {
+enum GroupKind {
     /// Positive-weight pass over the unbounded root: MaxRS, top-k and
     /// ApproxMaxCRS of one rectangle size.
     Shared { size: RectSize },
@@ -121,36 +138,20 @@ impl QueryBatch {
         let mut by_key: HashMap<SweepKey, usize> = HashMap::new();
         for (i, query) in queries.iter().enumerate() {
             query.validate()?;
-            let (key, kind) = match *query {
-                Query::MaxRs { size } | Query::TopK { size, .. } => (
-                    Some((0u8, size.width.to_bits(), size.height.to_bits(), 0, 0)),
-                    GroupKind::Shared { size },
-                ),
-                Query::ApproxMaxCrs { diameter, .. } => {
-                    let size = RectSize::square(diameter);
-                    (
-                        Some((0u8, size.width.to_bits(), size.height.to_bits(), 0, 0)),
-                        GroupKind::Shared { size },
-                    )
+            let (size, root) = query.first_pass();
+            let (kind, tag) = match *query {
+                Query::MinRs { domain, .. }
+                    if domain.x_lo == domain.x_hi || domain.y_lo == domain.y_hi =>
+                {
+                    (GroupKind::DegenerateMinRs, None)
                 }
-                Query::MinRs { size, domain } => {
-                    if domain.x_lo == domain.x_hi || domain.y_lo == domain.y_hi {
-                        (None, GroupKind::DegenerateMinRs)
-                    } else {
-                        let slab = Interval::new(domain.x_lo, domain.x_hi);
-                        (
-                            Some((
-                                1u8,
-                                size.width.to_bits(),
-                                size.height.to_bits(),
-                                slab.lo.to_bits(),
-                                slab.hi.to_bits(),
-                            )),
-                            GroupKind::MinRs { size, slab },
-                        )
-                    }
-                }
+                Query::MinRs { .. } => (GroupKind::MinRs { size, slab: root }, Some(1u8)),
+                _ => (GroupKind::Shared { size }, Some(0u8)),
             };
+            let key = tag.map(|t| {
+                let (w, h) = (size.width.to_bits(), size.height.to_bits());
+                (t, w, h, root.lo.to_bits(), root.hi.to_bits())
+            });
             match key.and_then(|k| by_key.get(&k).copied()) {
                 Some(g) => groups[g].members.push(i),
                 None => {
@@ -190,45 +191,145 @@ impl QueryBatch {
     pub fn num_groups(&self) -> usize {
         self.groups.len()
     }
+}
 
-    /// The planned sweep groups, for executors outside this module (the
-    /// sharded dataset layer reuses the plan, shard-routing each group).
-    pub(crate) fn groups(&self) -> &[SweepGroup] {
-        &self.groups
+/// Where the driver runs a batch's sweep passes: the operations every query
+/// variant reduces to, whatever the dataset's layout (see the
+/// [module docs](crate::batch)).
+///
+/// Implemented for a single x-sorted object file (the prepared and delta
+/// datasets), for [`ShardedDataset`](crate::ShardedDataset) and for
+/// `maxrs-cluster`'s coordinator; [`run_on_host`] drives any of them.
+pub trait SweepHost {
+    /// The host's error type; core errors convert into it, host-specific
+    /// ones (say, an unavailable server) pass through the driver unchanged.
+    type Error: From<CoreError>;
+
+    /// `true` when the host holds no objects: every query then has its
+    /// trivial answer at zero I/O.
+    fn is_empty(&self) -> bool;
+
+    /// The context the slab-files returned by [`sweep`](SweepHost::sweep)
+    /// live on.
+    fn scratch(&self) -> &EmContext;
+
+    /// One sweep pass: the merged, y-sorted slab-file of `root` over every
+    /// object's `size` rectangle with its weight multiplied by
+    /// `weight_scale`, leaving out the objects strictly inside one of
+    /// `suppressed`.  The caller deletes the file.
+    fn sweep(
+        &self,
+        size: RectSize,
+        weight_scale: f64,
+        root: Interval,
+        suppressed: &[Rect],
+    ) -> std::result::Result<TupleFile<SlabTuple>, Self::Error>;
+
+    /// The smallest arrangement breakpoint strictly greater than `x` over the
+    /// same objects (see [`next_breakpoint_after`]).
+    fn next_breakpoint(
+        &self,
+        size: RectSize,
+        root: Interval,
+        suppressed: &[Rect],
+        x: f64,
+    ) -> std::result::Result<f64, Self::Error>;
+
+    /// The weight sums of the open disks of `diameter` centered at
+    /// `candidates`, accumulated in object x order — ApproxMaxCRS
+    /// refinement.
+    fn candidate_sums(
+        &self,
+        candidates: &[Point],
+        diameter: f64,
+    ) -> std::result::Result<Vec<f64>, Self::Error>;
+
+    /// Every object, in x order.
+    fn objects(&self) -> std::result::Result<Vec<WeightedPoint>, Self::Error>;
+
+    /// Blocks moved on the host so far; the driver meters each phase as a
+    /// difference of two readings.
+    fn io(&self) -> IoSnapshot;
+}
+
+/// The host over one x-sorted object file swept by a [`SweepPass`]: what
+/// [`PreparedDataset`](crate::PreparedDataset) and
+/// [`DeltaDataset`](crate::DeltaDataset) run on, and what
+/// [`SweepPass::max_rs`] runs on for a single query.
+pub(crate) struct FileHost<'a> {
+    pass: SweepPass<'a>,
+    objects: &'a TupleFile<ObjectRecord>,
+}
+
+impl<'a> FileHost<'a> {
+    pub(crate) fn new(pass: SweepPass<'a>, objects: &'a TupleFile<ObjectRecord>) -> Self {
+        FileHost { pass, objects }
     }
 }
 
-/// One member's outcome: the answer plus the I/O attributed to it.
-pub(crate) struct MemberOut {
-    pub(crate) index: usize,
-    pub(crate) answer: QueryAnswer,
-    pub(crate) io: IoSnapshot,
-}
+impl SweepHost for FileHost<'_> {
+    type Error = CoreError;
 
-/// How group phases measure their I/O: global counter deltas when groups run
-/// one after another, per-thread meters when groups share the worker pool.
-#[derive(Clone, Copy)]
-enum Meter {
-    GlobalDelta,
-    ThreadLocal,
-}
-
-fn measured<R>(
-    ctx: &EmContext,
-    meter: Meter,
-    f: impl FnOnce() -> Result<R>,
-) -> Result<(R, IoSnapshot)> {
-    match meter {
-        Meter::ThreadLocal => {
-            let (out, io) = measure_thread_io(f);
-            Ok((out?, io))
-        }
-        Meter::GlobalDelta => {
-            let before = ctx.stats();
-            let out = f()?;
-            Ok((out, ctx.stats().delta(&before)))
-        }
+    fn is_empty(&self) -> bool {
+        self.objects.is_empty()
     }
+
+    fn scratch(&self) -> &EmContext {
+        self.pass.ctx()
+    }
+
+    fn sweep(
+        &self,
+        size: RectSize,
+        weight_scale: f64,
+        root: Interval,
+        suppressed: &[Rect],
+    ) -> Result<TupleFile<SlabTuple>> {
+        self.pass
+            .with_weight_scale(weight_scale)
+            .with_root(root)
+            .with_suppressed(suppressed)
+            .slab_file(self.objects, size)
+    }
+
+    fn next_breakpoint(
+        &self,
+        size: RectSize,
+        root: Interval,
+        suppressed: &[Rect],
+        x: f64,
+    ) -> Result<f64> {
+        next_breakpoint_after(self.pass.ctx(), self.objects, size, root, suppressed, x)
+    }
+
+    fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
+        evaluate_candidates(self.pass.ctx(), self.objects, candidates, diameter)
+    }
+
+    fn objects(&self) -> Result<Vec<WeightedPoint>> {
+        let records = self.pass.ctx().read_all(self.objects)?;
+        Ok(records.iter().map(|r| r.0).collect())
+    }
+
+    fn io(&self) -> IoSnapshot {
+        self.pass.ctx().stats()
+    }
+}
+
+/// Answers a planned batch on `host`, group after group, each phase metered
+/// through [`SweepHost::io`] and attributed as the module docs describe.
+/// `strategy` and `workers` are reported on every run.
+pub fn run_on_host<H: SweepHost>(
+    host: &H,
+    batch: &QueryBatch,
+    strategy: ExecutionStrategy,
+    workers: usize,
+) -> std::result::Result<Vec<QueryRun>, H::Error> {
+    let outcomes = batch
+        .groups
+        .iter()
+        .map(|group| run_group(host, group, &batch.queries, Meter::Host));
+    collect_runs(batch, outcomes, strategy, workers)
 }
 
 /// Executes a planned batch over an object file **already sorted by x** (the
@@ -271,32 +372,71 @@ pub(crate) fn run_batch_external(
     // its worker (the groups are the coarsest unit of parallel work, exactly
     // like the slab stage's children).  A single group keeps the full
     // parallel slab stage instead.
-    let parallel_groups = actual_workers > 1 && batch.groups.len() > 1;
-    let outcomes: Vec<Result<Vec<MemberOut>>> = if parallel_groups {
+    if actual_workers > 1 && batch.groups.len() > 1 {
         let group_opts = ExactMaxRsOptions {
             parallelism: 1,
             ..exact_opts
         };
-        parallel_map(
+        let host = FileHost::new(SweepPass::presorted(ctx, &group_opts), sorted);
+        let outcomes = parallel_map(
             actual_workers.min(batch.groups.len()),
             batch.groups.iter().collect(),
-            |_, group| run_group(ctx, sorted, group, batch, &group_opts, Meter::ThreadLocal),
-        )
+            |_, group| run_group(&host, group, &batch.queries, Meter::Thread),
+        );
+        collect_runs(batch, outcomes, actual_strategy, actual_workers)
     } else {
-        batch
-            .groups
-            .iter()
-            .map(|group| run_group(ctx, sorted, group, batch, &exact_opts, Meter::GlobalDelta))
-            .collect()
-    };
+        let host = FileHost::new(SweepPass::presorted(ctx, &exact_opts), sorted);
+        run_on_host(&host, batch, actual_strategy, actual_workers)
+    }
+}
 
+/// One member's outcome: the answer plus the I/O attributed to it.
+struct MemberOut {
+    index: usize,
+    answer: QueryAnswer,
+    io: IoSnapshot,
+}
+
+/// How group phases measure their I/O: differences of the host's counter
+/// when groups run one after another, per-thread meters when groups share
+/// the worker pool.
+#[derive(Clone, Copy)]
+enum Meter {
+    Host,
+    Thread,
+}
+
+fn measured<H: SweepHost, R>(
+    host: &H,
+    meter: Meter,
+    f: impl FnOnce() -> std::result::Result<R, H::Error>,
+) -> std::result::Result<(R, IoSnapshot), H::Error> {
+    match meter {
+        Meter::Thread => {
+            let (out, io) = measure_thread_io(f);
+            Ok((out?, io))
+        }
+        Meter::Host => {
+            let before = host.io();
+            let out = f()?;
+            Ok((out, host.io().delta(&before)))
+        }
+    }
+}
+
+fn collect_runs<E>(
+    batch: &QueryBatch,
+    outcomes: impl IntoIterator<Item = std::result::Result<Vec<MemberOut>, E>>,
+    strategy: ExecutionStrategy,
+    workers: usize,
+) -> std::result::Result<Vec<QueryRun>, E> {
     let mut runs: Vec<Option<QueryRun>> = batch.queries.iter().map(|_| None).collect();
     for outcome in outcomes {
         for m in outcome? {
             runs[m.index] = Some(QueryRun {
                 answer: m.answer,
-                strategy: actual_strategy,
-                workers: actual_workers,
+                strategy,
+                workers,
                 io: m.io,
             });
         }
@@ -307,26 +447,23 @@ pub(crate) fn run_batch_external(
         .collect())
 }
 
-fn run_group(
-    ctx: &EmContext,
-    sorted: &TupleFile<ObjectRecord>,
+fn run_group<H: SweepHost>(
+    host: &H,
     group: &SweepGroup,
-    batch: &QueryBatch,
-    opts: &ExactMaxRsOptions,
+    queries: &[Query],
     meter: Meter,
-) -> Result<Vec<MemberOut>> {
+) -> std::result::Result<Vec<MemberOut>, H::Error> {
+    let members = &group.members;
+    if host.is_empty() {
+        return Ok(trivial_answers(members, queries));
+    }
     match group.kind {
-        GroupKind::Shared { size } => {
-            run_shared_group(ctx, sorted, size, &group.members, batch, opts, meter)
-        }
-        GroupKind::MinRs { size, slab } => {
-            run_min_rs_group(ctx, sorted, size, slab, &group.members, batch, opts, meter)
-        }
+        GroupKind::Shared { size } => shared_group(host, size, members, queries, meter),
+        GroupKind::MinRs { size, slab } => min_rs_group(host, size, slab, members, queries, meter),
         GroupKind::DegenerateMinRs => {
-            let index = group.members[0];
-            let (size, domain) = match batch.queries[index] {
-                Query::MinRs { size, domain } => (size, domain),
-                _ => unreachable!("degenerate groups hold MinRS queries"),
+            let index = members[0];
+            let Query::MinRs { size, domain } = queries[index] else {
+                unreachable!("degenerate groups hold MinRS queries")
             };
             // A degenerate domain — a point or a segment of admissible
             // centers — has no positive-area arrangement cell for the sweep
@@ -334,17 +471,8 @@ fn run_group(
             // its 1D segment sweep needs the stabbed intervals, whose count
             // the EM model does not bound by M.  Acceptable for this corner
             // case, and exact parity with `min_rs_in_memory` by construction.
-            let (answer, io) = measured(ctx, meter, || {
-                if sorted.is_empty() {
-                    return Ok(MaxRsResult {
-                        center: domain.center(),
-                        total_weight: 0.0,
-                        region: domain,
-                    });
-                }
-                let records = ctx.read_all(sorted)?;
-                let points: Vec<WeightedPoint> = records.iter().map(|r| r.0).collect();
-                Ok(min_rs_in_memory(&points, size, domain))
+            let (answer, io) = measured(host, meter, || {
+                Ok(min_rs_in_memory(&host.objects()?, size, domain))
             })?;
             Ok(vec![MemberOut {
                 index,
@@ -355,215 +483,154 @@ fn run_group(
     }
 }
 
-/// The positive-weight group: one MaxRS kernel pass shared by every member.
-fn run_shared_group(
-    ctx: &EmContext,
-    sorted: &TupleFile<ObjectRecord>,
+/// The answers over no objects (or of `k = 0` top-k), at zero I/O.
+fn trivial_answers(members: &[usize], queries: &[Query]) -> Vec<MemberOut> {
+    members
+        .iter()
+        .map(|&i| MemberOut {
+            index: i,
+            answer: match queries[i] {
+                Query::MaxRs { .. } => QueryAnswer::MaxRs(MaxRsResult::empty()),
+                Query::TopK { .. } => QueryAnswer::TopK(Vec::new()),
+                Query::ApproxMaxCrs { .. } => QueryAnswer::MaxCrs(MaxCrsResult::empty()),
+                Query::MinRs { domain, .. } => QueryAnswer::MinRs(MaxRsResult {
+                    center: domain.center(),
+                    total_weight: 0.0,
+                    region: domain,
+                }),
+            },
+            io: IoSnapshot::default(),
+        })
+        .collect()
+}
+
+/// The positive-weight group: one MaxRS pass shared by every member.
+fn shared_group<H: SweepHost>(
+    host: &H,
     size: RectSize,
     members: &[usize],
-    batch: &QueryBatch,
-    opts: &ExactMaxRsOptions,
+    queries: &[Query],
     meter: Meter,
-) -> Result<Vec<MemberOut>> {
-    let queries = &batch.queries;
-    // Top-k rounds are shared up to the largest requested k; a batch of only
-    // `k = 0` top-k queries (and nothing else) never needs the pass at all.
+) -> std::result::Result<Vec<MemberOut>, H::Error> {
+    // Top-k rounds are shared up to the largest requested k; a group of only
+    // `k = 0` top-k queries never needs the pass at all.
     let max_k = members
         .iter()
         .filter_map(|&i| match queries[i] {
             Query::TopK { k, .. } => Some(k),
             _ => None,
         })
-        .max();
-    let needs_pass = members
+        .max()
+        .unwrap_or(0);
+    if members
         .iter()
-        .any(|&i| !matches!(queries[i], Query::TopK { k, .. } if k == 0));
-    if !needs_pass || sorted.is_empty() {
-        // Mirror the per-query empty/trivial answers at zero incremental I/O.
-        return members
-            .iter()
-            .map(|&i| {
-                let answer = match queries[i] {
-                    Query::MaxRs { .. } => QueryAnswer::MaxRs(MaxRsResult::empty()),
-                    Query::TopK { .. } => QueryAnswer::TopK(Vec::new()),
-                    Query::ApproxMaxCrs { .. } => QueryAnswer::MaxCrs(MaxCrsResult::empty()),
-                    Query::MinRs { .. } => unreachable!("MinRS plans into its own group"),
-                };
-                Ok(MemberOut {
-                    index: i,
-                    answer,
-                    io: IoSnapshot::default(),
-                })
-            })
-            .collect();
+        .all(|&i| matches!(queries[i], Query::TopK { k: 0, .. }))
+    {
+        return Ok(trivial_answers(members, queries));
     }
 
-    let pass = SweepPass::presorted(ctx, opts);
-    // The shared phase: the full kernel pipeline once, charged to the leader.
-    let (best, shared_io) = measured(ctx, meter, || pass.max_rs(sorted, size))?;
-
-    // Shared top-k suppression rounds (round 1 is the shared best).
-    let (rounds, rounds_io) = match max_k {
-        Some(max_k) if max_k > 0 => measured(ctx, meter, || {
-            top_k_rounds(ctx, sorted, size, max_k, best, &pass)
-        })?,
-        _ => (Vec::new(), IoSnapshot::default()),
-    };
+    // The shared phase: the full pipeline once, charged to the leader.
+    let (best, shared_io) = measured(host, meter, || {
+        best_placement(host, size, 1.0, Interval::UNBOUNDED, &[])
+    })?;
+    let (rounds, rounds_io) = measured(host, meter, || top_k_rounds(host, size, max_k, best))?;
 
     let mut out = Vec::with_capacity(members.len());
     let mut shared_io = Some(shared_io);
     let mut rounds_io = Some(rounds_io);
     for &i in members {
-        let (answer, mut io) = match queries[i] {
+        let (answer, io) = match queries[i] {
             Query::MaxRs { .. } => (QueryAnswer::MaxRs(best), IoSnapshot::default()),
             Query::TopK { k, .. } => (
                 QueryAnswer::TopK(rounds[..k.min(rounds.len())].to_vec()),
-                // The shared rounds are charged to the first top-k member.
                 rounds_io.take().unwrap_or_default(),
             ),
             Query::ApproxMaxCrs { diameter, .. } => {
                 let sigma = queries[i]
                     .sigma_fraction()
                     .expect("approx variant has a sigma");
-                let (crs, refine_io) = measured(ctx, meter, || {
-                    refine_from_p0(ctx, sorted, best.center, diameter, sigma)
+                let (crs, refine_io) = measured(host, meter, || {
+                    let candidates = candidate_points(best.center, diameter, sigma);
+                    let sums = host.candidate_sums(&candidates, diameter)?;
+                    Ok(best_candidate(&candidates, &sums))
                 })?;
                 (QueryAnswer::MaxCrs(crs), refine_io)
             }
             Query::MinRs { .. } => unreachable!("MinRS plans into its own group"),
         };
-        // The pass itself is charged to the group's first query.
-        io = io + shared_io.take().unwrap_or_default();
         out.push(MemberOut {
             index: i,
             answer,
-            io,
+            io: io + shared_io.take().unwrap_or_default(),
         });
     }
     Ok(out)
 }
 
-/// Greedy MaxkRS suppression rounds over the EM pipeline, with round 1
-/// supplied by the group's shared pass.
+/// Greedy MaxkRS suppression rounds, with round 1 supplied by the group's
+/// shared pass.
 ///
-/// Each further round solves MaxRS on the remaining objects, then one
-/// transform-aware scan ([`EmContext::filter_map_file`]) suppresses the
-/// objects covered by the chosen placement — the external analogue of
+/// Each further round solves MaxRS on the objects outside every rectangle
+/// chosen so far — the external analogue of
 /// [`max_k_rs_in_memory`](crate::extensions::max_k_rs_in_memory)'s `retain`,
 /// and the same answers: round `r` sees exactly the objects the in-memory
 /// greedy sees, because canonical max-regions make every round's center
-/// strategy-independent.  The input is sorted by x and the suppression filter
-/// preserves that order, so *no* round pays an external sort.  Rounds do not
-/// depend on `k`, so one shared sequence serves every top-k member (each
-/// takes its prefix).
-fn top_k_rounds(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
+/// strategy-independent.  The suppression is a predicate of the round's
+/// scans, so the x-sorted input is swept as it is and no round writes a
+/// filtered copy.  Rounds do not depend on `k`, so one shared sequence
+/// serves every top-k member (each takes its prefix).
+fn top_k_rounds<H: SweepHost>(
+    host: &H,
     size: RectSize,
     max_k: usize,
-    first_best: MaxRsResult,
-    pass: &SweepPass<'_>,
-) -> Result<Vec<MaxRsResult>> {
-    // At most one placement per object exists, so a huge k must not
-    // pre-allocate k slots (mirrors `max_k_rs_in_memory`).
-    let mut results = Vec::with_capacity(max_k.min(objects.len() as usize));
-    let mut current: Option<TupleFile<ObjectRecord>> = None;
-    let mut rounds = || -> Result<()> {
-        for round in 0..max_k {
-            let remaining = current.as_ref().unwrap_or(objects);
-            if remaining.is_empty() {
-                break;
-            }
-            let best = if round == 0 {
-                first_best
-            } else {
-                pass.max_rs(remaining, size)?
-            };
-            if best.total_weight <= 0.0 {
-                break;
-            }
-            let chosen = Rect::centered_at(best.center, size);
-            let next = ctx.filter_map_file(remaining, |rec: ObjectRecord| {
-                if chosen.contains_open(&rec.0.point) {
-                    None
-                } else {
-                    Some(rec)
-                }
-            })?;
-            if let Some(f) = current.take() {
-                ctx.delete_file(f)?;
-            }
-            current = Some(next);
-            results.push(best);
+    first: MaxRsResult,
+) -> std::result::Result<Vec<MaxRsResult>, H::Error> {
+    let mut rounds = Vec::new();
+    let mut suppressed = Vec::new();
+    let mut best = first;
+    while rounds.len() < max_k && best.total_weight > 0.0 {
+        rounds.push(best);
+        suppressed.push(Rect::centered_at(best.center, size));
+        if rounds.len() < max_k {
+            best = best_placement(host, size, 1.0, Interval::UNBOUNDED, &suppressed)?;
         }
-        Ok(())
-    };
-    let outcome = rounds();
-    // The last suppression file is a temporary either way.
-    if let Some(f) = current.take() {
-        let _ = ctx.delete_file(f);
     }
-    outcome.map(|()| results)
+    Ok(rounds)
 }
 
-/// The MinRS group: one weight-negated kernel pass over the shared domain
-/// x-slab, then one domain-clipped strip scan per member — streamed over the
-/// shared slab-file, exactly the scan
+/// The MinRS group: one weight-negated pass over the shared domain x-slab,
+/// then one domain-clipped strip scan per member — streamed over the shared
+/// slab-file, exactly the scan
 /// [`min_rs_in_memory`](crate::extensions::min_rs_in_memory) performs over
 /// its in-memory tuple list.
-#[allow(clippy::too_many_arguments)]
-fn run_min_rs_group(
-    ctx: &EmContext,
-    sorted: &TupleFile<ObjectRecord>,
+fn min_rs_group<H: SweepHost>(
+    host: &H,
     size: RectSize,
     slab: Interval,
     members: &[usize],
-    batch: &QueryBatch,
-    opts: &ExactMaxRsOptions,
+    queries: &[Query],
     meter: Meter,
-) -> Result<Vec<MemberOut>> {
-    let queries = &batch.queries;
+) -> std::result::Result<Vec<MemberOut>, H::Error> {
     let domain_of = |i: usize| match queries[i] {
         Query::MinRs { domain, .. } => domain,
         _ => unreachable!("MinRS groups hold MinRS queries"),
     };
-    if sorted.is_empty() {
-        return Ok(members
-            .iter()
-            .map(|&i| {
-                let domain = domain_of(i);
-                MemberOut {
-                    index: i,
-                    answer: QueryAnswer::MinRs(MaxRsResult {
-                        center: domain.center(),
-                        total_weight: 0.0,
-                        region: domain,
-                    }),
-                    io: IoSnapshot::default(),
-                }
-            })
-            .collect());
-    }
-
-    let pass = SweepPass::presorted(ctx, opts)
-        .with_weight_scale(-1.0)
-        .with_root(slab);
     // The shared phase — negated transform + sweep — charged to the leader.
-    let (slab_file, shared_io) = measured(ctx, meter, || pass.slab_file(sorted, size))?;
+    let (slab_file, shared_io) = measured(host, meter, || host.sweep(size, -1.0, slab, &[]))?;
 
     // Per-member strip scans over the shared slab-file.
+    let ctx = host.scratch();
     let mut scans: Vec<(usize, Option<MinStrip>, IoSnapshot)> = Vec::with_capacity(members.len());
     let mut scan_err = None;
     for &i in members {
-        let domain = domain_of(i);
-        let scanned = measured(ctx, meter, || {
+        let scanned = measured(host, meter, || {
             let mut reader = ctx.open_reader(&slab_file);
             let tuples = std::iter::from_fn(|| match reader.next_record() {
                 Ok(Some(t)) => Some(Ok(t)),
                 Ok(None) => None,
                 Err(e) => Some(Err(e.into())),
             });
-            min_strip_scan(tuples, slab, domain)
+            Ok(min_strip_scan(tuples, slab, domain_of(i))?)
         });
         match scanned {
             Ok((best, io)) => scans.push((i, best, io)),
@@ -575,7 +642,7 @@ fn run_min_rs_group(
     }
     // Delete the slab file before propagating a scan error so a failed query
     // leaves no orphans on a long-lived context.
-    ctx.delete_file(slab_file)?;
+    ctx.delete_file(slab_file).map_err(CoreError::from)?;
     if let Some(e) = scan_err {
         return Err(e);
     }
@@ -583,9 +650,8 @@ fn run_min_rs_group(
     let mut out = Vec::with_capacity(scans.len());
     let mut shared_io = Some(shared_io);
     for (i, best, scan_io) in scans {
-        let domain = domain_of(i);
-        let (result, finalize_io) = measured(ctx, meter, || {
-            finalize_min_rs(ctx, sorted, size, slab, domain, best)
+        let (result, finalize_io) = measured(host, meter, || {
+            finalize_min_rs(host, size, slab, domain_of(i), best)
         })?;
         out.push(MemberOut {
             index: i,
@@ -596,60 +662,101 @@ fn run_min_rs_group(
     Ok(out)
 }
 
-/// Converts a member's winning strip into the canonical MinRS answer
-/// (widening sweep cells back to full arrangement cells of the domain slab).
-fn finalize_min_rs(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
+/// Converts a member's winning strip into the canonical MinRS answer: a
+/// sweep cell gets the canonical x-interval of the domain slab, the implicit
+/// whole-slab strip keeps the slab.
+fn finalize_min_rs<H: SweepHost>(
+    host: &H,
     size: RectSize,
     slab: Interval,
     domain: Rect,
     best: Option<MinStrip>,
-) -> Result<MaxRsResult> {
-    match best {
-        None => {
-            // Unreachable for a non-degenerate domain (the strips partition
-            // the plane, so one of them clips to positive height), but kept
-            // as a defensive mirror of the in-memory fallback: evaluate the
-            // domain center directly with one scan of the object file.
-            let center = domain.center();
-            let query_rect = Rect::centered_at(center, size);
-            let mut total = 0.0;
-            let mut reader = ctx.open_reader(objects);
-            while let Some(rec) = reader.next_record()? {
-                if query_rect.contains_open(&rec.0.point) {
-                    total += rec.0.weight;
-                }
-            }
-            Ok(MaxRsResult {
-                center,
-                total_weight: total,
-                region: domain,
-            })
-        }
-        Some((negated_sum, x, y, from_tuple)) => {
-            let x = if from_tuple {
-                // Widen the refined cell back to the full arrangement cell of
-                // the domain slab (see `crate::sweep`, canonical max-regions).
-                let hi = next_breakpoint_after(ctx, objects, size, slab, x.lo)?;
-                Interval::new(x.lo, hi.max(x.hi))
-            } else {
-                x
-            };
-            let center = Point::new(
-                x.representative().clamp(domain.x_lo, domain.x_hi),
-                y.representative().clamp(domain.y_lo, domain.y_hi),
-            );
-            Ok(MaxRsResult {
-                center,
-                // `0.0 - x` rather than `-x`: an uncovered minimum is +0.0,
-                // not the confusing "-0" a plain negation would display
-                // (mirrors `min_rs_in_memory`).
-                total_weight: 0.0 - negated_sum,
-                region: Rect::new(x.lo, x.hi, y.lo, y.hi),
-            })
-        }
+) -> std::result::Result<MaxRsResult, H::Error> {
+    let Some((negated_sum, x, y, from_tuple)) = best else {
+        // Unreachable for a non-degenerate domain (the strips partition the
+        // plane, so one of them clips to positive height), but kept as a
+        // mirror of the in-memory fallback: evaluate the domain center.
+        let center = domain.center();
+        return Ok(MaxRsResult {
+            center,
+            total_weight: range_sum_rect(&host.objects()?, center, size),
+            region: domain,
+        });
+    };
+    let x = if from_tuple {
+        canonical_x(host, size, slab, &[], x.lo)?
+    } else {
+        x
+    };
+    let center = Point::new(
+        x.representative().clamp(domain.x_lo, domain.x_hi),
+        y.representative().clamp(domain.y_lo, domain.y_hi),
+    );
+    Ok(MaxRsResult {
+        center,
+        // `0.0 - x` rather than `-x`: an uncovered minimum is +0.0, not the
+        // confusing "-0" a plain negation would display (mirrors
+        // `min_rs_in_memory`).
+        total_weight: 0.0 - negated_sum,
+        region: Rect::new(x.lo, x.hi, y.lo, y.hi),
+    })
+}
+
+/// One MaxRS pass on `host` — sweep, extract the best tuple, canonicalize —
+/// in the block sequence of the kernel's stages.
+pub(crate) fn best_placement<H: SweepHost>(
+    host: &H,
+    size: RectSize,
+    weight_scale: f64,
+    root: Interval,
+    suppressed: &[Rect],
+) -> std::result::Result<MaxRsResult, H::Error> {
+    let slab_file = host.sweep(size, weight_scale, root, suppressed)?;
+    let best = extract_best(host.scratch(), &slab_file);
+    host.scratch()
+        .delete_file(slab_file)
+        .map_err(CoreError::from)?;
+    canonicalize(host, size, root, suppressed, best?)
+}
+
+/// Stage 4b of the kernel on any host: gives a sweep result the canonical
+/// x-interval of its arrangement cell (see [`crate::sweep`], "Canonical
+/// max-regions").
+pub(crate) fn canonicalize<H: SweepHost>(
+    host: &H,
+    size: RectSize,
+    root: Interval,
+    suppressed: &[Rect],
+    result: MaxRsResult,
+) -> std::result::Result<MaxRsResult, H::Error> {
+    if !result.region.x_lo.is_finite() && !result.region.x_hi.is_finite() {
+        // The empty-dataset sentinel; nothing to widen.
+        return Ok(result);
     }
+    let x = canonical_x(host, size, root, suppressed, result.region.x_lo)?;
+    Ok(MaxRsResult {
+        center: Point::new(x.representative(), result.center.y),
+        total_weight: result.total_weight,
+        region: Rect::new(x.lo, x.hi, result.region.y_lo, result.region.y_hi),
+    })
+}
+
+/// The canonical x-interval of a max-region whose cell starts at `x_lo`: it
+/// ends at the next arrangement breakpoint.  Both sweeps agree on `x_lo`, but
+/// the distribution sweep's own interval can end early at a slab boundary or
+/// run on past the breakpoint (a slab's whole-slab sentinel), so its upper
+/// bound is never kept.  The only place a canonical `x_hi` is formed.
+fn canonical_x<H: SweepHost>(
+    host: &H,
+    size: RectSize,
+    root: Interval,
+    suppressed: &[Rect],
+    x_lo: f64,
+) -> std::result::Result<Interval, H::Error> {
+    Ok(Interval::new(
+        x_lo,
+        host.next_breakpoint(size, root, suppressed, x_lo)?,
+    ))
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ use maxrs_em::{merge_run, EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::WeightedPoint;
 
 use crate::batch::{run_batch_external, QueryBatch};
-use crate::engine::{answer_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
+use crate::engine::{runs_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
 use crate::error::{CoreError, Result};
 use crate::events::{total_order_bits, Event, EventOutcome, LiveRecord, LiveSet};
 use crate::frontier::FrontierMap;
@@ -316,17 +316,7 @@ impl DeltaDataset {
             // Mirror `prepare`: small nets are answered in memory at zero
             // I/O (bit-identical either way, by canonicalization).
             engine.guard_in_memory_capacity(net, self.ctx.config())?;
-            let survivors = self.survivors();
-            return Ok(batch
-                .queries()
-                .iter()
-                .map(|query| QueryRun {
-                    answer: answer_in_memory(&survivors, query),
-                    strategy: ExecutionStrategy::InMemory,
-                    workers: 1,
-                    io: IoSnapshot::default(),
-                })
-                .collect());
+            return Ok(runs_in_memory(&self.survivors(), batch));
         }
         let merged = if self.delta_len() == 0 {
             None

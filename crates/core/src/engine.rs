@@ -366,16 +366,7 @@ impl MaxRsEngine {
         let (strategy, _) = self.select_strategy(objects.len() as u64);
         if strategy == ExecutionStrategy::InMemory {
             self.guard_in_memory_capacity(objects.len() as u64, self.opts.em_config)?;
-            return Ok(batch
-                .queries()
-                .iter()
-                .map(|q| QueryRun {
-                    answer: answer_in_memory(objects, q),
-                    strategy,
-                    workers: 1,
-                    io: IoSnapshot::default(),
-                })
-                .collect());
+            return Ok(runs_in_memory(objects, &batch));
         }
         let prepared = self.prepare(objects)?;
         let mut runs = prepared.run_planned(&batch)?;
@@ -424,6 +415,21 @@ fn engine_run_of(run: QueryRun) -> EngineRun {
         },
         _ => unreachable!("solve paths only issue MaxRs queries"),
     }
+}
+
+/// Answers every query of a planned batch with the in-memory reference
+/// algorithms, at zero I/O.
+pub(crate) fn runs_in_memory(objects: &[WeightedPoint], batch: &QueryBatch) -> Vec<QueryRun> {
+    batch
+        .queries()
+        .iter()
+        .map(|query| QueryRun {
+            answer: answer_in_memory(objects, query),
+            strategy: ExecutionStrategy::InMemory,
+            workers: 1,
+            io: IoSnapshot::default(),
+        })
+        .collect()
 }
 
 /// Answers a (validated) query with the in-memory reference algorithms.

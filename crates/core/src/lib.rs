@@ -26,7 +26,8 @@
 //!   query variant instantiates ([`crate::sweep`]),
 //! * [`QueryBatch`] / [`PreparedDataset::run_batch`] — batched multi-query
 //!   execution: M queries answered in shared sweep passes, grouped by
-//!   rectangle size ([`crate::batch`]),
+//!   rectangle size, by the one query driver every dataset layout runs
+//!   through its [`SweepHost`] operations ([`crate::batch`]),
 //! * [`ShardedDataset`] / [`MaxRsEngine::prepare_sharded`] — the x-domain
 //!   split into balanced shards prepared **concurrently** (each on its own
 //!   block device), queries routed to the shards they touch and merged
@@ -120,12 +121,11 @@ pub mod shard;
 pub mod slab;
 pub mod sweep;
 
-pub use approx::approx_max_crs_presorted;
 pub use approx::{
     approx_max_crs, approx_max_crs_from_objects, approx_max_crs_in_memory, best_candidate,
     candidate_points, evaluate_candidates, ApproxMaxCrsOptions, SIGMA_FRACTION_LO,
 };
-pub use batch::QueryBatch;
+pub use batch::{run_on_host, QueryBatch, SweepHost};
 pub use crs_exact::{closed_disk_weight, exact_max_crs_in_memory};
 pub use delta::{CompactionPolicy, CompactionReport, DeltaDataset, DeltaOptions};
 pub use engine::{EngineOptions, EngineRun, ExecutionStrategy, MaxRsEngine};
@@ -153,9 +153,11 @@ pub use records::{ObjectRecord, RectRecord, SlabTuple, SpanEvent};
 pub use reference::{brute_force_max_crs, brute_force_max_rs, circle_objective, rect_objective};
 pub use result::{MaxCrsResult, MaxRsResult};
 pub use segment_tree::SegmentTree;
-pub use shard::{prepare_shard, select_shard_boundaries, shard_slab, ShardLayout, ShardedDataset};
-pub use slab::{compute_partition, distribute, BoundarySource, Distribution, SlabPartition};
+pub use shard::{
+    prepare_shard, select_shard_boundaries, shard_slab, ShardLayout, ShardRoute, ShardedDataset,
+};
+pub use slab::{compute_partition, distribute, BoundarySource, Crop, Distribution, SlabPartition};
 pub use sweep::{
-    extract_best, next_breakpoint_after, solve_rects, transform_to_rect_file,
-    transform_to_scaled_rect_file, InputOrder, SweepPass,
+    extract_best, is_suppressed, next_breakpoint_after, solve_rects, transform_to_rect_file,
+    InputOrder, SweepPass,
 };

@@ -36,13 +36,6 @@ pub fn merge_sweep(
     slabs: &[Interval],
     span_events: &TupleFile<SpanEvent>,
 ) -> Result<TupleFile<SlabTuple>> {
-    if slab_files.len() != slabs.len() {
-        return Err(CoreError::Internal(format!(
-            "merge_sweep got {} slab files but {} slabs",
-            slab_files.len(),
-            slabs.len()
-        )));
-    }
     let readers: Vec<TupleReader<'_, SlabTuple>> =
         slab_files.iter().map(|f| ctx.open_reader(f)).collect();
     let span_reader: TupleReader<'_, SpanEvent> = ctx.open_reader(span_events);

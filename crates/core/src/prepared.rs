@@ -31,7 +31,7 @@ use maxrs_em::{EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::WeightedPoint;
 
 use crate::batch::{run_batch_external, QueryBatch};
-use crate::engine::{answer_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
+use crate::engine::{runs_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
 use crate::error::Result;
 use crate::exact::{load_objects, sort_objects_by_x};
 use crate::query::{Query, QueryRun};
@@ -361,16 +361,7 @@ impl PreparedDataset<'_> {
     /// repeatedly (or inspect [`QueryBatch::num_groups`] before running).
     pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
         match &self.source {
-            Source::Memory(objects) => Ok(batch
-                .queries()
-                .iter()
-                .map(|query| QueryRun {
-                    answer: answer_in_memory(objects, query),
-                    strategy: ExecutionStrategy::InMemory,
-                    workers: 1,
-                    io: IoSnapshot::default(),
-                })
-                .collect()),
+            Source::Memory(objects) => Ok(runs_in_memory(objects, batch)),
             Source::External { ctx, sorted } => {
                 let ctx = ctx.get();
                 let sorted = sorted.as_ref().expect("sorted file present until drop");

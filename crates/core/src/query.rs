@@ -17,7 +17,7 @@
 //! the strategy that produced it and the I/O it cost.
 
 use maxrs_em::IoSnapshot;
-use maxrs_geometry::{Rect, RectSize};
+use maxrs_geometry::{Interval, Rect, RectSize};
 
 use crate::engine::ExecutionStrategy;
 use crate::error::{CoreError, Result};
@@ -175,6 +175,19 @@ impl Query {
                     )));
                 }
                 Ok(())
+            }
+        }
+    }
+
+    /// The rectangle size and root x-slab of the query's first sweep pass:
+    /// the domain's x-slab for MinRS, unbounded otherwise (a circle's pass
+    /// runs at its `d × d` MBR).
+    pub(crate) fn first_pass(&self) -> (RectSize, Interval) {
+        match *self {
+            Query::MaxRs { size } | Query::TopK { size, .. } => (size, Interval::UNBOUNDED),
+            Query::MinRs { size, domain } => (size, Interval::new(domain.x_lo, domain.x_hi)),
+            Query::ApproxMaxCrs { diameter, .. } => {
+                (RectSize::square(diameter), Interval::UNBOUNDED)
             }
         }
     }

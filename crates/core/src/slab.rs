@@ -57,6 +57,69 @@ impl SlabPartition {
         let idx = self.boundaries.partition_point(|&b| b <= x);
         idx.saturating_sub(1).min(n - 1)
     }
+
+    /// The crop rule of the distribution sweep: where `rec` goes under this
+    /// partition.
+    ///
+    /// A sub-slab the rectangle covers from bound to bound joins the
+    /// span run, even at the partition's ends where [`locate`](Self::locate)
+    /// clamps an edge beyond the outer bounds, so a wide rectangle never
+    /// becomes a full-width piece that the recursion would carry down level
+    /// after level.  A sub-slab it covers only partly receives the cropped
+    /// end piece (the whole rectangle when both edges fall into one
+    /// sub-slab); a right edge exactly on a boundary leaves no zero-width
+    /// piece behind.
+    pub fn crop(&self, rec: &RectRecord) -> Crop {
+        let b = &self.boundaries;
+        let r = rec.rect;
+        let j = self.locate(r.x_lo);
+        let k = self.locate(r.x_hi);
+        let covers_left = r.x_lo <= b[j];
+        let covers_right = r.x_hi >= b[k + 1];
+        let piece = |slab: usize, x_lo: f64, x_hi: f64| {
+            (
+                slab,
+                RectRecord::new(Rect::new(x_lo, x_hi, r.y_lo, r.y_hi), rec.weight),
+            )
+        };
+        let mut pieces = [None, None];
+        if j == k {
+            if !(covers_left && covers_right) {
+                pieces[0] = Some((j, *rec));
+            }
+        } else {
+            if !covers_left {
+                pieces[0] = Some(piece(j, r.x_lo, b[j + 1]));
+            }
+            if !covers_right && r.x_hi > b[k] {
+                pieces[1] = Some(piece(k, b[k], r.x_hi));
+            }
+        }
+        let span_lo = if covers_left { j } else { j + 1 };
+        let span_end = if covers_right { k + 1 } else { k };
+        let span = (span_lo < span_end).then(|| {
+            SpanEvent::pair(
+                r.y_lo,
+                r.y_hi,
+                rec.weight,
+                span_lo as u32,
+                (span_end - 1) as u32,
+            )
+        });
+        Crop { pieces, span }
+    }
+}
+
+/// Where one rectangle goes under a [`SlabPartition`] — the output of
+/// [`SlabPartition::crop`], in push order: left piece, right piece, then the
+/// span pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Crop {
+    /// The partly covered end pieces as `(sub-slab, cropped rectangle)`,
+    /// left first.
+    pub pieces: [Option<(usize, RectRecord)>; 2],
+    /// The event pair of the fully covered sub-slab run, if any.
+    pub span: Option<[SpanEvent; 2]>,
 }
 
 /// How slab boundaries are derived from the input file.
@@ -162,12 +225,9 @@ pub struct Distribution {
     pub span_events: TupleFile<SpanEvent>,
 }
 
-/// Routes every rectangle of `file` into the sub-slabs of `partition`.
-///
-/// * A rectangle entirely inside one sub-slab goes to that slab's file.
-/// * A rectangle crossing boundaries is cut: the piece containing its left
-///   (right) edge goes to the slab of that edge, and the fully spanned slabs
-///   in between are recorded as a pair of [`SpanEvent`]s.
+/// Routes every rectangle of `file` into the sub-slabs of `partition` by
+/// [`SlabPartition::crop`]: partly covered sub-slabs receive the cropped
+/// pieces, fully covered runs are recorded as pairs of [`SpanEvent`]s.
 ///
 /// The spanning events are sorted by y before being returned so that
 /// MergeSweep can consume them in sweep order.
@@ -185,39 +245,12 @@ pub fn distribute(
 
     let mut reader = ctx.open_reader(file);
     while let Some(rec) = reader.next_record()? {
-        let j = partition.locate(rec.rect.x_lo);
-        let k = partition.locate(rec.rect.x_hi);
-        if j == k {
-            slab_writers[j].push(&rec)?;
-            continue;
+        let crop = partition.crop(&rec);
+        for (t, piece) in crop.pieces.into_iter().flatten() {
+            slab_writers[t].push(&piece)?;
         }
-        // Left piece: from the left edge to the right boundary of slab j.
-        let left = Rect::new(
-            rec.rect.x_lo,
-            partition.boundaries[j + 1],
-            rec.rect.y_lo,
-            rec.rect.y_hi,
-        );
-        slab_writers[j].push(&RectRecord::new(left, rec.weight))?;
-        // Right piece: from the left boundary of slab k to the right edge.
-        let right = Rect::new(
-            partition.boundaries[k],
-            rec.rect.x_hi,
-            rec.rect.y_lo,
-            rec.rect.y_hi,
-        );
-        slab_writers[k].push(&RectRecord::new(right, rec.weight))?;
-        // Fully spanned slabs in between.
-        if k > j + 1 {
-            for ev in SpanEvent::pair(
-                rec.rect.y_lo,
-                rec.rect.y_hi,
-                rec.weight,
-                (j + 1) as u32,
-                (k - 1) as u32,
-            ) {
-                span_writer.push(&ev)?;
-            }
+        for ev in crop.span.into_iter().flatten() {
+            span_writer.push(&ev)?;
         }
     }
 

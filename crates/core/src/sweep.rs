@@ -16,13 +16,16 @@
 //!    input needs one;
 //! 3. **extract** — the best tuple of the final slab-file
 //!    ([`SweepPass::extract_best`]);
-//! 4. **canonicalize** — widen the winning interval back to the full
-//!    arrangement cell ([`SweepPass::canonicalize`]) so every strategy and
-//!    every input order reports the identical max-region.
+//! 4. **canonicalize** — give the winning interval the full arrangement
+//!    cell ([`SweepPass::canonicalize`]) so every strategy and every input
+//!    order reports the identical max-region.
 //!
-//! [`SweepPass::max_rs`] composes all four; the batched executor
+//! [`SweepPass::max_rs`] composes all four; the query driver
 //! ([`crate::batch`]) runs the stages separately so several queries can share
-//! stages 1–2 of one pass.
+//! stages 1–3 of one pass.  A pass can also skip objects: top-k suppression
+//! rounds hand it the chosen rectangles ([`SweepPass::with_suppressed`]), and
+//! the transform and breakpoint scans leave out every object strictly inside
+//! one of them.
 //!
 //! # Canonical max-regions
 //!
@@ -30,10 +33,11 @@
 //! plane sweep, but its slab boundaries subdivide the x-axis more finely than
 //! the rectangle-edge arrangement alone, so the winning tuple's x-interval
 //! can be a strict sub-interval of the arrangement cell the in-memory sweep
-//! would report.  Stage 4 therefore *widens* the winning interval back to the
-//! full arrangement cell with one extra `O(N/B)` scan of the object file
-//! (see [`next_breakpoint_after`]): both sweeps break ties leftmost-first and
-//! agree on the winning event `y`, so after widening the external result —
+//! would report.  Stage 4 therefore sets the interval's upper bound to the
+//! next arrangement breakpoint after its lower bound, found with one extra
+//! `O(N/B)` scan of the object file (see [`next_breakpoint_after`]): both
+//! sweeps break ties leftmost-first and agree on the winning event `y` and
+//! lower bound, so after canonicalization the external result —
 //! center, weight **and** max-region — is bit-for-bit identical to
 //! [`max_rs_in_memory`](crate::plane_sweep::max_rs_in_memory()).  The unified
 //! query layer ([`crate::engine::MaxRsEngine::run`]) relies on this to give
@@ -42,6 +46,7 @@
 use maxrs_em::{external_sort_by_key, EmContext, TupleFile};
 use maxrs_geometry::{Interval, Point, Rect, RectSize};
 
+use crate::batch::{best_placement, canonicalize, FileHost};
 use crate::error::{CoreError, Result};
 use crate::exact::ExactMaxRsOptions;
 use crate::merge_sweep::{merge_sweep, merge_sweep_tree};
@@ -101,6 +106,7 @@ pub struct SweepPass<'a> {
     order: InputOrder,
     weight_scale: f64,
     root: Interval,
+    suppressed: &'a [Rect],
 }
 
 impl<'a> SweepPass<'a> {
@@ -113,6 +119,7 @@ impl<'a> SweepPass<'a> {
             order: InputOrder::Unsorted,
             weight_scale: 1.0,
             root: Interval::UNBOUNDED,
+            suppressed: &[],
         }
     }
 
@@ -123,12 +130,6 @@ impl<'a> SweepPass<'a> {
             order: InputOrder::PresortedByX,
             ..SweepPass::new(ctx, opts)
         }
-    }
-
-    /// Sets the input order explicitly.
-    pub fn with_order(mut self, order: InputOrder) -> Self {
-        self.order = order;
-        self
     }
 
     /// Multiplies every object weight by `scale` during the transform scan.
@@ -147,14 +148,17 @@ impl<'a> SweepPass<'a> {
         self
     }
 
+    /// Leaves out every object strictly inside one of `suppressed` — the
+    /// rectangles earlier top-k rounds chose — in the transform and
+    /// breakpoint scans.  Default: none.
+    pub fn with_suppressed(mut self, suppressed: &'a [Rect]) -> Self {
+        self.suppressed = suppressed;
+        self
+    }
+
     /// The context this pass runs against.
     pub fn ctx(&self) -> &'a EmContext {
         self.ctx
-    }
-
-    /// The tuning options of this pass.
-    pub fn options(&self) -> &ExactMaxRsOptions {
-        &self.opts
     }
 
     /// The root x-slab of this pass.
@@ -163,15 +167,22 @@ impl<'a> SweepPass<'a> {
     }
 
     /// Stage 1 — streams the object file into a rectangle file of the query
-    /// size, scaling weights by the pass's weight scale.  One transform-aware
-    /// scan ([`EmContext::filter_map_file`]): `O(N/B)` I/Os, no intermediate
+    /// size, scaling weights by the pass's weight scale and leaving out
+    /// suppressed objects.  One transform-aware scan
+    /// ([`EmContext::filter_map_file`]): `O(N/B)` I/Os, no intermediate
     /// staging.  The input file is left untouched.
     pub fn transform(
         &self,
         objects: &TupleFile<ObjectRecord>,
         size: RectSize,
     ) -> Result<TupleFile<RectRecord>> {
-        transform_to_scaled_rect_file(self.ctx, objects, size, self.weight_scale)
+        let (scale, suppressed) = (self.weight_scale, self.suppressed);
+        self.ctx
+            .filter_map_file(objects, |rec: ObjectRecord| {
+                (!is_suppressed(suppressed, &rec))
+                    .then(|| RectRecord::new(rec.0.to_rect(size), scale * rec.0.weight))
+            })
+            .map_err(CoreError::from)
     }
 
     /// Stages 2–3 — sorts the rectangles by center x (skipped for
@@ -214,29 +225,25 @@ impl<'a> SweepPass<'a> {
         extract_best(self.ctx, slab_file)
     }
 
-    /// Stage 4b — widens a sweep result's max-interval to the full
+    /// Stage 4b — sets a sweep result's max-interval to the full
     /// arrangement cell of the pass's root slab so it matches the in-memory
     /// sweep's report (module docs, "Canonical max-regions").  The winning
-    /// `y`-strip and weight are already canonical; only the interval's upper
-    /// bound (and with it the representative center) can sit on a slab
-    /// boundary instead of a rectangle edge.
+    /// `y`-strip, weight and lower x bound are already canonical; only the
+    /// upper x bound (and with it the representative center) can sit on a
+    /// slab boundary instead of a rectangle edge.
     pub fn canonicalize(
         &self,
         objects: &TupleFile<ObjectRecord>,
         size: RectSize,
         result: MaxRsResult,
     ) -> Result<MaxRsResult> {
-        if !result.region.x_lo.is_finite() && !result.region.x_hi.is_finite() {
-            // The empty-dataset sentinel; nothing to widen.
-            return Ok(result);
-        }
-        let x_hi = next_breakpoint_after(self.ctx, objects, size, self.root, result.region.x_lo)?;
-        let x = Interval::new(result.region.x_lo, x_hi.max(result.region.x_hi));
-        Ok(MaxRsResult {
-            center: Point::new(x.representative(), result.center.y),
-            total_weight: result.total_weight,
-            region: Rect::new(x.lo, x.hi, result.region.y_lo, result.region.y_hi),
-        })
+        canonicalize(
+            &FileHost::new(*self, objects),
+            size,
+            self.root,
+            self.suppressed,
+            result,
+        )
     }
 
     /// The full pipeline: transform → (sort) → sweep → extract →
@@ -247,11 +254,20 @@ impl<'a> SweepPass<'a> {
         if objects.is_empty() {
             return Ok(MaxRsResult::empty());
         }
-        let slab_file = self.slab_file(objects, size)?;
-        let result = self.extract_best(&slab_file)?;
-        self.ctx.delete_file(slab_file)?;
-        self.canonicalize(objects, size, result)
+        best_placement(
+            &FileHost::new(*self, objects),
+            size,
+            self.weight_scale,
+            self.root,
+            self.suppressed,
+        )
     }
+}
+
+/// `true` when `rec` lies strictly inside one of the `suppressed` rectangles
+/// — the top-k suppression predicate every scan of a round applies.
+pub fn is_suppressed(suppressed: &[Rect], rec: &ObjectRecord) -> bool {
+    suppressed.iter().any(|r| r.contains_open(&rec.0.point))
 }
 
 /// Streams an object file into a rectangle file of the query size (stage 1 of
@@ -262,26 +278,13 @@ pub fn transform_to_rect_file(
     objects: &TupleFile<ObjectRecord>,
     size: RectSize,
 ) -> Result<TupleFile<RectRecord>> {
-    transform_to_scaled_rect_file(ctx, objects, size, 1.0)
-}
-
-/// [`transform_to_rect_file`] with every weight multiplied by `weight_scale`
-/// during the scan (`-1.0` is the MinRS reduction).
-pub fn transform_to_scaled_rect_file(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
-    size: RectSize,
-    weight_scale: f64,
-) -> Result<TupleFile<RectRecord>> {
-    ctx.map_file(objects, |rec: ObjectRecord| {
-        RectRecord::new(rec.0.to_rect(size), weight_scale * rec.0.weight)
-    })
-    .map_err(CoreError::from)
+    SweepPass::new(ctx, &ExactMaxRsOptions::default()).transform(objects, size)
 }
 
 /// The smallest x-arrangement breakpoint strictly greater than `x`: the edge
 /// of a transformed rectangle (clipped to `slab`) or the slab's upper bound,
-/// whichever comes first; `+∞` when nothing lies beyond `x`.
+/// whichever comes first; `+∞` when nothing lies beyond `x`.  Objects inside
+/// a `suppressed` rectangle are left out (see [`is_suppressed`]).
 ///
 /// These breakpoints are exactly the leaf boundaries of the in-memory plane
 /// sweep over `slab` (see [`crate::plane_sweep::plane_sweep_slab`]), computed
@@ -294,6 +297,7 @@ pub fn next_breakpoint_after(
     objects: &TupleFile<ObjectRecord>,
     size: RectSize,
     slab: Interval,
+    suppressed: &[Rect],
     x: f64,
 ) -> Result<f64> {
     let mut best = f64::INFINITY;
@@ -302,6 +306,9 @@ pub fn next_breakpoint_after(
     }
     let mut reader = ctx.open_reader(objects);
     while let Some(rec) = reader.next_record()? {
+        if is_suppressed(suppressed, &rec) {
+            continue;
+        }
         if let Some(clipped) = rec.0.to_rect(size).clip_x(&slab) {
             for edge in [clipped.x_lo, clipped.x_hi] {
                 if edge > x && edge < best {

@@ -4,11 +4,11 @@
 
 use maxrs_core::{
     compute_partition, distribute, exact_max_rs, load_objects, max_rs_in_memory, merge_sweep,
-    plane_sweep_slab, transform_objects, transform_to_rect_file, BoundarySource, ExactMaxRsOptions,
-    RectRecord, SlabTuple, SpanEvent,
+    plane_sweep_slab, transform_objects, transform_to_rect_file, BoundarySource, Crop,
+    ExactMaxRsOptions, RectRecord, SlabPartition, SlabTuple, SpanEvent,
 };
 use maxrs_em::{EmConfig, EmContext};
-use maxrs_geometry::{Interval, RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, Rect, RectSize, WeightedPoint};
 
 fn pseudo_random_objects(n: usize, seed: u64, extent: f64) -> Vec<WeightedPoint> {
     let mut state = seed.max(1);
@@ -188,4 +188,47 @@ fn deep_recursion_is_consistent_and_bounded() {
             ctx.disk_blocks()
         );
     }
+}
+
+/// The crop rule: a sub-slab covered from bound to bound becomes part of the
+/// span run — also at the partition's clamped ends — and a right edge on a
+/// boundary leaves no zero-width piece.
+#[test]
+fn crop_spans_covered_sub_slabs_and_drops_zero_width_pieces() {
+    let p = SlabPartition::new(vec![0.0, 10.0, 20.0, 30.0]);
+    let rect = |x_lo: f64, x_hi: f64| RectRecord::new(Rect::new(x_lo, x_hi, 1.0, 2.0), 3.0);
+    let slabs = |c: &Crop| {
+        c.pieces
+            .iter()
+            .flatten()
+            .map(|(t, _)| *t)
+            .collect::<Vec<_>>()
+    };
+    let span = |c: &Crop| c.span.map(|[e, _]| (e.slab_lo, e.slab_hi));
+
+    // Interior: the classic left piece, right piece and span in between.
+    let c = p.crop(&rect(5.0, 25.0));
+    assert_eq!((slabs(&c), span(&c)), (vec![0, 2], Some((1, 1))));
+    assert_eq!(c.pieces[0].unwrap().1.rect.x_hi, 10.0);
+    assert_eq!(c.pieces[1].unwrap().1.rect.x_lo, 20.0);
+
+    // Edges beyond the outer bounds cover the end sub-slabs.
+    let c = p.crop(&rect(-5.0, 35.0));
+    assert_eq!((slabs(&c), span(&c)), (vec![], Some((0, 2))));
+    let c = p.crop(&rect(-5.0, 15.0));
+    assert_eq!((slabs(&c), span(&c)), (vec![1], Some((0, 0))));
+
+    // A left edge on a boundary covers its sub-slab; a right edge on one
+    // drops the zero-width piece.
+    let c = p.crop(&rect(10.0, 25.0));
+    assert_eq!((slabs(&c), span(&c)), (vec![2], Some((1, 1))));
+    let c = p.crop(&rect(5.0, 20.0));
+    assert_eq!((slabs(&c), span(&c)), (vec![0], Some((1, 1))));
+    let c = p.crop(&rect(5.0, 10.0));
+    assert_eq!((slabs(&c), span(&c)), (vec![0], None));
+
+    // Inside one sub-slab: the rectangle itself, uncropped.
+    let c = p.crop(&rect(12.0, 18.0));
+    assert_eq!(c.pieces, [Some((1, rect(12.0, 18.0))), None]);
+    assert_eq!(span(&c), None);
 }
