@@ -255,7 +255,10 @@ mod tests {
 
         let json = run.to_value();
         assert_eq!(json.get("id").unwrap().as_str(), Some("serve"));
-        assert_eq!(json.get("backend").unwrap().as_str(), Some("sim"));
+        assert_eq!(
+            json.get("backend").unwrap().as_str(),
+            Some(config.backend.name())
+        );
         assert_eq!(json.get("verified").unwrap(), &Value::Bool(true));
         assert_eq!(json.get("total_queries").unwrap().as_f64(), Some(30.0));
         assert!(json.get("p99_ns").unwrap().as_f64().unwrap() > 0.0);

@@ -608,9 +608,10 @@ impl ClusterCoordinator {
     }
 
     /// The per-server halves of min-next-breakpoint canonicalization: every
-    /// server reports the minimum over its hosted shards, the coordinator
-    /// takes the minimum across servers — together exactly the all-shards
-    /// minimum of the single-machine dataset.
+    /// server hosting an engaged shard reports the minimum over its hosted
+    /// engaged shards, the coordinator takes the minimum across servers and
+    /// `root.hi` — together exactly the minimum of the single-machine
+    /// dataset.
     fn min_breakpoint(
         &self,
         size: RectSize,
@@ -619,14 +620,20 @@ impl ClusterCoordinator {
         suppressed: &[Rect],
         agg: &Mutex<IoSnapshot>,
     ) -> Result<f64> {
+        let engaged = ShardRoute::engaged_shards(&self.boundaries, size, root);
         let request = Request::Breakpoint {
             size,
             root,
             after_x,
             suppressed: suppressed.to_vec(),
+            engaged: engaged.iter().map(|&s| s as u32).collect(),
         };
-        let responses = self.fan_out_same(&self.all_servers(), &request, agg)?;
-        let mut hi = f64::INFINITY;
+        let responses = self.fan_out_same(&self.engaged_servers(&engaged), &request, agg)?;
+        let mut hi = if root.hi > after_x {
+            root.hi
+        } else {
+            f64::INFINITY
+        };
         for response in responses {
             let Response::Breakpoint { hi: h, .. } = response else {
                 return Err(wrong_reply("Breakpoint"));

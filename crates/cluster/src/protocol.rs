@@ -98,7 +98,7 @@ pub enum Request {
         imported: Vec<PieceSet>,
     },
     /// Canonicalization support: the next arrangement breakpoint strictly
-    /// after `after_x` over every hosted shard.
+    /// after `after_x` over the hosted shards among `engaged`.
     Breakpoint {
         /// Query rectangle extent.
         size: RectSize,
@@ -108,6 +108,9 @@ pub enum Request {
         after_x: f64,
         /// Top-k suppression in effect for the pass.
         suppressed: Vec<Rect>,
+        /// Shards whose rectangles can reach `root`, ascending, as in
+        /// [`PassSpec::engaged`]; no other shard is scanned.
+        engaged: Vec<u32>,
     },
     /// ApproxMaxCRS refinement: per-shard candidate weight sums under the
     /// open disk of the given diameter.
@@ -486,12 +489,14 @@ impl Request {
                 root,
                 after_x,
                 suppressed,
+                engaged,
             } => {
                 w.u8(REQ_BREAKPOINT);
                 w.size(*size);
                 w.interval(*root);
                 w.f64(*after_x);
                 w.rects(suppressed);
+                w.u32s(engaged);
             }
             Request::Evaluate {
                 candidates,
@@ -524,6 +529,7 @@ impl Request {
                 root: r.interval()?,
                 after_x: r.f64()?,
                 suppressed: r.rects()?,
+                engaged: r.u32s()?,
             },
             REQ_EVALUATE => {
                 let n = r.count(16)?;
@@ -737,6 +743,7 @@ mod tests {
             root: Interval::UNBOUNDED,
             after_x: -3.75,
             suppressed: vec![],
+            engaged: vec![1, 2],
         });
         roundtrip_request(Request::Evaluate {
             candidates: vec![Point::new(1.0, 2.0), Point::new(-0.5, 0.25)],

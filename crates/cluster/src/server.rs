@@ -139,7 +139,8 @@ impl ShardServer {
                 root,
                 after_x,
                 suppressed,
-            } => self.breakpoint(*size, *root, *after_x, suppressed),
+                engaged,
+            } => self.breakpoint(*size, *root, *after_x, suppressed, engaged),
             Request::Evaluate {
                 candidates,
                 diameter,
@@ -212,26 +213,27 @@ impl ShardServer {
                 pass.bounds.len() - 1
             )));
         }
-        if let Some(id) = pass
-            .owners
-            .iter()
-            .chain(&pass.engaged)
-            .find(|&&id| id as usize >= self.num_shards)
-        {
-            return Err(malformed(format!(
-                "shard id {id} out of range for {} shards",
-                self.num_shards
-            )));
-        }
+        self.check_ids(pass.owners.iter().chain(&pass.engaged))?;
         Query::max_rs(pass.size).validate()?;
         Ok(SlabPartition::new(pass.bounds.clone()))
     }
 
-    /// The hosted shards a pass engages as sources, ascending.
-    fn engaged<'a>(&'a self, pass: &'a PassSpec) -> impl Iterator<Item = &'a HostedShard> {
+    /// Checks that every shard id is below `K`.
+    fn check_ids<'a>(&self, mut ids: impl Iterator<Item = &'a u32>) -> CoreResult<()> {
+        match ids.find(|&&id| id as usize >= self.num_shards) {
+            Some(id) => Err(CoreError::InvalidParameter(format!(
+                "malformed request: shard id {id} out of range for {} shards",
+                self.num_shards
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The hosted shards among `engaged`, ascending.
+    fn engaged<'a>(&'a self, engaged: &'a [u32]) -> impl Iterator<Item = &'a HostedShard> {
         self.hosted
             .iter()
-            .filter(|h| pass.engaged.contains(&(h.id as u32)))
+            .filter(|h| engaged.contains(&(h.id as u32)))
     }
 
     /// Round 1: the cropping scan of
@@ -245,7 +247,7 @@ impl ShardServer {
         let partition = self.check_pass(pass)?;
         let mut spans: Vec<(u32, Vec<SpanEvent>)> = Vec::new();
         let mut exported: Vec<PieceSet> = Vec::new();
-        for h in self.engaged(pass) {
+        for h in self.engaged(&pass.engaged) {
             let mut events: Vec<SpanEvent> = Vec::new();
             let mut pieces: BTreeMap<u32, Vec<RectRecord>> = BTreeMap::new();
             crop_scan(
@@ -299,7 +301,7 @@ impl ShardServer {
         // sources happen to be co-hosted, which is what keeps the summed
         // `IoSnapshot` invariant across server topologies.
         let mut pieces: BTreeMap<(usize, usize), Vec<RectRecord>> = BTreeMap::new();
-        for h in self.engaged(pass) {
+        for h in self.engaged(&pass.engaged) {
             crop_scan(
                 h,
                 pass,
@@ -355,19 +357,21 @@ impl ShardServer {
     }
 
     /// The per-server half of min-next-breakpoint canonicalization: the
-    /// minimum of [`next_breakpoint_after`] over every hosted shard (the
-    /// coordinator takes the minimum across servers, which together is
-    /// exactly the all-shards minimum of the single-machine dataset).
+    /// minimum of [`next_breakpoint_after`] over every hosted engaged shard
+    /// (the coordinator takes the minimum across servers, which together is
+    /// exactly the engaged-shards minimum of the single-machine dataset).
     fn breakpoint(
         &self,
         size: maxrs_geometry::RectSize,
         root: maxrs_geometry::Interval,
         after_x: f64,
         suppressed: &[Rect],
+        engaged: &[u32],
     ) -> CoreResult<Response> {
         Query::max_rs(size).validate()?;
+        self.check_ids(engaged.iter())?;
         let mut hi = f64::INFINITY;
-        for h in &self.hosted {
+        for h in self.engaged(engaged) {
             let (ctx, file) = h.data.external_parts().expect("shards are external");
             hi = hi.min(next_breakpoint_after(
                 ctx, file, size, root, suppressed, after_x,

@@ -13,7 +13,7 @@
 //! sweep passes on the cluster as on a prepared dataset.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use maxrs_cluster::{
@@ -21,7 +21,7 @@ use maxrs_cluster::{
     Response, ShardServer, TcpServerHandle, TcpTransport, Transport, TransportError,
 };
 use maxrs_core::{
-    EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query, ShardLayout,
+    EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query, ShardLayout, ShardRoute,
 };
 use maxrs_em::{EmConfig, IoSnapshot, StorageBackend};
 use maxrs_geometry::{Rect, RectSize, WeightedPoint};
@@ -381,10 +381,12 @@ fn io_snapshot_is_invariant_across_topology_transport_and_backend() {
     assert_eq!(reference, fs, "backend changed the I/O");
 }
 
-/// Counts every request attempt before handing it to the wrapped transport.
+/// Counts every request attempt, and logs which servers receive a
+/// `Breakpoint`, before handing the request to the wrapped transport.
 struct CountingTransport {
     inner: InProcessTransport,
     calls: Arc<AtomicU64>,
+    breakpoints: Arc<Mutex<Vec<String>>>,
 }
 
 impl Transport for CountingTransport {
@@ -394,8 +396,36 @@ impl Transport for CountingTransport {
 
     fn call(&self, request: &Request, timeout: Duration) -> Result<Response, TransportError> {
         self.calls.fetch_add(1, Ordering::SeqCst);
+        if matches!(request, Request::Breakpoint { .. }) {
+            let mut log = self.breakpoints.lock().expect("breakpoint log lock");
+            log.push(self.inner.name().to_string());
+        }
         self.inner.call(request, timeout)
     }
+}
+
+/// Builds a cluster whose transports count requests into `calls` and log
+/// `Breakpoint` receivers into `breakpoints`; server `i` is named `srv{i}`.
+fn counting_cluster(
+    opts: EngineOptions,
+    objects: &[WeightedPoint],
+    k: usize,
+    num_servers: usize,
+    calls: &Arc<AtomicU64>,
+    breakpoints: &Arc<Mutex<Vec<String>>>,
+) -> ClusterCoordinator {
+    let transports: Vec<Box<dyn Transport>> = build_servers(opts, objects, k, num_servers)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            Box::new(CountingTransport {
+                inner: InProcessTransport::new(format!("srv{i}"), Arc::new(s)),
+                calls: Arc::clone(calls),
+                breakpoints: Arc::clone(breakpoints),
+            }) as Box<dyn Transport>
+        })
+        .collect();
+    ClusterCoordinator::connect(opts, test_config(), transports).unwrap()
 }
 
 #[test]
@@ -404,17 +434,8 @@ fn cluster_batches_share_sweep_passes() {
     let objects = pseudo_random_objects(1500, 61, extent);
     let opts = options_with(StorageBackend::Sim);
     let calls = Arc::new(AtomicU64::new(0));
-    let transports: Vec<Box<dyn Transport>> = build_servers(opts, &objects, 4, 2)
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            Box::new(CountingTransport {
-                inner: InProcessTransport::new(format!("srv{i}"), Arc::new(s)),
-                calls: Arc::clone(&calls),
-            }) as Box<dyn Transport>
-        })
-        .collect();
-    let cluster = ClusterCoordinator::connect(opts, test_config(), transports).unwrap();
+    let breakpoints = Arc::new(Mutex::new(Vec::new()));
+    let cluster = counting_cluster(opts, &objects, 4, 2, &calls, &breakpoints);
 
     let size = RectSize::square(0.12 * extent);
     let queries = [
@@ -445,4 +466,41 @@ fn cluster_batches_share_sweep_passes() {
         batched_rpcs < single_rpcs,
         "batch made {batched_rpcs} requests, one at a time {single_rpcs}"
     );
+}
+
+/// Canonicalization asks only the servers hosting an engaged shard: a
+/// narrow-domain MinRS sends no `Breakpoint` to the others.
+#[test]
+fn breakpoints_go_only_to_servers_hosting_engaged_shards() {
+    let extent = 1000.0;
+    let objects = pseudo_random_objects(1500, 67, extent);
+    let opts = options_with(StorageBackend::Sim);
+    let calls = Arc::new(AtomicU64::new(0));
+    let breakpoints = Arc::new(Mutex::new(Vec::new()));
+    // One shard per server: shard `s` lives on `srv{s}`.
+    let cluster = counting_cluster(opts, &objects, 4, 4, &calls, &breakpoints);
+    assert_eq!(cluster.num_shards(), 4);
+
+    let query = Query::min_rs(
+        RectSize::square(0.02 * extent),
+        Rect::new(0.0, 0.05 * extent, 0.0, extent),
+    );
+    let engaged = ShardRoute::engaged_by(cluster.boundaries(), &query);
+    assert!(engaged.len() < 4, "the domain engages every shard");
+    let run = cluster.run(&query).unwrap();
+    let expected = MaxRsEngine::with_options(opts)
+        .prepare(&objects)
+        .unwrap()
+        .run(&query)
+        .unwrap();
+    assert_eq!(run.answer, expected.answer);
+
+    let log = breakpoints.lock().unwrap();
+    assert!(!log.is_empty(), "the query canonicalized nothing");
+    for server in log.iter() {
+        assert!(
+            engaged.iter().any(|s| *server == format!("srv{s}")),
+            "{server} hosts no engaged shard of {engaged:?}"
+        );
+    }
 }

@@ -512,7 +512,15 @@ fn malformed_requests_get_error_responses_instead_of_panics() {
             root: Interval::UNBOUNDED,
             after_x: 0.0,
             suppressed: Vec::new(),
-        }));
+            engaged: Vec::new(),
+        }))
+        .chain([Request::Breakpoint {
+            size: valid.size,
+            root: Interval::UNBOUNDED,
+            after_x: 0.0,
+            suppressed: Vec::new(),
+            engaged: vec![0, 7],
+        }]);
     for request in requests {
         assert!(
             matches!(server.handle(&request), Response::Error { .. }),

@@ -20,6 +20,32 @@
 //!   do not attain the maximum (exactly on a shared rectangle edge), whereas
 //!   the interior of a single sub-slab max-interval always does; the reported
 //!   maximum value is identical either way.  See [`crate::plane_sweep`].
+//!
+//! ## Cost per event y
+//!
+//! Two tournament trees replace the three `Θ(m)` scans of the textbook loop
+//! (next y, consume, argmax).  One ranks the reader heads — the smallest
+//! head y wins, exhausted readers never win — and gives the next y; popping
+//! its winner while that still holds y gives the readers to consume, in
+//! index order.  The other ranks the sub-slab totals
+//! `tslab[i].sum + up_sum[i]` and gives the winner.  An event y at which `d`
+//! sub-slabs change (a consumed tuple, or a spanning event over them) costs
+//! `O((1 + d) · log m)`, plus the `O(r)` additions of a spanning event over
+//! `r` sub-slabs; once `d · log m` reaches `m`, a tree is rebuilt bottom-up
+//! in `O(m)` instead, so no y costs more than a flat scan.
+//!
+//! ## Exact for any weights
+//!
+//! `up_sum[i]` accumulates each spanning event in event order, and a changed
+//! total is recomputed as `tslab[i].sum + up_sum[i]` — never adjusted by a
+//! difference — so every total is the same `f64` a flat scan over all `m`
+//! sub-slabs would compute, starting from the sentinel tuples' sum 0.  The
+//! totals tree breaks ties towards the lower index and lets a right leaf win
+//! only when strictly greater, which is exactly a left-to-right `>` scan from
+//! `−∞`.  The output stream is therefore bit-identical to the flat scan's
+//! for any weights, and the blocks are read in the flat scan's order too:
+//! spanning events first, then the readers holding y in index order, each
+//! refilled right after it is consumed.
 
 use maxrs_em::{EmContext, TupleFile, TupleReader};
 use maxrs_geometry::Interval;
@@ -64,71 +90,231 @@ pub(crate) fn merge_sweep_readers(
             slabs.len()
         )));
     }
+    if slabs.is_empty() {
+        return Err(CoreError::Internal("merge_sweep got no slabs".into()));
+    }
     let m = readers.len();
     let mut writer = out_ctx.create_writer::<SlabTuple>()?;
 
-    // Sweep state.
+    // Sweep state: every reader's head y (`None` once exhausted), and per
+    // sub-slab its latest tuple, its spanning weight and their total.
+    let mut heads: Vec<Option<f64>> = Vec::with_capacity(m);
+    for reader in readers.iter_mut() {
+        heads.push(reader.peek()?.map(|t| t.y));
+    }
     let mut up_sum = vec![0.0f64; m];
     let mut tslab: Vec<SlabTuple> = slabs
         .iter()
         .map(|s| SlabTuple::new(f64::NEG_INFINITY, s.lo, s.hi, 0.0))
         .collect();
+    let mut totals: Vec<f64> = tslab
+        .iter()
+        .zip(&up_sum)
+        .map(|(t, up)| t.sum + up)
+        .collect();
+    let mut by_y = Tournament::new(m, |b, a| earlier(&heads, b, a));
+    let mut by_total = Tournament::new(m, |b, a| totals[b] > totals[a]);
+
+    let mut holders: Vec<usize> = Vec::new();
+    let mut changed: Vec<usize> = Vec::new();
+    let mut is_changed = vec![false; m];
 
     loop {
         // The next event y is the smallest head y over all inputs.
-        let mut next_y: Option<f64> = None;
-        for reader in readers.iter_mut() {
-            if let Some(t) = reader.peek()? {
-                next_y = Some(next_y.map_or(t.y, |y: f64| y.min(t.y)));
-            }
-        }
-        if let Some(e) = span_reader.peek()? {
-            next_y = Some(next_y.map_or(e.y, |y: f64| y.min(e.y)));
-        }
-        let y = match next_y {
-            Some(y) => y,
-            None => break,
+        let span_y = span_reader.peek()?.map(|e| e.y);
+        let y = match (heads[by_y.winner()], span_y) {
+            (Some(a), Some(b)) => a.min(b),
+            (Some(y), None) | (None, Some(y)) => y,
+            (None, None) => break,
         };
 
-        // Consume every record at exactly this y.
+        // Consume every record at exactly this y: spanning events first ...
         while let Some(e) = span_reader.peek()? {
             if e.y > y {
                 break;
             }
             let e = span_reader.next_record()?.expect("peeked span event");
-            let hi = (e.slab_hi as usize).min(m.saturating_sub(1));
             // Events beyond the slab range are tolerated as no-ops, matching
             // the clamp on `slab_hi`.
-            if (e.slab_lo as usize) <= hi {
-                for sum in &mut up_sum[e.slab_lo as usize..=hi] {
+            let (lo, hi) = (e.slab_lo as usize, (e.slab_hi as usize).min(m - 1));
+            if lo <= hi {
+                for (i, sum) in (lo..).zip(&mut up_sum[lo..=hi]) {
                     *sum += e.delta();
+                    mark(i, &mut changed, &mut is_changed);
                 }
             }
         }
-        for (i, reader) in readers.iter_mut().enumerate() {
-            while let Some(t) = reader.peek()? {
-                if t.y > y {
-                    break;
-                }
-                tslab[i] = reader.next_record()?.expect("peeked slab tuple");
+        // ... then the readers holding y, in index order: the leftmost
+        // smallest head is the lowest-index reader still holding y.  When
+        // many readers share y, the rest are found in one descent and the
+        // tree is rebuilt, which caps this step at `O(m)`.
+        let mut popped = 0;
+        loop {
+            let i = by_y.winner();
+            if !heads[i].is_some_and(|h| h <= y) {
+                break;
             }
+            if by_y.cheaper_to_rebuild(popped + 1) {
+                holders.clear();
+                by_y.collect(|j| heads[j].is_some_and(|h| h <= y), &mut holders);
+                for &j in &holders {
+                    heads[j] = consume_at(&mut readers[j], y, &mut tslab[j])?;
+                    mark(j, &mut changed, &mut is_changed);
+                }
+                by_y.rebuild(|b, a| earlier(&heads, b, a));
+                break;
+            }
+            heads[i] = consume_at(&mut readers[i], y, &mut tslab[i])?;
+            mark(i, &mut changed, &mut is_changed);
+            by_y.update(i, |b, a| earlier(&heads, b, a));
+            popped += 1;
         }
 
-        // Pick the best total over the sub-slabs and emit its max-interval.
-        let mut best_idx = 0usize;
-        let mut best = f64::NEG_INFINITY;
-        for i in 0..m {
-            let total = tslab[i].sum + up_sum[i];
-            if total > best {
-                best = total;
-                best_idx = i;
-            }
+        // Re-rank the changed sub-slabs and emit the best max-interval.
+        for &i in &changed {
+            totals[i] = tslab[i].sum + up_sum[i];
+            is_changed[i] = false;
         }
-        let winner = &tslab[best_idx];
-        writer.push(&SlabTuple::new(y, winner.x_lo, winner.x_hi, best))?;
+        by_total.replay(&changed, |b, a| totals[b] > totals[a]);
+        changed.clear();
+        let best = by_total.winner();
+        let winner = &tslab[best];
+        writer.push(&SlabTuple::new(y, winner.x_lo, winner.x_hi, totals[best]))?;
     }
 
     writer.finish().map_err(CoreError::from)
+}
+
+/// Consumes every tuple of `reader` at `y` or below into `latest`, leaving
+/// the reader refilled, and returns its new head y.
+fn consume_at(
+    reader: &mut TupleReader<'_, SlabTuple>,
+    y: f64,
+    latest: &mut SlabTuple,
+) -> Result<Option<f64>> {
+    while let Some(t) = reader.peek()? {
+        if t.y > y {
+            break;
+        }
+        *latest = reader.next_record()?.expect("peeked slab tuple");
+    }
+    Ok(reader.peek()?.map(|t| t.y))
+}
+
+/// Records sub-slab `i` as changed at the current y, once.
+fn mark(i: usize, changed: &mut Vec<usize>, is_changed: &mut [bool]) {
+    if !is_changed[i] {
+        is_changed[i] = true;
+        changed.push(i);
+    }
+}
+
+/// Whether reader `b`'s head comes strictly before reader `a`'s; an
+/// exhausted reader comes after every other.
+fn earlier(heads: &[Option<f64>], b: usize, a: usize) -> bool {
+    match (heads[b], heads[a]) {
+        (Some(yb), Some(ya)) => yb < ya,
+        (Some(_), None) => true,
+        (None, _) => false,
+    }
+}
+
+/// An array-backed tournament tree over `n` leaves: every internal node
+/// holds the index of the winning leaf below it, so the overall winner sits
+/// at the root and a changed leaf is replayed along its path in `O(log n)`.
+///
+/// The tree stores only indices; the caller passes `beats(b, a)` — whether
+/// leaf `b` wins strictly over leaf `a`, for `a < b` — to every operation,
+/// so ties go to the lower index.
+struct Tournament {
+    /// Leaf slots (`n` rounded up to a power of two); leaf `i` is node
+    /// `base + i`, the root is node 1.
+    base: usize,
+    n: usize,
+    nodes: Vec<usize>,
+}
+
+impl Tournament {
+    fn new(n: usize, beats: impl Fn(usize, usize) -> bool) -> Self {
+        let base = n.next_power_of_two();
+        let mut nodes = vec![0; 2 * base];
+        for (i, node) in nodes[base..].iter_mut().enumerate() {
+            *node = i;
+        }
+        let mut tree = Tournament { base, n, nodes };
+        tree.rebuild(beats);
+        tree
+    }
+
+    /// The winning leaf.
+    fn winner(&self) -> usize {
+        self.nodes[1]
+    }
+
+    /// The match at internal node `v`: the right winner takes it only by
+    /// beating the left one strictly.  Padding leaves (index `≥ n`) sit
+    /// right of every real leaf and never win.
+    fn play(&self, v: usize, beats: &impl Fn(usize, usize) -> bool) -> usize {
+        let (a, b) = (self.nodes[2 * v], self.nodes[2 * v + 1]);
+        if b < self.n && beats(b, a) {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// Replays the path above `leaf`.
+    fn update(&mut self, leaf: usize, beats: impl Fn(usize, usize) -> bool) {
+        let mut v = (self.base + leaf) / 2;
+        while v >= 1 {
+            self.nodes[v] = self.play(v, &beats);
+            v /= 2;
+        }
+    }
+
+    /// Replays every match bottom-up, in `O(n)`.
+    fn rebuild(&mut self, beats: impl Fn(usize, usize) -> bool) {
+        for v in (1..self.base).rev() {
+            self.nodes[v] = self.play(v, &beats);
+        }
+    }
+
+    /// Whether `updates` path replays cost at least a rebuild.
+    fn cheaper_to_rebuild(&self, updates: usize) -> bool {
+        updates * self.base.trailing_zeros() as usize >= self.base
+    }
+
+    /// Replays the paths above the changed `leaves`, or rebuilds the whole
+    /// tree when that is cheaper.
+    fn replay(&mut self, leaves: &[usize], beats: impl Fn(usize, usize) -> bool) {
+        if self.cheaper_to_rebuild(leaves.len()) {
+            self.rebuild(beats);
+        } else {
+            for &leaf in leaves {
+                self.update(leaf, &beats);
+            }
+        }
+    }
+
+    /// Appends, in index order, every leaf `i` with `keep(i)`, descending
+    /// only into subtrees whose winner passes `keep`.  Complete whenever a
+    /// leaf that passes `keep` beats every leaf that fails it.
+    fn collect(&self, keep: impl Fn(usize) -> bool, out: &mut Vec<usize>) {
+        self.collect_below(1, &keep, out);
+    }
+
+    fn collect_below(&self, v: usize, keep: &impl Fn(usize) -> bool, out: &mut Vec<usize>) {
+        let w = self.nodes[v];
+        if w >= self.n || !keep(w) {
+            return;
+        }
+        if v >= self.base {
+            out.push(w);
+        } else {
+            self.collect_below(2 * v, keep, out);
+            self.collect_below(2 * v + 1, keep, out);
+        }
+    }
 }
 
 /// One node of the binary reduction tree built by [`merge_sweep_tree`]: a

@@ -65,7 +65,9 @@
 
 use std::path::PathBuf;
 
-use maxrs_em::{external_sort_by_key, EmContext, FsDisk, IoSnapshot, TupleFile, TupleWriter};
+use maxrs_em::{
+    external_sort_by_key, EmContext, FsDisk, IoSnapshot, Record, TupleFile, TupleWriter,
+};
 use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
 
 use crate::approx::evaluate_candidates;
@@ -567,7 +569,8 @@ impl ShardedDataset {
     /// Phase 2 for one global slab: concatenate its pieces in source order on
     /// the owner shard's device and run the ordinary (sequential, sampled-
     /// boundary) recursion there — exactly what the unsharded parallel slab
-    /// stage does per child.
+    /// stage does per child.  Every piece is deleted whether or not the
+    /// concatenation succeeds, and so is a partial concatenation.
     fn solve_slab(
         &self,
         files: &[ShardFile<'_>],
@@ -577,21 +580,23 @@ impl ShardedDataset {
         sources: &[SourceOut],
     ) -> Result<TupleFile<SlabTuple>> {
         let ctx = files[owners[t]].0;
-        let mut writer = ctx.create_writer::<RectRecord>()?;
-        for src in sources {
-            if let Some(f) = &src.pieces[t] {
-                let mut reader = ctx.open_reader(f);
-                while let Some(rec) = reader.next_record()? {
-                    writer.push(&rec)?;
-                }
-            }
+        let pieces: Vec<_> = sources
+            .iter()
+            .filter_map(|s| s.pieces[t].as_ref())
+            .collect();
+        let concatenated = concatenate(ctx, &pieces);
+        let mut deleted = Ok(());
+        for f in pieces {
+            deleted = deleted.and(ctx.delete_file(f.clone()));
         }
-        let rects = writer.finish()?;
-        for src in sources {
-            if let Some(f) = &src.pieces[t] {
-                ctx.delete_file(f.clone())?;
+        let rects = match (concatenated, deleted) {
+            (Ok(rects), Ok(())) => rects,
+            (Ok(rects), Err(e)) => {
+                let _ = ctx.delete_file(rects);
+                return Err(e.into());
             }
-        }
+            (Err(e), _) => return Err(e),
+        };
         let opts = ExactMaxRsOptions {
             parallelism: 1,
             ..self.opts.exact
@@ -603,24 +608,22 @@ impl ShardedDataset {
     /// result on the merge device — the sharded mirror of the span sort in
     /// [`distribute`](crate::slab::distribute).
     fn collect_spans(&self, sources: &[SourceOut]) -> Result<TupleFile<SpanEvent>> {
-        let mut writer = self.merge_ctx.create_writer::<SpanEvent>()?;
-        for src in sources {
-            if let Some(f) = &src.spans {
-                let mut reader = self.merge_ctx.open_reader(f);
-                while let Some(e) = reader.next_record()? {
-                    writer.push(&e)?;
-                }
-            }
+        let ctx = &self.merge_ctx;
+        let parts: Vec<_> = sources.iter().filter_map(|s| s.spans.as_ref()).collect();
+        let unsorted = concatenate(ctx, &parts);
+        for f in parts {
+            let _ = ctx.delete_file(f.clone());
         }
-        let unsorted = writer.finish()?;
-        for src in sources {
-            if let Some(f) = &src.spans {
-                let _ = self.merge_ctx.delete_file(f.clone());
+        let unsorted = unsorted?;
+        let sorted = external_sort_by_key(ctx, &unsorted, |e| e.y);
+        match (sorted, ctx.delete_file(unsorted)) {
+            (Ok(sorted), Ok(())) => Ok(sorted),
+            (Ok(sorted), Err(e)) => {
+                let _ = ctx.delete_file(sorted);
+                Err(e.into())
             }
+            (Err(e), _) => Err(e.into()),
         }
-        let sorted = external_sort_by_key(&self.merge_ctx, &unsorted, |e| e.y);
-        self.merge_ctx.delete_file(unsorted)?;
-        Ok(sorted?)
     }
 }
 
@@ -645,9 +648,10 @@ impl SweepHost for ShardedDataset {
         self.sharded_slab_file(size, weight_scale, root, suppressed)
     }
 
-    /// The **minimum** of the per-shard breakpoints — each shard scans only
-    /// its own objects, together exactly the one-file scan of the unsharded
-    /// dataset.
+    /// The **minimum** of the engaged shards' breakpoints and `root.hi` —
+    /// each engaged shard scans only its own objects, and a shard the pass
+    /// does not engage has no rectangle reaching the root, so together this
+    /// is exactly the one-file scan of the unsharded dataset.
     fn next_breakpoint(
         &self,
         size: RectSize,
@@ -655,8 +659,10 @@ impl SweepHost for ShardedDataset {
         suppressed: &[Rect],
         x: f64,
     ) -> Result<f64> {
-        let mut hi = f64::INFINITY;
-        for (ctx, file) in self.shard_files() {
+        let files = self.shard_files();
+        let mut hi = if root.hi > x { root.hi } else { f64::INFINITY };
+        for s in ShardRoute::engaged_shards(&self.boundaries, size, root) {
+            let (ctx, file) = files[s];
             hi = hi.min(next_breakpoint_after(ctx, file, size, root, suppressed, x)?);
         }
         Ok(hi)
@@ -724,7 +730,7 @@ impl ShardRoute {
         ShardRoute {
             partition,
             owners,
-            engaged: engaged(boundaries, size, root),
+            engaged: Self::engaged_shards(boundaries, size, root),
         }
     }
 
@@ -732,22 +738,45 @@ impl ShardRoute {
     /// domain's x-slab for MinRS, over the unbounded root otherwise.
     pub fn engaged_by(boundaries: &[f64], query: &Query) -> Vec<usize> {
         let (size, root) = query.first_pass();
-        engaged(boundaries, size, root)
+        Self::engaged_shards(boundaries, size, root)
+    }
+
+    /// The shards whose objects' rectangles can reach `root`, ascending:
+    /// shard slab inflated by half the rectangle width, kept unless
+    /// **strictly** out of reach (degenerate touching stays in, so boundary
+    /// ties are routed exactly like the unsharded sweep clips them).
+    pub fn engaged_shards(boundaries: &[f64], size: RectSize, root: Interval) -> Vec<usize> {
+        let half = size.width / 2.0;
+        (0..=boundaries.len())
+            .filter(|&i| {
+                let s = shard_slab(boundaries, i);
+                !(s.hi + half < root.lo || s.lo - half > root.hi)
+            })
+            .collect()
     }
 }
 
-/// The shards whose objects' rectangles can reach `root`: shard slab
-/// inflated by half the rectangle width, kept unless **strictly** out of
-/// reach (degenerate touching stays in, so boundary ties are routed exactly
-/// like the unsharded sweep clips them).
-fn engaged(boundaries: &[f64], size: RectSize, root: Interval) -> Vec<usize> {
-    let half = size.width / 2.0;
-    (0..=boundaries.len())
-        .filter(|&i| {
-            let s = shard_slab(boundaries, i);
-            !(s.hi + half < root.lo || s.lo - half > root.hi)
-        })
-        .collect()
+/// Concatenates `parts` in order into a new file on `ctx`; on failure the
+/// partial concatenation is deleted before the error returns.
+fn concatenate<T: Record>(ctx: &EmContext, parts: &[&TupleFile<T>]) -> Result<TupleFile<T>> {
+    let mut writer = ctx.create_writer::<T>()?;
+    let copied = parts.iter().try_for_each(|f| -> Result<()> {
+        let mut reader = ctx.open_reader(f);
+        while let Some(rec) = reader.next_record()? {
+            writer.push(&rec)?;
+        }
+        Ok(())
+    });
+    let finished = writer.finish();
+    match copied {
+        Ok(()) => Ok(finished?),
+        Err(e) => {
+            if let Ok(file) = finished {
+                let _ = ctx.delete_file(file);
+            }
+            Err(e)
+        }
+    }
 }
 
 /// Lazily opens the piece writer of global slab `t` on its owner's device.
@@ -1037,6 +1066,76 @@ mod tests {
         let touched = sharded.shards_touched(&Query::min_rs(RectSize::square(4.0), narrow));
         assert!(touched < 4, "narrow domain touched all {touched} shards");
         assert!(touched >= 1);
+    }
+
+    /// A failed concatenation still deletes every piece of its slab and the
+    /// partial concatenation, leaving the owner device as it was.
+    #[test]
+    fn solve_slab_cleans_up_after_a_failed_piece_read() {
+        let sharded = small_engine()
+            .prepare_sharded(&grid_objects(1_200), &ShardLayout::new(2))
+            .unwrap();
+        let files = sharded.shard_files();
+        let route = ShardRoute::new(
+            &sharded.boundaries,
+            RectSize::square(4.0),
+            Interval::UNBOUNDED,
+        );
+        let t = 0;
+        let owner = files[route.owners[t]].0;
+        let baseline = (owner.num_files(), owner.disk_blocks());
+
+        let rects: Vec<RectRecord> = (0..200)
+            .map(|i| RectRecord::new(Rect::new(i as f64, i as f64 + 1.0, 0.0, 1.0), 1.0))
+            .collect();
+        let source = || {
+            let mut pieces = vec![None; route.partition.num_slabs()];
+            pieces[t] = Some(owner.write_all(&rects).unwrap());
+            SourceOut {
+                pieces,
+                spans: None,
+            }
+        };
+        let (live, stale) = (source(), source());
+        owner.delete_file(stale.pieces[t].clone().unwrap()).unwrap();
+
+        let err = sharded
+            .solve_slab(&files, &route.owners, &route.partition, t, &[live, stale])
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Em(maxrs_em::EmError::FileNotFound(_))),
+            "{err:?}"
+        );
+        assert_eq!((owner.num_files(), owner.disk_blocks()), baseline);
+    }
+
+    /// Canonicalization scans only the engaged shards: a narrow-domain
+    /// MinRS leaves every other shard's device untouched.
+    #[test]
+    fn narrow_min_rs_leaves_unengaged_shards_unread() {
+        let sharded = small_engine()
+            .prepare_sharded(&grid_objects(4_000), &ShardLayout::new(4))
+            .unwrap();
+        assert_eq!(sharded.num_shards(), 4);
+        let query = Query::min_rs(RectSize::square(4.0), Rect::new(0.0, 1.0, 0.0, 50.0));
+        let engaged = ShardRoute::engaged_by(&sharded.boundaries, &query);
+        assert!(engaged.len() < 4, "the domain engages every shard");
+        let io = |ds: &ShardedDataset| -> Vec<IoSnapshot> {
+            ds.shard_files()
+                .iter()
+                .map(|(ctx, _)| ctx.stats())
+                .collect()
+        };
+        let before = io(&sharded);
+        let run = sharded.run(&query).unwrap();
+        let after = io(&sharded);
+        for s in 0..4 {
+            if !engaged.contains(&s) {
+                assert_eq!(after[s], before[s], "shard {s} is not engaged");
+            }
+        }
+        let prepared = small_engine().prepare(&grid_objects(4_000)).unwrap();
+        assert_eq!(run.answer, prepared.run(&query).unwrap().answer);
     }
 
     #[test]
