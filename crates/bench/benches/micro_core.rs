@@ -65,7 +65,8 @@ fn bench_external_sort(c: &mut Criterion) {
 /// Sequential vs. parallel ExactMaxRS through the [`MaxRsEngine`] facade: the
 /// same dataset, EM configuration and query, varying only the worker cap of
 /// the parallel slab stage.  `workers = 1` is the paper's sequential sweep;
-/// larger caps exercise the parallel children + tree-reduction path.
+/// larger caps solve the top-level sub-slabs concurrently before the same
+/// MergeSweep, so the printed I/O should match across caps.
 ///
 /// The dataset is loaded into the context once per variant, outside the timed
 /// loop, so the measured wall-clock covers the solve only — the same phase

@@ -9,8 +9,8 @@
 //! The handlers run the single-machine
 //! [`ShardedDataset`](maxrs_core::ShardedDataset)'s phases on the shards
 //! this server hosts, with the same shared pieces of `maxrs-core`: the crop
-//! rule ([`SlabPartition::crop`]), the suppression predicate
-//! ([`is_suppressed`]), the per-slab recursion and the breakpoint scan.
+//! scan ([`crop_scan`]: suppression, transform and [`SlabPartition::crop`]),
+//! the per-slab recursion and the breakpoint scan.
 //! Pieces concatenate in the same global source order, which is what makes
 //! the coordinator's merged answers bit-identical to the unsharded sweep.
 //! Every sweep pass is validated before any scan, so a malformed
@@ -19,13 +19,13 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use maxrs_core::shard::prepare_shard;
+use maxrs_core::shard::{crop_scan, prepare_shard};
 use maxrs_core::sweep::{next_breakpoint_after, solve_rects};
 use maxrs_core::{
-    evaluate_candidates, is_suppressed, CoreError, EngineOptions, ExactMaxRsOptions,
+    evaluate_candidates, CoreError, EngineOptions, ExactMaxRsOptions, ObjectRecord,
     PreparedDataset, Query, RectRecord, Result as CoreResult, SlabPartition, SpanEvent,
 };
-use maxrs_em::{EmContext, IoSnapshot};
+use maxrs_em::{EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::{Rect, WeightedPoint};
 
 use crate::protocol::{PassSpec, PieceSet, Request, Response, ShardInfo};
@@ -35,6 +35,13 @@ struct HostedShard {
     id: usize,
     data: PreparedDataset<'static>,
     prepare_io: IoSnapshot,
+}
+
+impl HostedShard {
+    /// The shard's context and x-sorted object file.
+    fn objects(&self) -> (&EmContext, &TupleFile<ObjectRecord>) {
+        self.data.external_parts().expect("shards are external")
+    }
 }
 
 /// Hosts shards' prepared datasets and answers cluster sub-queries.
@@ -153,8 +160,7 @@ impl ShardServer {
     fn stats_total(&self) -> IoSnapshot {
         self.hosted
             .iter()
-            .filter_map(|h| h.data.external_parts())
-            .fold(IoSnapshot::default(), |acc, (ctx, _)| acc + ctx.stats())
+            .fold(IoSnapshot::default(), |acc, h| acc + h.objects().0.stats())
     }
 
     fn hosts(&self, shard: usize) -> bool {
@@ -165,9 +171,9 @@ impl ShardServer {
         self.hosted
             .iter()
             .find(|h| h.id == shard)
-            .and_then(|h| h.data.external_parts())
-            .map(|(ctx, _)| ctx)
-            .expect("hosted shards are always external")
+            .expect("shard is hosted here")
+            .objects()
+            .0
     }
 
     // ---- handlers -----------------------------------------------------------
@@ -251,15 +257,20 @@ impl ShardServer {
             let mut events: Vec<SpanEvent> = Vec::new();
             let mut pieces: BTreeMap<u32, Vec<RectRecord>> = BTreeMap::new();
             crop_scan(
-                h,
-                pass,
+                h.objects(),
                 &partition,
+                (pass.size, pass.weight_scale),
+                &pass.suppressed,
                 |t, piece| {
                     if !self.hosts(pass.owners[t] as usize) {
                         pieces.entry(t as u32).or_default().push(piece);
                     }
+                    Ok(())
                 },
-                |pair| events.extend(pair),
+                |pair| {
+                    events.extend(pair);
+                    Ok(())
+                },
             )?;
             if !events.is_empty() {
                 spans.push((h.id as u32, events));
@@ -303,15 +314,17 @@ impl ShardServer {
         let mut pieces: BTreeMap<(usize, usize), Vec<RectRecord>> = BTreeMap::new();
         for h in self.engaged(&pass.engaged) {
             crop_scan(
-                h,
-                pass,
+                h.objects(),
                 &partition,
+                (pass.size, pass.weight_scale),
+                &pass.suppressed,
                 |t, piece| {
                     if self.hosts(owners[t]) {
                         pieces.entry((h.id, t)).or_default().push(piece);
                     }
+                    Ok(())
                 },
-                |_| {},
+                |_| Ok(()),
             )?;
         }
 
@@ -372,7 +385,7 @@ impl ShardServer {
         self.check_ids(engaged.iter())?;
         let mut hi = f64::INFINITY;
         for h in self.engaged(engaged) {
-            let (ctx, file) = h.data.external_parts().expect("shards are external");
+            let (ctx, file) = h.objects();
             hi = hi.min(next_breakpoint_after(
                 ctx, file, size, root, suppressed, after_x,
             )?);
@@ -393,7 +406,7 @@ impl ShardServer {
     ) -> CoreResult<Response> {
         let mut sums = Vec::with_capacity(self.hosted.len());
         for h in &self.hosted {
-            let (ctx, file) = h.data.external_parts().expect("shards are external");
+            let (ctx, file) = h.objects();
             sums.push((
                 h.id as u32,
                 evaluate_candidates(ctx, file, candidates, diameter)?,
@@ -408,7 +421,7 @@ impl ShardServer {
     fn fetch_objects(&self) -> CoreResult<Response> {
         let mut objects = Vec::with_capacity(self.hosted.len());
         for h in &self.hosted {
-            let (ctx, file) = h.data.external_parts().expect("shards are external");
+            let (ctx, file) = h.objects();
             objects.push((h.id as u32, ctx.read_all(file)?));
         }
         Ok(Response::Objects {
@@ -425,33 +438,4 @@ impl std::fmt::Debug for ShardServer {
             .field("hosted", &self.hosted_shards())
             .finish()
     }
-}
-
-/// The crop scan of one hosted source shard: every object outside the
-/// pass's suppressed rectangles, transformed and weight-scaled, goes through
-/// [`SlabPartition::crop`]; pieces reach `on_piece` with their global slab,
-/// span-event pairs reach `on_span`.
-fn crop_scan(
-    shard: &HostedShard,
-    pass: &PassSpec,
-    partition: &SlabPartition,
-    mut on_piece: impl FnMut(usize, RectRecord),
-    mut on_span: impl FnMut([SpanEvent; 2]),
-) -> CoreResult<()> {
-    let (ctx, file) = shard.data.external_parts().expect("shards are external");
-    let mut reader = ctx.open_reader(file);
-    while let Some(rec) = reader.next_record()? {
-        if is_suppressed(&pass.suppressed, &rec) {
-            continue;
-        }
-        let record = RectRecord::new(rec.0.to_rect(pass.size), pass.weight_scale * rec.0.weight);
-        let crop = partition.crop(&record);
-        for (t, piece) in crop.pieces.into_iter().flatten() {
-            on_piece(t, piece);
-        }
-        if let Some(pair) = crop.span {
-            on_span(pair);
-        }
-    }
-    Ok(())
 }

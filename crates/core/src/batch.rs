@@ -42,14 +42,9 @@
 //! [`measure_thread_io`](maxrs_em::measure_thread_io()) attributes each group's
 //! transfers to its queries.  Answers are **bit-identical** to per-query
 //! [`PreparedDataset::run`](crate::PreparedDataset::run) calls — in fact the
-//! per-query path *is* a batch of one.  One caveat carries over from strategy
-//! selection: when several groups run concurrently, each group's sweep
-//! combines its slabs with the flat sequential MergeSweep instead of the
-//! parallel pairwise tree a lone query would use, which for
-//! **integer-valued weights** is exactly identical and for arbitrary floats
-//! shares the last-bit association caveat of
-//! [`merge_sweep_tree`](crate::merge_sweep::merge_sweep_tree()) — the same
-//! caveat that already applies between execution strategies.
+//! per-query path *is* a batch of one.  Whether a group's sweep runs alone
+//! with parallel children or beside other groups on one worker, it ends in
+//! the same flat MergeSweep, so this holds for any weights.
 //!
 //! # I/O attribution
 //!

@@ -245,9 +245,10 @@ impl MaxRsEngine {
     /// configuration; the reported I/O covers the query only (loading the
     /// objects into the context is excluded, as in the paper's measurements).
     /// All strategies return the identical answer on the same data (canonical
-    /// max-regions, see [`crate::exact`]); for arbitrary float weights the
-    /// parallel strategy carries the usual tree-association caveat of
-    /// [`merge_sweep_tree`](crate::merge_sweep::merge_sweep_tree).
+    /// max-regions, see [`crate::exact`]).  The two external strategies run
+    /// the same MergeSweep and agree bit for bit for any weights; the
+    /// in-memory sweep adds arbitrary float weights in a different order, so
+    /// there only integer-valued weights are guaranteed to match exactly.
     ///
     /// # Query cookbook
     ///
@@ -350,13 +351,13 @@ impl MaxRsEngine {
     /// one rectangle size share a single kernel pass, MinRS queries sharing a
     /// domain x-slab share a negated one — and independent groups execute
     /// concurrently on the worker pool.  Answers are bit-identical to
-    /// per-query [`run`](MaxRsEngine::run) calls on the same data for
-    /// integer-valued weights (arbitrary floats carry the usual association
-    /// caveat of concurrent execution, see [`crate::batch`]); runs come
-    /// back in query order.  The one-time preparation I/O (the external
-    /// x-sort) and each group's shared pass are attributed to the first query
-    /// they serve, so the runs' I/O sums to the true total (see
-    /// [`crate::batch`], "I/O attribution").
+    /// per-query [`run`](MaxRsEngine::run) calls on the same data for any
+    /// weights (both go through a
+    /// [`PreparedDataset`](crate::PreparedDataset)); runs come back in query
+    /// order.  The one-time preparation I/O (the external x-sort) and each
+    /// group's shared pass are attributed to the first query they serve, so
+    /// the runs' I/O sums to the true total (see [`crate::batch`], "I/O
+    /// attribution").
     pub fn run_batch(&self, objects: &[WeightedPoint], queries: &[Query]) -> Result<Vec<QueryRun>> {
         let batch = QueryBatch::new(queries)?;
         if batch.is_empty() {

@@ -53,20 +53,16 @@ pub struct ExactMaxRsOptions {
     /// Reservoir size used when slab boundaries must be estimated from an
     /// unsorted rectangle file (recursion levels below the first).
     pub boundary_sample: usize,
-    /// Keep the sorted rectangle file instead of deleting it (useful when the
-    /// caller wants to re-run with different parameters).
-    pub keep_intermediates: bool,
     /// Maximum number of worker threads for the parallel slab stage
-    /// (default: the available core count; `1` reproduces the sequential
-    /// distribution sweep bit-for-bit).
+    /// (default: the available core count; `1` runs the paper's sequential
+    /// distribution sweep).
     ///
     /// With more than one worker, the sub-slabs of the top recursion node are
-    /// solved concurrently and their slab-files are combined by the pairwise
-    /// [`merge_sweep_tree`](crate::merge_sweep_tree) reduction instead of the
-    /// flat `m`-way [`merge_sweep`](crate::merge_sweep()).  Results are
-    /// identical for integer-valued weights; see `merge_sweep_tree` for the
-    /// floating-point association caveat.  The worker count actually used is
-    /// additionally capped by the buffer size — see
+    /// solved concurrently, each sequentially inside its worker, and their
+    /// slab-files are combined by the same flat `m`-way
+    /// [`merge_sweep`](crate::merge_sweep()) the sequential sweep runs, so
+    /// the result is bit-identical for any weights.  The worker count
+    /// actually used is additionally capped by the buffer size — see
     /// [`ExactMaxRsOptions::effective_parallelism`].
     ///
     /// **Memory-model note:** each worker keeps the full in-memory budget
@@ -85,7 +81,6 @@ impl Default for ExactMaxRsOptions {
             fanout: None,
             memory_rects: None,
             boundary_sample: 8192,
-            keep_intermediates: false,
             parallelism: available_parallelism(),
         }
     }

@@ -13,9 +13,8 @@
 //!   the recursion base case and as a convenience API for small datasets,
 //! * [`exact_max_crs_in_memory`] — the exact MaxCRS reference used to measure
 //!   approximation quality (Figure 17 of the paper),
-//! * the building blocks (slab partitioning, slab-files, MergeSweep — flat
-//!   and pairwise-tree, segment tree, uniform grid) as documented public
-//!   modules,
+//! * the building blocks (slab partitioning, slab-files, MergeSweep, segment
+//!   tree, uniform grid) as documented public modules,
 //! * [`MaxRsEngine`] — a facade that auto-selects between the in-memory
 //!   sweep, the sequential external sweep and the **parallel slab stage**
 //!   from the dataset size, the memory budget and the core count,
@@ -142,7 +141,7 @@ pub use extensions::{
 };
 pub use frontier::{FrontierCursor, FrontierMap};
 pub use grid::{grid_cell, UniformGrid, GRID_CELL_LIMIT};
-pub use merge_sweep::{merge_sweep, merge_sweep_tree};
+pub use merge_sweep::merge_sweep;
 pub use parallel::{available_parallelism, parallel_map};
 pub use plane_sweep::{
     best_region_from_tuples, max_rs_in_memory, plane_sweep_slab, transform_objects, SweepScratch,

@@ -51,7 +51,6 @@ use maxrs_em::{EmContext, TupleFile, TupleReader};
 use maxrs_geometry::Interval;
 
 use crate::error::{CoreError, Result};
-use crate::parallel::parallel_map;
 use crate::records::{SlabTuple, SpanEvent};
 
 /// Merges the slab-files `slab_files` (one per sub-slab, y-sorted) and the
@@ -317,247 +316,6 @@ impl Tournament {
     }
 }
 
-/// One node of the binary reduction tree built by [`merge_sweep_tree`]: a
-/// contiguous run `[lo, hi]` of sub-slab (leaf) indices.
-#[derive(Debug)]
-struct ReduceNode {
-    lo: usize,
-    hi: usize,
-    children: Option<(usize, usize)>,
-    /// `(parent node, side)` where side 0 = left child, 1 = right child.
-    /// `None` only for the root.
-    parent: Option<(usize, u32)>,
-}
-
-/// Combines the slab-files of `m` sub-slabs by a **pairwise reduction tree**
-/// instead of one flat `m`-way sweep, so that independent pair-merges can run
-/// on different threads (`workers` bounds the thread count).
-///
-/// Adjacent slab-files are merged level by level — `(0,1), (2,3), …` — until
-/// one file remains; an odd file is carried to the next level unchanged.
-/// Every spanning event is routed to the *canonical nodes* of the tree that
-/// its slab range `[slab_lo, slab_hi]` decomposes into (the classic segment
-/// tree decomposition), and applied exactly once, at the pair-merge where that
-/// canonical node is one of the two children.  This reproduces the flat
-/// sweep's accounting: each spanned leaf receives each spanning weight exactly
-/// once.
-///
-/// The child files are consumed (deleted) as they are merged; `span_events` is
-/// left to the caller, matching [`merge_sweep`].
-///
-/// # Equivalence with [`merge_sweep`]
-///
-/// The output slab-file covers the same event `y`s with the same max-interval
-/// sums; [`best_region_from_tuples`](crate::plane_sweep::best_region_from_tuples)
-/// and the final answer extraction therefore yield the same result.  The one
-/// caveat is floating-point association: nested spanning weights are added in
-/// tree order rather than flat-scan order, so with weights whose sums are not
-/// exactly representable the last bits can differ.  Integer-valued weights
-/// (the paper's COUNT workloads and every generator in `maxrs-datagen`'s
-/// default mode) are bit-for-bit identical.
-pub fn merge_sweep_tree(
-    ctx: &EmContext,
-    slab_files: Vec<TupleFile<SlabTuple>>,
-    slabs: &[Interval],
-    span_events: &TupleFile<SpanEvent>,
-    workers: usize,
-) -> Result<TupleFile<SlabTuple>> {
-    if slab_files.len() != slabs.len() {
-        return Err(CoreError::Internal(format!(
-            "merge_sweep_tree got {} slab files but {} slabs",
-            slab_files.len(),
-            slabs.len()
-        )));
-    }
-    let m = slab_files.len();
-    if m <= 1 {
-        // Degenerate tree: defer to the flat sweep (which also applies any
-        // remaining span events to the single slab).
-        let merged = merge_sweep(ctx, &slab_files, slabs, span_events)?;
-        for f in slab_files {
-            ctx.delete_file(f)?;
-        }
-        return Ok(merged);
-    }
-
-    // ---- Build the reduction tree ------------------------------------------
-    let mut arena: Vec<ReduceNode> = (0..m)
-        .map(|i| ReduceNode {
-            lo: i,
-            hi: i,
-            children: None,
-            parent: None,
-        })
-        .collect();
-    let mut level: Vec<usize> = (0..m).collect();
-    // Merge nodes grouped by tree level, bottom-up.
-    let mut levels: Vec<Vec<usize>> = Vec::new();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut merges = Vec::with_capacity(level.len() / 2);
-        let mut i = 0;
-        while i + 1 < level.len() {
-            let (l, r) = (level[i], level[i + 1]);
-            let id = arena.len();
-            arena.push(ReduceNode {
-                lo: arena[l].lo,
-                hi: arena[r].hi,
-                children: Some((l, r)),
-                parent: None,
-            });
-            arena[l].parent = Some((id, 0));
-            arena[r].parent = Some((id, 1));
-            merges.push(id);
-            next.push(id);
-            i += 2;
-        }
-        if i < level.len() {
-            next.push(level[i]); // odd node carried up unchanged
-        }
-        levels.push(merges);
-        level = next;
-    }
-    let root = level[0];
-
-    // ---- Route spanning events to their canonical pair-merges --------------
-    // Events stream from the y-sorted input file into one spill file per
-    // merge node, so the staging memory is O(nodes) block buffers — the same
-    // budget the distribution step uses for its m slab writers — not O(N)
-    // events, and the routed copies are accounted as I/O like every other
-    // intermediate of the EM pipeline.  Per-node order mirrors the y-sorted
-    // input, so the spill files need no re-sort.
-    let mut node_writers: Vec<Option<maxrs_em::TupleWriter<'_, SpanEvent>>> =
-        (0..arena.len()).map(|_| None).collect();
-    {
-        let mut reader = ctx.open_reader(span_events);
-        let mut stack: Vec<usize> = Vec::new();
-        while let Some(ev) = reader.next_record()? {
-            let lo = ev.slab_lo as usize;
-            let hi = (ev.slab_hi as usize).min(m - 1);
-            stack.push(root);
-            while let Some(v) = stack.pop() {
-                let node = &arena[v];
-                if node.lo > hi || node.hi < lo {
-                    continue;
-                }
-                if lo <= node.lo && node.hi <= hi {
-                    if let Some((parent, side)) = node.parent {
-                        let writer = match &mut node_writers[parent] {
-                            Some(w) => w,
-                            None => node_writers[parent].insert(ctx.create_writer()?),
-                        };
-                        writer.push(&SpanEvent {
-                            slab_lo: side,
-                            slab_hi: side,
-                            ..ev
-                        })?;
-                        continue;
-                    }
-                    // A span covering the whole tree falls through to the
-                    // children, each of which is then fully covered.
-                }
-                if let Some((l, r)) = node.children {
-                    stack.push(l);
-                    stack.push(r);
-                }
-            }
-        }
-    }
-    let mut node_spans: Vec<Option<TupleFile<SpanEvent>>> = Vec::with_capacity(arena.len());
-    for writer in node_writers {
-        node_spans.push(match writer {
-            Some(w) => Some(w.finish()?),
-            None => None,
-        });
-    }
-
-    // ---- Execute the merges level by level, pairs in parallel --------------
-    let mut files: Vec<Option<TupleFile<SlabTuple>>> = slab_files.into_iter().map(Some).collect();
-    files.resize_with(arena.len(), || None);
-    let interval_of = |arena: &[ReduceNode], v: usize| -> Interval {
-        Interval::new(slabs[arena[v].lo].lo, slabs[arena[v].hi].hi)
-    };
-
-    /// Work unit of one pair-merge: `(node id, left file, right file, spans)`.
-    type MergeTask = (
-        usize,
-        TupleFile<SlabTuple>,
-        TupleFile<SlabTuple>,
-        Option<TupleFile<SpanEvent>>,
-    );
-
-    // On any failure, delete every file this reduction still owns so a
-    // long-lived context does not accumulate orphans.
-    let cleanup = |files: &mut Vec<Option<TupleFile<SlabTuple>>>,
-                   node_spans: &mut Vec<Option<TupleFile<SpanEvent>>>| {
-        for f in files.iter_mut().filter_map(Option::take) {
-            let _ = ctx.delete_file(f);
-        }
-        for f in node_spans.iter_mut().filter_map(Option::take) {
-            let _ = ctx.delete_file(f);
-        }
-    };
-
-    for merges in levels {
-        let tasks: Vec<MergeTask> = merges
-            .into_iter()
-            .map(|id| {
-                let (l, r) = arena[id].children.expect("merge nodes have children");
-                (
-                    id,
-                    files[l].take().expect("left child file ready"),
-                    files[r].take().expect("right child file ready"),
-                    node_spans[id].take(),
-                )
-            })
-            .collect();
-        let outcomes = parallel_map(workers, tasks, |_, (id, left, right, spans)| {
-            let (l, r) = arena[id].children.expect("merge nodes have children");
-            let span_file = match spans {
-                Some(f) => f,
-                None => ctx.write_all(&[])?,
-            };
-            let result = merge_sweep(
-                ctx,
-                &[left.clone(), right.clone()],
-                &[interval_of(&arena, l), interval_of(&arena, r)],
-                &span_file,
-            );
-            match result {
-                Ok(merged) => {
-                    ctx.delete_file(left)?;
-                    ctx.delete_file(right)?;
-                    ctx.delete_file(span_file)?;
-                    Ok::<_, CoreError>((id, merged))
-                }
-                Err(e) => {
-                    // Best-effort cleanup of this task's inputs; the caller
-                    // sweeps up everything still owned by the reduction.
-                    let _ = ctx.delete_file(left);
-                    let _ = ctx.delete_file(right);
-                    let _ = ctx.delete_file(span_file);
-                    Err(e)
-                }
-            }
-        });
-        let mut first_err = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok((id, merged)) => files[id] = Some(merged),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            cleanup(&mut files, &mut node_spans);
-            return Err(e);
-        }
-    }
-
-    Ok(files[root].take().expect("root merge produced"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,85 +437,6 @@ mod tests {
         assert_eq!(at_bottom.sum, 3.0);
         assert_eq!(at_bottom.x_lo, 2.0);
         assert_eq!(at_bottom.x_hi, 10.0, "leftmost tying interval is reported");
-    }
-
-    /// The pairwise tree reduction must produce exactly the flat sweep's
-    /// tuple stream, including multi-slab spanning events that decompose into
-    /// several canonical tree nodes.
-    #[test]
-    fn tree_reduction_matches_flat_merge_tuple_for_tuple() {
-        let ctx = ctx();
-        // Five slabs (odd count: exercises the carried node) over [0, 50).
-        let boundaries = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0];
-        let slabs: Vec<Interval> = boundaries
-            .windows(2)
-            .map(|w| Interval::new(w[0], w[1]))
-            .collect();
-        // Per-slab rectangles with integer weights and overlapping y-ranges.
-        let per_slab: Vec<Vec<RectRecord>> = (0..5)
-            .map(|i| {
-                let lo = boundaries[i];
-                vec![
-                    rect(lo + 1.0, lo + 6.0, i as f64, i as f64 + 7.0, 1.0 + i as f64),
-                    rect(lo + 3.0, lo + 9.0, 2.0, 5.0, 2.0),
-                    rect(lo + 2.0, lo + 4.0, 4.0, 11.0, 1.0),
-                ]
-            })
-            .collect();
-        // Spanning events over several slab ranges, including nested ones.
-        let mut spans: Vec<SpanEvent> = Vec::new();
-        spans.extend(SpanEvent::pair(0.5, 6.5, 3.0, 1, 3));
-        spans.extend(SpanEvent::pair(2.5, 9.0, 2.0, 2, 2));
-        spans.extend(SpanEvent::pair(1.0, 12.0, 4.0, 1, 2));
-        spans.extend(SpanEvent::pair(3.0, 4.5, 5.0, 3, 3));
-        spans.sort_unstable_by(|a, b| a.y.total_cmp(&b.y));
-
-        let make_files = || -> Vec<TupleFile<SlabTuple>> {
-            per_slab
-                .iter()
-                .zip(&slabs)
-                .map(|(rects, slab)| ctx.write_all(&plane_sweep_slab(rects, *slab)).unwrap())
-                .collect()
-        };
-        let span_file = ctx.write_all(&spans).unwrap();
-
-        let flat_files = make_files();
-        let flat = merge_sweep(&ctx, &flat_files, &slabs, &span_file).unwrap();
-        let flat_tuples = ctx.read_all(&flat).unwrap();
-
-        for workers in [1, 2, 4] {
-            let tree = merge_sweep_tree(&ctx, make_files(), &slabs, &span_file, workers).unwrap();
-            let tree_tuples = ctx.read_all(&tree).unwrap();
-            assert_eq!(tree_tuples, flat_tuples, "workers = {workers}");
-            ctx.delete_file(tree).unwrap();
-        }
-    }
-
-    /// The tree reduction cleans up after itself: child files and temporary
-    /// span files are gone once the merge finishes.
-    #[test]
-    fn tree_reduction_deletes_intermediates() {
-        let ctx = ctx();
-        let slabs = [Interval::new(0.0, 10.0), Interval::new(10.0, 20.0)];
-        let files = vec![
-            ctx.write_all(&plane_sweep_slab(
-                &[rect(1.0, 4.0, 0.0, 2.0, 1.0)],
-                slabs[0],
-            ))
-            .unwrap(),
-            ctx.write_all(&plane_sweep_slab(
-                &[rect(12.0, 15.0, 1.0, 3.0, 1.0)],
-                slabs[1],
-            ))
-            .unwrap(),
-        ];
-        let spans = ctx.write_all::<SpanEvent>(&[]).unwrap();
-        let files_before = ctx.num_files();
-        let merged = merge_sweep_tree(&ctx, files, &slabs, &spans, 2).unwrap();
-        // Only the output replaced the two inputs; no stray temporaries.
-        assert_eq!(ctx.num_files(), files_before - 1);
-        ctx.delete_file(merged).unwrap();
-        ctx.delete_file(spans).unwrap();
     }
 
     #[test]

@@ -39,9 +39,10 @@
 //!
 //! Because canonical max-regions are partition-independent, the answers are
 //! **bit-identical** to an unsharded [`PreparedDataset::run`] for every
-//! [`Query`] variant — with the same caveat as the parallel slab stage: for
-//! arbitrary float weights the regrouped additions carry the usual
-//! association caveat, for integer-valued weights equality is exact.
+//! [`Query`] variant with integer-valued weights.  Arbitrary float weights
+//! can differ in the last bits: the shard boundaries are a different
+//! top-level partition than the unsharded sweep's, so the weights of one
+//! placement are added in a different grouping.
 //!
 //! ```
 //! use maxrs_core::{MaxRsEngine, Query, ShardLayout};
@@ -478,80 +479,56 @@ impl ShardedDataset {
         merged
     }
 
-    /// Phase 1 for one source shard: the crop rule of
-    /// [`distribute`](crate::slab::distribute), streamed from the shard's
-    /// sorted objects with the transform and the top-k suppression fused in.
+    /// Phase 1 for one source shard: [`crop_scan`] writing the pieces into
+    /// their owner shards' devices and the span events onto the merge
+    /// device.
     fn distribute_source(
         &self,
         files: &[ShardFile<'_>],
         source: usize,
         partition: &SlabPartition,
         owners: &[usize],
-        (size, weight_scale): (RectSize, f64),
+        pass: (RectSize, f64),
         suppressed: &[Rect],
     ) -> Result<SourceOut> {
-        let m = partition.num_slabs();
-        let (src_ctx, src_file) = files[source];
-        let mut writers: Vec<Option<TupleWriter<'_, RectRecord>>> = (0..m).map(|_| None).collect();
+        let mut writers: Vec<Option<TupleWriter<'_, RectRecord>>> =
+            (0..partition.num_slabs()).map(|_| None).collect();
         let mut span_writer: Option<TupleWriter<'_, SpanEvent>> = None;
+        crop_scan(
+            files[source],
+            partition,
+            pass,
+            suppressed,
+            |t, piece| push_piece(files, owners, &mut writers, t, &piece),
+            |pair| {
+                let writer = match span_writer.as_mut() {
+                    Some(w) => w,
+                    None => span_writer.insert(self.merge_ctx.create_writer()?),
+                };
+                pair.iter().try_for_each(|e| writer.push(e))?;
+                Ok(())
+            },
+        )?;
 
-        let mut reader = src_ctx.open_reader(src_file);
-        let body = (|| -> Result<()> {
-            while let Some(rec) = reader.next_record()? {
-                if is_suppressed(suppressed, &rec) {
-                    continue;
-                }
-                let record = RectRecord::new(rec.0.to_rect(size), weight_scale * rec.0.weight);
-                let crop = partition.crop(&record);
-                for (t, piece) in crop.pieces.into_iter().flatten() {
-                    push_piece(files, owners, &mut writers, t, &piece)?;
-                }
-                if let Some(events) = crop.span {
-                    let writer = match span_writer.as_mut() {
-                        Some(w) => w,
-                        None => span_writer.insert(self.merge_ctx.create_writer::<SpanEvent>()?),
-                    };
-                    for e in events {
-                        writer.push(&e)?;
-                    }
-                }
+        // A writer dropped unfinished deletes its own file, so only the files
+        // finished before a failing `finish` need cleaning up.
+        let mut out = SourceOut {
+            pieces: Vec::with_capacity(writers.len()),
+            spans: None,
+        };
+        let finished = (|| -> Result<()> {
+            for w in writers {
+                out.pieces.push(w.map(TupleWriter::finish).transpose()?);
             }
+            out.spans = span_writer.map(TupleWriter::finish).transpose()?;
             Ok(())
         })();
-
-        // Materialize every writer even on error, so cleanup deals with real
-        // files instead of leaking half-written ones on long-lived devices.
-        let mut first_err = body.err();
-        let mut pieces: Vec<Option<TupleFile<RectRecord>>> = Vec::with_capacity(m);
-        for w in writers {
-            match w {
-                Some(w) => match w.finish() {
-                    Ok(f) => pieces.push(Some(f)),
-                    Err(e) => {
-                        first_err = first_err.or(Some(e.into()));
-                        pieces.push(None);
-                    }
-                },
-                None => pieces.push(None),
-            }
-        }
-        let spans = match span_writer {
-            Some(w) => match w.finish() {
-                Ok(f) => Some(f),
-                Err(e) => {
-                    first_err = first_err.or(Some(e.into()));
-                    None
-                }
-            },
-            None => None,
-        };
-        let out = SourceOut { pieces, spans };
-        match first_err {
-            Some(e) => {
+        match finished {
+            Ok(()) => Ok(out),
+            Err(e) => {
                 self.discard_source_out(files, owners, out);
                 Err(e)
             }
-            None => Ok(out),
         }
     }
 
@@ -756,27 +733,48 @@ impl ShardRoute {
     }
 }
 
-/// Concatenates `parts` in order into a new file on `ctx`; on failure the
-/// partial concatenation is deleted before the error returns.
+/// Concatenates `parts` in order into a new file on `ctx`.
 fn concatenate<T: Record>(ctx: &EmContext, parts: &[&TupleFile<T>]) -> Result<TupleFile<T>> {
     let mut writer = ctx.create_writer::<T>()?;
-    let copied = parts.iter().try_for_each(|f| -> Result<()> {
+    for f in parts {
         let mut reader = ctx.open_reader(f);
         while let Some(rec) = reader.next_record()? {
             writer.push(&rec)?;
         }
-        Ok(())
-    });
-    let finished = writer.finish();
-    match copied {
-        Ok(()) => Ok(finished?),
-        Err(e) => {
-            if let Ok(file) = finished {
-                let _ = ctx.delete_file(file);
-            }
-            Err(e)
+    }
+    Ok(writer.finish()?)
+}
+
+/// The crop scan of one source shard, shared by [`ShardedDataset`] and the
+/// shard servers of `maxrs-cluster`: every object of the shard's sorted file
+/// outside the `suppressed` rectangles is transformed to `size`, its weight
+/// scaled by `weight_scale`, and cropped against the global `partition` by
+/// the one crop rule ([`SlabPartition::crop`]).  Each piece reaches
+/// `on_piece` with its global slab, each span-event pair reaches `on_span`,
+/// in scan order; the first error, of the scan or of a callback, ends it.
+pub fn crop_scan(
+    (ctx, objects): (&EmContext, &TupleFile<ObjectRecord>),
+    partition: &SlabPartition,
+    (size, weight_scale): (RectSize, f64),
+    suppressed: &[Rect],
+    mut on_piece: impl FnMut(usize, RectRecord) -> Result<()>,
+    mut on_span: impl FnMut([SpanEvent; 2]) -> Result<()>,
+) -> Result<()> {
+    let mut reader = ctx.open_reader(objects);
+    while let Some(rec) = reader.next_record()? {
+        if is_suppressed(suppressed, &rec) {
+            continue;
+        }
+        let record = RectRecord::new(rec.0.to_rect(size), weight_scale * rec.0.weight);
+        let crop = partition.crop(&record);
+        for (t, piece) in crop.pieces.into_iter().flatten() {
+            on_piece(t, piece)?;
+        }
+        if let Some(pair) = crop.span {
+            on_span(pair)?;
         }
     }
+    Ok(())
 }
 
 /// Lazily opens the piece writer of global slab `t` on its owner's device.

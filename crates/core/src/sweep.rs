@@ -49,7 +49,7 @@ use maxrs_geometry::{Interval, Point, Rect, RectSize};
 use crate::batch::{best_placement, canonicalize, FileHost};
 use crate::error::{CoreError, Result};
 use crate::exact::ExactMaxRsOptions;
-use crate::merge_sweep::{merge_sweep, merge_sweep_tree};
+use crate::merge_sweep::merge_sweep;
 use crate::parallel::parallel_map;
 use crate::plane_sweep::with_sweep_scratch;
 use crate::records::{ObjectRecord, RectRecord, SlabTuple};
@@ -190,8 +190,9 @@ impl<'a> SweepPass<'a> {
     /// recursion, returning the final slab-file of the pass's root slab (the
     /// y-sorted `⟨y, max-interval, sum⟩` tuples).  The input file is
     /// consumed; rectangle weights may be negative (only `WeightedPoint`
-    /// insists on non-negativity).  `opts.parallelism` selects between the
-    /// paper's flat sequential sweep and the parallel slab stage.
+    /// insists on non-negativity).  `opts.parallelism` caps the workers that
+    /// solve the top-level sub-slabs concurrently; the slab-file is the same
+    /// for every worker count.
     pub fn sweep_rects(&self, rects: TupleFile<RectRecord>) -> Result<TupleFile<SlabTuple>> {
         let sorted = match self.order {
             InputOrder::Unsorted => {
@@ -397,9 +398,7 @@ impl<'a> Runner<'a> {
         }
 
         let dist = distribute(self.ctx, &input, &partition)?;
-        if !self.opts.keep_intermediates {
-            self.ctx.delete_file(input)?;
-        }
+        self.ctx.delete_file(input)?;
 
         // Conquer each sub-slab.  `solve_child` guards against the pathological
         // case where a child is as large as its parent (extreme ties on x).
@@ -408,50 +407,35 @@ impl<'a> Runner<'a> {
         // worker.  Any failure deletes the files this node still owns —
         // including the span events — so a failed run leaves no orphans on a
         // long-lived context.
-        let workers = self.workers.min(partition.num_slabs());
-        let merge_result =
-            self.conquer_and_combine(dist.slab_inputs, &partition, &dist.span_events, workers, n);
-        let merged = match merge_result {
-            Ok(merged) => merged,
-            Err(e) => {
-                let _ = self.ctx.delete_file(dist.span_events);
-                return Err(e);
-            }
-        };
-        self.ctx.delete_file(dist.span_events)?;
-        Ok(merged)
+        let merged = self.conquer_and_combine(dist.slab_inputs, &partition, &dist.span_events, n);
+        let deleted = self.ctx.delete_file(dist.span_events);
+        if merged.is_ok() {
+            deleted?;
+        }
+        merged
     }
 
-    /// Solves every sub-slab (in parallel when `workers > 1`) and combines the
-    /// child slab-files with the span events.  On failure, all successfully
-    /// produced child files are deleted before the error is returned; the
+    /// Solves every sub-slab (on up to `self.workers` threads) and combines
+    /// the child slab-files with the span events in one MergeSweep.  The
+    /// child files are deleted whether or not the merge succeeds; the
     /// span-events file stays with the caller.
     fn conquer_and_combine(
         &self,
         slab_inputs: Vec<TupleFile<RectRecord>>,
         partition: &crate::slab::SlabPartition,
         span_events: &TupleFile<crate::records::SpanEvent>,
-        workers: usize,
         parent_size: usize,
     ) -> Result<TupleFile<SlabTuple>> {
-        let outcomes = if workers > 1 {
-            let child = Runner {
-                ctx: self.ctx,
-                opts: self.opts,
-                workers: 1,
-            };
-            parallel_map(workers, slab_inputs, |i, child_input| {
-                child.solve_child(child_input, partition.slab(i), parent_size)
-            })
-        } else {
-            slab_inputs
-                .into_iter()
-                .enumerate()
-                .map(|(i, child_input)| {
-                    self.solve_child(child_input, partition.slab(i), parent_size)
-                })
-                .collect()
+        // Each child runs sequentially inside its worker, so its slab-file is
+        // the one the sequential sweep would write, whatever the worker count.
+        let child = Runner {
+            ctx: self.ctx,
+            opts: self.opts,
+            workers: 1,
         };
+        let outcomes = parallel_map(self.workers, slab_inputs, |i, child_input| {
+            child.solve_child(child_input, partition.slab(i), parent_size)
+        });
 
         let mut child_files = Vec::with_capacity(outcomes.len());
         let mut first_err = None;
@@ -463,40 +447,17 @@ impl<'a> Runner<'a> {
                 }
             }
         }
-        if let Some(e) = first_err {
-            for f in child_files {
-                let _ = self.ctx.delete_file(f);
-            }
-            return Err(e);
-        }
-
-        if workers > 1 {
-            // Pairwise tree reduction (consumes the child files, cleaning up
-            // on its own errors); identical to the flat sweep, see
-            // `merge_sweep_tree`.
-            merge_sweep_tree(
-                self.ctx,
-                child_files,
-                &partition.slabs(),
-                span_events,
-                self.workers,
-            )
-        } else {
-            match merge_sweep(self.ctx, &child_files, &partition.slabs(), span_events) {
-                Ok(merged) => {
-                    for f in child_files {
-                        self.ctx.delete_file(f)?;
-                    }
-                    Ok(merged)
-                }
-                Err(e) => {
-                    for f in child_files {
-                        let _ = self.ctx.delete_file(f);
-                    }
-                    Err(e)
-                }
+        let merged = match first_err {
+            Some(e) => Err(e),
+            None => merge_sweep(self.ctx, &child_files, &partition.slabs(), span_events),
+        };
+        for f in child_files {
+            let deleted = self.ctx.delete_file(f);
+            if merged.is_ok() {
+                deleted?;
             }
         }
+        merged
     }
 
     /// Recurses into a child slab, guarding against pathological inputs where
@@ -520,9 +481,7 @@ impl<'a> Runner<'a> {
         slab: Interval,
     ) -> Result<TupleFile<SlabTuple>> {
         let rects = self.ctx.read_all(&input)?;
-        if !self.opts.keep_intermediates {
-            self.ctx.delete_file(input)?;
-        }
+        self.ctx.delete_file(input)?;
         // Borrow the worker thread's sweep scratch: the recursion sweeps one
         // in-memory slab after another on this thread, and the breakpoint /
         // event / segment-tree buffers are reused across all of them.

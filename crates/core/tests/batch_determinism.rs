@@ -9,6 +9,7 @@
 use maxrs_core::{
     load_objects, EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query, QueryBatch,
 };
+use maxrs_datagen::{Dataset, DatasetKind, WeightMode};
 use maxrs_em::{EmConfig, EmContext, IoSnapshot, StorageBackend};
 use maxrs_geometry::{Rect, RectSize, WeightedPoint};
 
@@ -171,6 +172,44 @@ fn parallel_group_execution_answers_identically() {
         // Parallel groups must also match the per-query path.
         let single = parallel.run(query).unwrap();
         assert_eq!(par.answer, single.answer, "{}", query.name());
+    }
+}
+
+#[test]
+fn float_weights_answer_identically_via_run_run_batch_and_one_worker() {
+    // A lone query at parallelism 2 solves its sub-slabs on two workers, a
+    // batch runs its groups side by side on one worker each, and a
+    // parallelism-1 dataset runs the paper's sweep.  All three end in the
+    // same MergeSweep, so weights whose sums are inexact agree bit for bit.
+    let config = EmConfig::new(1024, 64 * 1024).unwrap();
+    let weights = WeightMode::UniformRandom { max: 7.0 };
+    let domain = Rect::new(300_000.0, 700_000.0, 300_000.0, 700_000.0);
+    let queries: Vec<Query> = [5_000.0, 15_000.0, 40_000.0]
+        .into_iter()
+        .flat_map(|side| {
+            let size = RectSize::square(side);
+            [
+                Query::max_rs(size),
+                Query::top_k(size, 3),
+                Query::approx_max_crs(side),
+                Query::min_rs(size, domain),
+            ]
+        })
+        .collect();
+    for seed in [1u64, 2, 3] {
+        let objects =
+            Dataset::generate_weighted(DatasetKind::Gaussian, 5_000, seed, weights).objects;
+        let parallel = engine_with(config, 2).prepare(&objects).unwrap();
+        let sequential = engine_with(config, 1).prepare(&objects).unwrap();
+        assert!(parallel.is_external());
+        let batched = parallel.run_batch(&queries).unwrap();
+        for (query, batched) in queries.iter().zip(&batched) {
+            let lone = parallel.run(query).unwrap();
+            assert_eq!(lone.workers, 2, "the lone query runs the parallel stage");
+            let tag = format!("seed={seed} {query:?}");
+            assert_eq!(lone.answer, sequential.run(query).unwrap().answer, "{tag}");
+            assert_eq!(batched.answer, lone.answer, "{tag}");
+        }
     }
 }
 

@@ -6,9 +6,9 @@
 //! This is the determinism contract of the engine's canonical max-regions
 //! (see `maxrs_core::exact`, "Canonical max-regions"): the distribution
 //! sweep widens its winning interval back to the full arrangement cell, so
-//! strategy selection can never change an answer.  Integer-valued weights
-//! keep the parallel MergeSweep tree bit-for-bit equivalent to the flat
-//! sweep.
+//! strategy selection can never change an answer.  The datasets use
+//! integer-valued weights, which the in-memory reference sums exactly in any
+//! order.
 
 use maxrs_core::{
     approx_max_crs_in_memory, max_k_rs_in_memory, max_rs_in_memory, min_rs_in_memory,

@@ -1,13 +1,15 @@
 //! Regression tests for the parallel slab stage: `parallelism = 1` (the
-//! paper's sequential distribution sweep) and `parallelism = N` (parallel
-//! children + pairwise tree reduction) must return the **identical**
-//! [`MaxRsResult`] — location, weight and max-region — on synthetic datasets.
-//!
-//! The datasets use integer-valued weights, for which the tree reduction is
-//! bit-for-bit equivalent to the flat sweep (floating-point sums of integers
-//! in this range are exact regardless of association).
+//! paper's sequential distribution sweep) and `parallelism = N` (the
+//! top-level sub-slabs solved concurrently, then the same flat MergeSweep)
+//! must return the **identical** [`MaxRsResult`] — location, weight and
+//! max-region — on synthetic datasets, with integer and with arbitrary float
+//! weights, and move about as many blocks.
 
-use maxrs_core::{exact_max_rs_from_objects, max_rs_in_memory, ExactMaxRsOptions, MaxRsResult};
+use maxrs_core::{
+    exact_max_rs, exact_max_rs_from_objects, load_objects, max_rs_in_memory, ExactMaxRsOptions,
+    MaxRsResult,
+};
+use maxrs_datagen::{Dataset, DatasetKind, WeightMode};
 use maxrs_em::{EmConfig, EmContext};
 use maxrs_geometry::{RectSize, WeightedPoint};
 
@@ -152,4 +154,60 @@ fn parallel_path_cleans_up_temporaries() {
         "parallel run must delete every temporary file"
     );
     assert_eq!(ctx.disk_blocks(), 0);
+}
+
+/// Gaussian points with float weights in `[1, 7]`, whose sums are not exact.
+fn float_weighted(seed: u64) -> Vec<WeightedPoint> {
+    let weights = WeightMode::UniformRandom { max: 7.0 };
+    Dataset::generate_weighted(DatasetKind::Gaussian, 5_000, seed, weights).objects
+}
+
+/// 1 KiB blocks and a 64-block buffer: 5,000 rectangles split into up to 62
+/// sub-slabs, and room for up to 8 workers.
+fn float_config() -> EmConfig {
+    EmConfig::new(1024, 64 * 1024).unwrap()
+}
+
+#[test]
+fn float_weights_are_bit_identical_across_worker_counts() {
+    // Every child slab-file is the one the sequential sweep writes, and the
+    // one MergeSweep adds them up in the same order.
+    let size = RectSize::square(15_000.0);
+    for seed in [1u64, 2] {
+        let objects = float_weighted(seed);
+        let run = |workers| {
+            let ctx = EmContext::new(float_config());
+            let opts = ExactMaxRsOptions::with_parallelism(workers);
+            exact_max_rs_from_objects(&ctx, &objects, size, &opts).unwrap()
+        };
+        let sequential = run(1);
+        for workers in [2usize, 3, 8] {
+            assert_eq!(run(workers), sequential, "seed={seed} workers={workers}");
+        }
+    }
+}
+
+#[test]
+fn parallel_stage_moves_as_many_blocks_as_the_sequential_sweep() {
+    // Only the interleaving of the workers' pool traffic differs from the
+    // sequential sweep, so the block count may drift a little, never by a
+    // re-read of the tuple stream.
+    let objects = float_weighted(3);
+    let size = RectSize::square(15_000.0);
+    let io = |workers| {
+        let ctx = EmContext::new(float_config());
+        let file = load_objects(&ctx, &objects).unwrap();
+        let before = ctx.stats();
+        let opts = ExactMaxRsOptions::with_parallelism(workers);
+        exact_max_rs(&ctx, &file, size, &opts).unwrap();
+        ctx.stats().since(&before).total()
+    };
+    let sequential = io(1);
+    for workers in [2usize, 4, 8] {
+        let parallel = io(workers);
+        assert!(
+            parallel * 100 <= sequential * 105,
+            "workers={workers}: {parallel} blocks against {sequential} sequential"
+        );
+    }
 }

@@ -79,7 +79,7 @@ pub use merge::merge_run;
 pub use pool::BufferPool;
 pub use record::{codec, Record};
 pub use rw::{TupleReader, TupleWriter};
-pub use sort::{external_sort, external_sort_by_key};
+pub use sort::{external_sort, external_sort_by_key, SortKey};
 pub use stats::{measure_thread_io, IoSnapshot, IoStats};
 
 /// Convenience result alias used throughout the EM layer.

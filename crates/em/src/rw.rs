@@ -9,10 +9,15 @@ use crate::{EmContext, EmError, Record, Result, TupleFile};
 /// The writer keeps exactly one block of local buffer (the "output block" of
 /// the EM model); full blocks are handed to the buffer pool, which writes them
 /// to disk lazily (on eviction or flush).
+///
+/// The file exists from construction on.  A writer dropped before
+/// [`finish`](TupleWriter::finish) succeeds deletes it, so an error that
+/// abandons a half-written file leaves nothing behind on the device.
 #[derive(Debug)]
 pub struct TupleWriter<'a, T: Record> {
     ctx: &'a EmContext,
-    file_id: crate::FileId,
+    /// The file being written; `None` once `finish` has handed it over.
+    file_id: Option<crate::FileId>,
     block: Vec<u8>,
     in_block: usize,
     per_block: usize,
@@ -32,7 +37,7 @@ impl<'a, T: Record> TupleWriter<'a, T> {
         }
         Ok(TupleWriter {
             ctx,
-            file_id: ctx.create_raw_file()?,
+            file_id: Some(ctx.create_raw_file()?),
             block: vec![0u8; block_size],
             in_block: 0,
             per_block: block_size / T::SIZE,
@@ -77,18 +82,28 @@ impl<'a, T: Record> TupleWriter<'a, T> {
         if self.in_block > 0 {
             self.spill()?;
         }
-        Ok(TupleFile::from_parts(self.file_id, self.total))
+        let id = self.file_id.take().expect("file present until finished");
+        Ok(TupleFile::from_parts(id, self.total))
     }
 
     fn spill(&mut self) -> Result<()> {
+        let id = self.file_id.expect("file present until finished");
         let block = &self.block;
         self.ctx
-            .with_block_write(self.file_id, self.next_block, true, |dst| {
-                dst.copy_from_slice(block)
-            })?;
+            .with_block_write(id, self.next_block, true, |dst| dst.copy_from_slice(block))?;
         self.next_block += 1;
         self.in_block = 0;
         Ok(())
+    }
+}
+
+impl<T: Record> Drop for TupleWriter<'_, T> {
+    fn drop(&mut self) {
+        if let Some(id) = self.file_id.take() {
+            // Already failing on some other error; a failed delete adds
+            // nothing the caller could act on.
+            let _ = self.ctx.delete_raw_file(id);
+        }
     }
 }
 
@@ -249,6 +264,23 @@ mod tests {
         let back = ctx.read_all(&file).unwrap();
         assert_eq!(back.len(), 13);
         assert_eq!(back[12], 12);
+    }
+
+    #[test]
+    fn dropping_an_unfinished_writer_deletes_its_file() {
+        let ctx = ctx();
+        let kept = ctx.write_all(&[1u64, 2, 3]).unwrap();
+        ctx.flush_all().unwrap();
+        let (files, blocks) = (ctx.num_files(), ctx.disk_blocks());
+        let mut w = ctx.create_writer::<u64>().unwrap();
+        w.extend(0..20u64).unwrap(); // 8 records per block: two spilled
+        ctx.flush_all().unwrap(); // put the spilled blocks on the device
+        assert_eq!(ctx.num_files(), files + 1);
+        assert!(ctx.disk_blocks() > blocks);
+        drop(w);
+        assert_eq!(ctx.num_files(), files);
+        assert_eq!(ctx.disk_blocks(), blocks);
+        assert_eq!(ctx.read_all(&kept).unwrap(), vec![1, 2, 3]);
     }
 
     #[test]

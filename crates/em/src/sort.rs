@@ -70,9 +70,35 @@ where
     Ok(runs.pop().expect("at least one run"))
 }
 
-/// Sorts `file` by a key extracted from each record.  The key only needs
-/// `PartialOrd` so that `f64` coordinates can be used directly; records whose
-/// keys are incomparable (NaN) are treated as equal.
+/// A sort key with a total order: `f64` keys compare with
+/// [`f64::total_cmp`] (−NaN < −∞ < −0.0 < +0.0 < +∞ < +NaN), like every
+/// in-memory sort of the workspace; integer keys compare with [`Ord`].
+pub trait SortKey {
+    /// Compares two keys.
+    fn key_cmp(&self, other: &Self) -> Ordering;
+}
+
+impl SortKey for f64 {
+    fn key_cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl SortKey for u32 {
+    fn key_cmp(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+impl SortKey for u64 {
+    fn key_cmp(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+/// Sorts `file` by a key extracted from each record, in the key's total
+/// order ([`SortKey`]): `f64` keys come out as `sort_by(f64::total_cmp)`
+/// would order them.
 pub fn external_sort_by_key<T, K, F>(
     ctx: &EmContext,
     file: &TupleFile<T>,
@@ -80,12 +106,10 @@ pub fn external_sort_by_key<T, K, F>(
 ) -> Result<TupleFile<T>>
 where
     T: Record,
-    K: PartialOrd,
+    K: SortKey,
     F: FnMut(&T) -> K,
 {
-    external_sort(ctx, file, |a, b| {
-        key(a).partial_cmp(&key(b)).unwrap_or(Ordering::Equal)
-    })
+    external_sort(ctx, file, |a, b| key(a).key_cmp(&key(b)))
 }
 
 /// Merges a group of sorted runs into a single sorted run.
@@ -170,6 +194,39 @@ mod tests {
         let mut expected = data.clone();
         expected.sort_unstable_by(f64::total_cmp);
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn float_keys_sort_in_total_order_across_runs_and_merge_passes() {
+        // 8 keys per block, 2-block buffer: 16-key runs merged two at a time.
+        let ctx = EmContext::new(EmConfig::new(64, 128).unwrap());
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<f64> = (0..300)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if i % 3 == 0 {
+                    specials[(state >> 33) as usize % specials.len()]
+                } else {
+                    ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 100.0
+                }
+            })
+            .collect();
+        let file = ctx.write_all(&data).unwrap();
+        let sorted = external_sort_by_key(&ctx, &file, |x| *x).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut expected = data.clone();
+        expected.sort_by(f64::total_cmp);
+        assert_eq!(bits(&ctx.read_all(&sorted).unwrap()), bits(&expected));
     }
 
     #[test]

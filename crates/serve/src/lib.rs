@@ -20,10 +20,9 @@
 //!
 //! Serving never changes answers: execution is
 //! [`PreparedDataset::run_batch`](maxrs_core::PreparedDataset::run_batch), so
-//! responses are bit-identical to sequential per-query runs (for
-//! integer-valued weights; see [`maxrs_core::batch`] for the float
-//! association caveat).  `tests/serve_determinism.rs` proves this under ≥ 8
-//! racing client threads on both storage backends.
+//! responses are bit-identical to sequential per-query runs.
+//! `tests/serve_determinism.rs` proves this under ≥ 8 racing client threads
+//! on both storage backends.
 //!
 //! ## Cookbook: stand up a server, query it from two threads
 //!

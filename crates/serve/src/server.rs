@@ -14,8 +14,7 @@
 //!
 //! Answers are **bit-identical** to sequential
 //! [`PreparedDataset::run`](maxrs_core::PreparedDataset::run) calls on the
-//! same dataset (for integer-valued weights; see [`maxrs_core::batch`] for
-//! the float association caveat), because execution *is*
+//! same dataset, because execution *is*
 //! [`run_batch`](maxrs_core::PreparedDataset::run_batch) — the serving layer
 //! adds scheduling, never arithmetic.  `tests/serve_determinism.rs` proves
 //! this under ≥ 8 racing clients on both storage backends.

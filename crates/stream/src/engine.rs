@@ -31,10 +31,10 @@
 //! the next event y.  The result is bit-identical to a from-scratch
 //! [`MaxRsEngine::run`](maxrs_core::MaxRsEngine::run) over the surviving
 //! objects — the property the `stream_incremental` proptest suite replays
-//! ≥10k-event sequences to enforce.  (As everywhere in this workspace, the
-//! bit-for-bit guarantee assumes weights whose partial sums are exactly
-//! representable — integers in particular; arbitrary floats carry the usual
-//! association caveat of the parallel MergeSweep.)
+//! ≥10k-event sequences to enforce.  (The bit-for-bit guarantee assumes
+//! weights whose partial sums are exactly representable — integers in
+//! particular: the incremental sweep adds arbitrary floats in a different
+//! order than the batch run.)
 
 use std::collections::HashMap;
 
