@@ -326,65 +326,6 @@ fn bench_engine_stream(c: &mut Criterion) {
     );
 }
 
-/// The locality-aware frontier map against the `BTreeMap` it replaced, on
-/// the access regimes of the `sweepfront` experiment: sequential / local /
-/// random probe sequences over the same preloaded keys, plus a structural
-/// churn round (build from empty, tear back down) that times the
-/// split/merge/recycle machinery.  The probe drivers only replace values of
-/// present keys, so one preloaded map per variant can be reused across
-/// timing iterations; a footer prints the checksum agreement so the bench
-/// output documents that both structures did identical work.
-fn bench_frontier_map(c: &mut Criterion) {
-    use maxrs_bench::frontier_run::{
-        churn_keys, drive_btreemap, drive_btreemap_churn, drive_frontier, drive_frontier_churn,
-        pattern_keys, preloaded_btreemap, preloaded_frontier, AccessPattern,
-    };
-
-    let n = 50_000;
-    let ops = 100_000;
-    let mut group = c.benchmark_group("engine_frontier");
-    group.sample_size(10);
-    for pattern in AccessPattern::ALL {
-        let keys = pattern_keys(pattern, n, ops, 13);
-        let mut frontier = preloaded_frontier(n);
-        group.bench_with_input(
-            BenchmarkId::new("frontier", pattern.name()),
-            &keys,
-            |b, keys| b.iter(|| drive_frontier(&mut frontier, keys)),
-        );
-        let mut btreemap = preloaded_btreemap(n);
-        group.bench_with_input(
-            BenchmarkId::new("btreemap", pattern.name()),
-            &keys,
-            |b, keys| b.iter(|| drive_btreemap(&mut btreemap, keys)),
-        );
-    }
-    let churn = churn_keys(n, 13);
-    group.bench_with_input(BenchmarkId::new("frontier", "churn"), &churn, |b, keys| {
-        b.iter(|| drive_frontier_churn(keys))
-    });
-    group.bench_with_input(BenchmarkId::new("btreemap", "churn"), &churn, |b, keys| {
-        b.iter(|| drive_btreemap_churn(keys))
-    });
-    group.finish();
-
-    assert_eq!(
-        drive_frontier_churn(&churn),
-        drive_btreemap_churn(&churn),
-        "churn: the two drivers diverged"
-    );
-    for pattern in AccessPattern::ALL {
-        let keys = pattern_keys(pattern, n, ops, 13);
-        let a = drive_frontier(&mut preloaded_frontier(n), &keys);
-        let b = drive_btreemap(&mut preloaded_btreemap(n), &keys);
-        assert_eq!(a, b, "{}: the two drivers diverged", pattern.name());
-        println!(
-            "engine_frontier {}: n={n} ops={ops} checksum={a:#x} (drivers agree)",
-            pattern.name()
-        );
-    }
-}
-
 criterion_group!(
     benches,
     bench_segment_tree,
@@ -394,7 +335,6 @@ criterion_group!(
     bench_engine_variants,
     bench_prepared_reuse,
     bench_engine_batch,
-    bench_engine_stream,
-    bench_frontier_map
+    bench_engine_stream
 );
 criterion_main!(benches);

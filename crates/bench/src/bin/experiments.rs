@@ -26,7 +26,6 @@ use maxrs_bench::figures::{
     fig12_cardinality, fig13_buffer, fig14_range, fig15_buffer_real, fig16_range_real,
     fig17_quality, FigureOptions,
 };
-use maxrs_bench::frontier_run::{run_sweepfront, SweepfrontReport};
 use maxrs_bench::json::Value;
 use maxrs_bench::report::FigureReport;
 use maxrs_bench::runner::{run_prepared_reuse, run_query_batch, BatchRun, PreparedReuseRun};
@@ -83,7 +82,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> &'static str {
     "usage: experiments \
-     <all|fig12|fig13|fig14|fig15|fig16|fig17|table2|table3|prepared|batch|stream|serve|delta|shard|cluster|sweepfront> \
+     <all|fig12|fig13|fig14|fig15|fig16|fig17|table2|table3|prepared|batch|stream|serve|delta|shard|cluster> \
      [--scale F | --paper-scale | --smoke] [--seed N] [--no-naive] [--json PATH]"
 }
 
@@ -310,53 +309,6 @@ fn cluster_runs(opts: &FigureOptions) -> Vec<ClusterRun> {
         );
     }
     rows
-}
-
-/// The sweep-front structure comparison: the locality-aware
-/// [`FrontierMap`](maxrs_core::FrontierMap) against the `BTreeMap` it
-/// replaced, replaying identical op sequences (lookups, value-replacing
-/// inserts, successor probes) over the same preloaded keys on sequential,
-/// local and random access patterns, plus one end-to-end stream replay.
-/// Both drivers fold the touched values into a checksum that must agree, and
-/// the two patterns the structure was built for — sequential and local —
-/// must actually win, so a locality regression fails the harness rather
-/// than silently shipping a slower map.
-fn sweepfront_runs(opts: &FigureOptions) -> SweepfrontReport {
-    let report = run_sweepfront(opts);
-    for row in &report.patterns {
-        if matches!(row.pattern.as_str(), "sequential" | "local") {
-            assert!(
-                row.speedup() > 1.0,
-                "{}: FrontierMap lost to BTreeMap ({:.1} vs {:.1} ns/op)",
-                row.pattern,
-                row.frontier_ns_per_op,
-                row.btreemap_ns_per_op
-            );
-        }
-    }
-    report
-}
-
-fn print_sweepfront_report(report: &SweepfrontReport) {
-    for row in &report.patterns {
-        println!(
-            "  {:<10} keys={} ops={} btreemap={:.1} ns/op frontier={:.1} ns/op speedup={:.2}x",
-            row.pattern,
-            row.keys,
-            row.ops,
-            row.btreemap_ns_per_op,
-            row.frontier_ns_per_op,
-            row.speedup(),
-        );
-    }
-    let s = &report.stream;
-    println!(
-        "  engine_stream events={} survivors={} ingest={:.0} ev/s answer_mean={:.1?} (verified)",
-        s.events,
-        s.survivors,
-        s.events_per_sec,
-        std::time::Duration::from_nanos(s.answer_ns_mean as u64),
-    );
 }
 
 fn print_cluster_rows(rows: &[ClusterRun]) {
@@ -649,15 +601,6 @@ fn main() -> ExitCode {
         print_cluster_rows(&cluster_rows);
         println!("[cluster took {:.1?}]", t.elapsed());
     }
-    let mut sweepfront_report: Option<SweepfrontReport> = None;
-    if matches!(command, "sweepfront" | "all") {
-        let t = Instant::now();
-        let report = sweepfront_runs(&opts);
-        println!("\nsweepfront (FrontierMap vs. the BTreeMap it replaced, checksum-verified):");
-        print_sweepfront_report(&report);
-        println!("[sweepfront took {:.1?}]", t.elapsed());
-        sweepfront_report = Some(report);
-    }
     if !matches!(
         command,
         "all"
@@ -676,7 +619,6 @@ fn main() -> ExitCode {
             | "delta"
             | "shard"
             | "cluster"
-            | "sweepfront"
     ) {
         eprintln!("unknown command: {command}\n{}", usage());
         return ExitCode::FAILURE;
@@ -756,12 +698,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if matches!(command, "sweepfront" | "all") {
-        let rows = sweepfront_runs(&smoke).to_values();
-        if !write_bench("BENCH_sweepfront.json", rows) {
-            return ExitCode::FAILURE;
-        }
-    }
 
     if let Some(path) = args.json_path {
         let values: Vec<Value> = reports
@@ -774,11 +710,6 @@ fn main() -> ExitCode {
             .chain(delta_rows.iter().map(DeltaRun::to_value))
             .chain(shard_rows.iter().map(ShardRun::to_value))
             .chain(cluster_rows.iter().map(ClusterRun::to_value))
-            .chain(
-                sweepfront_report
-                    .iter()
-                    .flat_map(SweepfrontReport::to_values),
-            )
             .collect();
         let count = values.len();
         let json = Value::Array(values).to_pretty_string();

@@ -38,12 +38,7 @@
 //! [`cluster_run::run_cluster_curve`] — query latency and queries/sec vs
 //! server count over the in-process transport plus one row over real TCP
 //! loopback, fan-out vs shards-touched per sample, every answer verified
-//! against an unsharded prepare) and `sweepfront` (the locality-aware
-//! [`maxrs_core::FrontierMap`] head-to-head against the `BTreeMap` it
-//! replaced in the sweep-front hot paths, see
-//! [`frontier_run::run_sweepfront`] — ns/op on sequential, local and random
-//! access plus an end-to-end stream replay, the two drivers checksum-verified
-//! against each other).
+//! against an unsharded prepare).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +47,6 @@ pub mod cluster_run;
 pub mod config;
 pub mod delta_run;
 pub mod figures;
-pub mod frontier_run;
 pub mod json;
 pub mod report;
 pub mod runner;
@@ -64,7 +58,6 @@ pub mod tables;
 pub use cluster_run::{run_cluster, run_cluster_curve, ClusterQuerySample, ClusterRun};
 pub use config::{ExperimentScale, PAPER_BLOCK_SIZE};
 pub use delta_run::{run_delta, DeltaRun};
-pub use frontier_run::{run_sweepfront, AccessPattern, SweepfrontReport, SweepfrontRun};
 pub use report::{FigureReport, Series, SeriesPoint};
 pub use runner::{run_algorithm, AlgorithmRun};
 pub use serve_run::{run_serve, ServeRun};

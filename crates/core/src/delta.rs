@@ -45,7 +45,7 @@
 //! compaction proceed — see `maxrs-serve`'s `DatasetRegistry::apply`.
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use maxrs_em::{merge_run, EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::WeightedPoint;
@@ -54,7 +54,6 @@ use crate::batch::{run_batch_external, QueryBatch};
 use crate::engine::{runs_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
 use crate::error::{CoreError, Result};
 use crate::events::{total_order_bits, Event, EventOutcome, LiveRecord, LiveSet};
-use crate::frontier::FrontierMap;
 use crate::prepared::PreparedDataset;
 use crate::query::{Query, QueryRun};
 use crate::records::ObjectRecord;
@@ -156,10 +155,8 @@ pub struct DeltaDataset {
     live: LiveSet,
     /// Ids of live objects whose record resides in `base`.
     in_base: HashSet<u64>,
-    /// Delta inserts in x order, keyed by (x total-order bits, arrival seq),
-    /// held in a locality-aware [`FrontierMap`]: arrivals append at the right
-    /// edge (the hot-leaf fast path) and the merge walks a cursor.
-    delta: FrontierMap<(u64, u64), WeightedPoint>,
+    /// Delta inserts in x order, keyed by (x total-order bits, arrival seq).
+    delta: BTreeMap<(u64, u64), WeightedPoint>,
     /// Locator of each delta insert for O(log n) removal by id.
     delta_index: HashMap<u64, (u64, u64)>,
     delta_seq: u64,
@@ -186,7 +183,7 @@ impl DeltaDataset {
             base_len: 0,
             live,
             in_base: HashSet::new(),
-            delta: FrontierMap::new(),
+            delta: BTreeMap::new(),
             delta_index: HashMap::new(),
             delta_seq: 0,
             tombstones: HashMap::new(),
@@ -435,14 +432,7 @@ impl DeltaDataset {
     /// in x order, in one sequential pass.
     fn build_merged(&self) -> Result<TupleFile<ObjectRecord>> {
         let base = self.base.as_ref().expect("base present until drop");
-        // Walk the delta with an owned cursor instead of re-probing the map:
-        // O(1) amortized per step through the leaf chain.
-        let mut updates: Vec<ObjectRecord> = Vec::with_capacity(self.delta.len());
-        let mut cur = self.delta.cursor_first();
-        while let Some(c) = cur {
-            updates.push(ObjectRecord(*c.value(&self.delta)));
-            cur = c.advance(&self.delta);
-        }
+        let updates: Vec<ObjectRecord> = self.delta.values().map(|&o| ObjectRecord(o)).collect();
         let mut tombs = self.tombstones.clone();
         merge_run(
             &self.ctx,

@@ -196,10 +196,11 @@ struct LiveEntry {
     expires_at: Option<f64>,
 }
 
-/// Maps a finite `f64` to a `u64` whose unsigned order matches the float
-/// order (the `total_cmp` bit trick) — used for the expiry queue here, for
-/// the x-ordered delta index in [`crate::delta`], and as the `NaN`-free float
-/// key encoding of [`crate::frontier::FrontierMap`].
+/// Maps a non-`NaN` `f64` to a `u64` whose unsigned order matches the float
+/// order (the `total_cmp` bit trick, `-0.0` immediately below `+0.0`) — the
+/// one float-key encoding of the workspace: the expiry queue here, the
+/// x-ordered delta index in [`crate::delta`] and the stream engine's
+/// breakpoint multisets and candidate index.
 pub fn total_order_bits(t: f64) -> u64 {
     let bits = t.to_bits();
     if bits >> 63 == 1 {
@@ -207,10 +208,6 @@ pub fn total_order_bits(t: f64) -> u64 {
     } else {
         bits | (1 << 63)
     }
-}
-
-fn time_key(t: f64) -> u64 {
-    total_order_bits(t)
 }
 
 /// The canonical live-object set of the event model: ids, the monotone
@@ -370,7 +367,7 @@ impl LiveSet {
         self.seq += 1;
         let expires_at = self.window.map(|w| self.now + w);
         if let Some(exp) = expires_at {
-            self.expiry.insert((time_key(exp), id), exp);
+            self.expiry.insert((total_order_bits(exp), id), exp);
         }
         self.entries.insert(
             id,
@@ -397,7 +394,7 @@ impl LiveSet {
     pub fn remove(&mut self, id: u64) -> Option<LiveRecord> {
         let entry = self.entries.remove(&id)?;
         if let Some(exp) = entry.expires_at {
-            self.expiry.remove(&(time_key(exp), id));
+            self.expiry.remove(&(total_order_bits(exp), id));
         }
         Some(LiveRecord {
             id,
@@ -440,6 +437,36 @@ impl LiveSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn total_order_bits_orders_like_f64() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            3.75,
+            1e300,
+            f64::INFINITY,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+        // -0.0 and +0.0 are distinct keys, adjacent, but equal floats.
+        assert_eq!(total_order_bits(-0.0) + 1, total_order_bits(0.0));
+    }
 
     #[test]
     fn event_constructors_and_accessors() {

@@ -105,7 +105,6 @@ mod error;
 pub mod events;
 pub mod exact;
 pub mod extensions;
-pub mod frontier;
 pub mod grid;
 pub mod merge_sweep;
 pub mod parallel;
@@ -139,7 +138,6 @@ pub use exact::{
 pub use extensions::{
     max_k_rs_in_memory, min_range_sum, min_rs_in_memory, min_strip_scan, MinStrip,
 };
-pub use frontier::{FrontierCursor, FrontierMap};
 pub use grid::{grid_cell, UniformGrid, GRID_CELL_LIMIT};
 pub use merge_sweep::merge_sweep;
 pub use parallel::{available_parallelism, parallel_map};

@@ -254,19 +254,43 @@ pub fn distribute(
         }
     }
 
-    let slab_inputs: Vec<TupleFile<RectRecord>> = slab_writers
-        .into_iter()
-        .map(|w| w.finish())
-        .collect::<maxrs_em::Result<_>>()?;
-    let span_unsorted = span_writer.finish()?;
-    let span_events = external_sort_by_key(ctx, &span_unsorted, |e| e.y)?;
-    ctx.delete_file(span_unsorted)?;
+    // A failure from here on deletes the slab inputs already finished.
+    let mut slab_inputs = Vec::with_capacity(m);
+    match finish_distribution(ctx, slab_writers, span_writer, &mut slab_inputs) {
+        Ok(span_events) => Ok(Distribution {
+            partition: partition.clone(),
+            slab_inputs,
+            span_events,
+        }),
+        Err(e) => {
+            for f in slab_inputs {
+                let _ = ctx.delete_file(f);
+            }
+            Err(e)
+        }
+    }
+}
 
-    Ok(Distribution {
-        partition: partition.clone(),
-        slab_inputs,
-        span_events,
-    })
+/// Finishes the slab writers into `slab_inputs` and returns the span events
+/// sorted by y; the unsorted span file is deleted whatever happens.
+fn finish_distribution(
+    ctx: &EmContext,
+    slab_writers: Vec<TupleWriter<'_, RectRecord>>,
+    span_writer: TupleWriter<'_, SpanEvent>,
+    slab_inputs: &mut Vec<TupleFile<RectRecord>>,
+) -> Result<TupleFile<SpanEvent>> {
+    for w in slab_writers {
+        slab_inputs.push(w.finish()?);
+    }
+    let span_unsorted = span_writer.finish()?;
+    let sorted = external_sort_by_key(ctx, &span_unsorted, |e| e.y);
+    let deleted = ctx.delete_file(span_unsorted);
+    let sorted = sorted?;
+    if let Err(e) = deleted {
+        let _ = ctx.delete_file(sorted);
+        return Err(e.into());
+    }
+    Ok(sorted)
 }
 
 #[cfg(test)]

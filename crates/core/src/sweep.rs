@@ -196,8 +196,10 @@ impl<'a> SweepPass<'a> {
     pub fn sweep_rects(&self, rects: TupleFile<RectRecord>) -> Result<TupleFile<SlabTuple>> {
         let sorted = match self.order {
             InputOrder::Unsorted => {
-                let sorted = external_sort_by_key(self.ctx, &rects, |r| r.center_x())?;
-                self.ctx.delete_file(rects)?;
+                let sorted = external_sort_by_key(self.ctx, &rects, |r| r.center_x());
+                let deleted = self.ctx.delete_file(rects);
+                let sorted = sorted?;
+                deleted?;
                 sorted
             }
             InputOrder::PresortedByX => rects,
@@ -389,16 +391,18 @@ impl<'a> Runner<'a> {
         } else {
             BoundarySource::Sampled(self.opts.boundary_sample)
         };
-        let partition = compute_partition(self.ctx, &input, slab, self.fanout(), source)?;
-        if partition.num_slabs() < 2 {
+        let dist = match compute_partition(self.ctx, &input, slab, self.fanout(), source) {
             // Heavy ties on x: no vertical split can make progress.  Fall back
             // to the in-memory sweep (documented guard; never triggered by the
             // paper's workloads).
-            return self.solve_in_memory(input, slab);
-        }
-
-        let dist = distribute(self.ctx, &input, &partition)?;
-        self.ctx.delete_file(input)?;
+            Ok(partition) if partition.num_slabs() < 2 => return self.solve_in_memory(input, slab),
+            Ok(partition) => distribute(self.ctx, &input, &partition),
+            Err(e) => Err(e),
+        };
+        // The input is consumed whether or not the split succeeded.
+        let deleted = self.ctx.delete_file(input);
+        let dist = dist?;
+        deleted?;
 
         // Conquer each sub-slab.  `solve_child` guards against the pathological
         // case where a child is as large as its parent (extreme ties on x).
@@ -407,7 +411,8 @@ impl<'a> Runner<'a> {
         // worker.  Any failure deletes the files this node still owns —
         // including the span events — so a failed run leaves no orphans on a
         // long-lived context.
-        let merged = self.conquer_and_combine(dist.slab_inputs, &partition, &dist.span_events, n);
+        let merged =
+            self.conquer_and_combine(dist.slab_inputs, &dist.partition, &dist.span_events, n);
         let deleted = self.ctx.delete_file(dist.span_events);
         if merged.is_ok() {
             deleted?;

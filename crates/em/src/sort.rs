@@ -15,8 +15,29 @@ use std::cmp::Ordering;
 use crate::{EmContext, Record, Result, TupleFile};
 
 /// Sorts `file` with the given comparator and returns a new sorted file.
-/// The input file is left untouched; all intermediate runs are deleted.
-pub fn external_sort<T, F>(ctx: &EmContext, file: &TupleFile<T>, mut cmp: F) -> Result<TupleFile<T>>
+/// The input file is left untouched; all intermediate runs are deleted, also
+/// when the sort fails.
+pub fn external_sort<T, F>(ctx: &EmContext, file: &TupleFile<T>, cmp: F) -> Result<TupleFile<T>>
+where
+    T: Record,
+    F: FnMut(&T, &T) -> Ordering,
+{
+    let mut runs = Vec::new();
+    let sorted = sort_runs(ctx, file, cmp, &mut runs);
+    for run in runs {
+        let _ = ctx.delete_file(run);
+    }
+    sorted
+}
+
+/// The sort proper.  `runs` holds every run file the sort owns at any
+/// moment, so the caller can delete them if it fails.
+fn sort_runs<T, F>(
+    ctx: &EmContext,
+    file: &TupleFile<T>,
+    mut cmp: F,
+    runs: &mut Vec<TupleFile<T>>,
+) -> Result<TupleFile<T>>
 where
     T: Record,
     F: FnMut(&T, &T) -> Ordering,
@@ -25,7 +46,6 @@ where
     let fanout = ctx.config().fanout();
 
     // ---- Pass 0: run formation ----------------------------------------------
-    let mut runs: Vec<TupleFile<T>> = Vec::new();
     {
         let mut reader = ctx.open_reader(file);
         loop {
@@ -53,18 +73,17 @@ where
         return ctx.create_writer::<T>()?.finish();
     }
 
-    // ---- Merge passes --------------------------------------------------------
+    // ---- Merge passes: the merged runs of a pass follow its inputs ----------
     while runs.len() > 1 {
-        let mut next_runs: Vec<TupleFile<T>> = Vec::new();
-        for group in runs.chunks(fanout) {
-            let merged = merge_group(ctx, group, &mut cmp)?;
-            next_runs.push(merged);
+        let pass = runs.len();
+        for start in (0..pass).step_by(fanout) {
+            let merged = merge_group(ctx, &runs[start..pass.min(start + fanout)], &mut cmp)?;
+            runs.push(merged);
         }
         // Delete the runs of the finished pass.
-        for run in runs {
-            ctx.delete_file(run)?;
+        for _ in 0..pass {
+            ctx.delete_file(runs.remove(0))?;
         }
-        runs = next_runs;
     }
 
     Ok(runs.pop().expect("at least one run"))

@@ -1,6 +1,6 @@
-//! Bookkeeping structures of the incremental maintenance loop: a total-order
-//! key for finite floats, multisets of arrangement breakpoints with successor
-//! queries, and the per-cell dirty/cached state.
+//! Bookkeeping structures of the incremental maintenance loop: multisets of
+//! arrangement breakpoints with successor queries, and the per-cell
+//! dirty/cached state.
 //!
 //! The engine keeps two global multisets — the x-edges and the event-y's of
 //! every live transformed rectangle — so the winning sweep cell can be
@@ -11,54 +11,25 @@
 //! `O(log n)` against these indexes instead of the `O(N/B)` scan the external
 //! path pays.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use maxrs_core::FrontierMap;
+use maxrs_core::total_order_bits;
 use maxrs_geometry::Interval;
 
-/// Total-order key for a finite, non-NaN `f64`: the usual sign-flip bit
-/// trick, under which the integer order of keys equals the numeric order of
-/// the floats (with `-0.0` ordered immediately below `+0.0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct FloatKey(u64);
-
-impl FloatKey {
-    pub(crate) fn new(x: f64) -> Self {
-        debug_assert!(!x.is_nan(), "float keys must not be NaN");
-        let bits = x.to_bits();
-        FloatKey(if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | (1 << 63)
-        })
-    }
-
-    pub(crate) fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 /// A multiset of finite floats with `O(log n)` insert/remove, minimum and
-/// strict-successor queries.
-///
-/// Backed by a locality-aware [`FrontierMap`] keyed on the total-order bits:
-/// the engine's breakpoint updates cluster around the rectangles it is
-/// touching, so most probes hit the map's last-accessed leaf, and the
-/// successor query walks a cursor instead of re-probing a `BTreeMap` range.
+/// strict-successor queries, keyed on [`total_order_bits`].
 #[derive(Debug, Default)]
 pub(crate) struct FloatMultiset {
-    map: FrontierMap<u64, (f64, usize)>,
+    map: BTreeMap<u64, (f64, usize)>,
 }
 
 impl FloatMultiset {
     pub(crate) fn insert(&mut self, x: f64) {
-        self.map
-            .get_or_insert_with(FloatKey::new(x).raw(), || (x, 0))
-            .1 += 1;
+        self.map.entry(total_order_bits(x)).or_insert((x, 0)).1 += 1;
     }
 
     pub(crate) fn remove(&mut self, x: f64) {
-        let key = FloatKey::new(x).raw();
+        let key = total_order_bits(x);
         if let Some(entry) = self.map.get_mut(&key) {
             entry.1 -= 1;
             if entry.1 == 0 {
@@ -71,21 +42,17 @@ impl FloatMultiset {
 
     /// The smallest stored value.
     pub(crate) fn min(&self) -> Option<f64> {
-        self.map.first_key_value().map(|(_, &(x, _))| x)
+        self.map.values().next().map(|&(x, _)| x)
     }
 
     /// The smallest stored value strictly greater than `x` (by `f64`
     /// comparison, so `-0.0` and `+0.0` count as equal).
     pub(crate) fn successor_after(&self, x: f64) -> Option<f64> {
-        let mut cur = self.map.seek_gt(&FloatKey::new(x).raw());
-        while let Some(c) = cur {
-            let &(v, _) = c.value(&self.map);
-            if v > x {
-                return Some(v);
-            }
-            cur = c.advance(&self.map);
-        }
-        None
+        use std::ops::Bound::{Excluded, Unbounded};
+        self.map
+            .range((Excluded(total_order_bits(x)), Unbounded))
+            .map(|(_, &(v, _))| v)
+            .find(|&v| v > x)
     }
 
     #[cfg(test)]
@@ -113,7 +80,7 @@ pub(crate) struct CellCandidate {
 /// are normalized so candidate sums are never `-0.0`, keeping the bitwise
 /// sum key consistent with numeric comparison.)
 pub(crate) fn candidate_key(c: &CellCandidate, col: i64) -> (u64, u64, i64) {
-    (!FloatKey::new(c.sum).raw(), FloatKey::new(c.y).raw(), col)
+    (!total_order_bits(c.sum), total_order_bits(c.y), col)
 }
 
 /// One grid column of the maintenance structure: the ids of the live objects
@@ -142,31 +109,6 @@ pub(crate) struct Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn float_key_orders_like_f64() {
-        let values = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -2.5,
-            -0.0,
-            0.0,
-            1e-300,
-            3.75,
-            1e300,
-            f64::INFINITY,
-        ];
-        for w in values.windows(2) {
-            assert!(
-                FloatKey::new(w[0]) < FloatKey::new(w[1]) || w[0] == w[1],
-                "{} vs {}",
-                w[0],
-                w[1]
-            );
-        }
-        // -0.0 and +0.0 are distinct keys but equal floats.
-        assert!(FloatKey::new(-0.0) < FloatKey::new(0.0));
-    }
 
     #[test]
     fn multiset_counts_and_successors() {

@@ -36,11 +36,11 @@
 //! particular: the incremental sweep adds arbitrary floats in a different
 //! order than the batch run.)
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use maxrs_core::{
-    grid_cell, max_rs_in_memory, Event, EventOutcome, ExecutionStrategy, FrontierMap, LiveSet,
-    MaxRsResult, Query, QueryAnswer, QueryRun, RectRecord, SweepScratch,
+    grid_cell, max_rs_in_memory, Event, EventOutcome, ExecutionStrategy, LiveSet, MaxRsResult,
+    Query, QueryAnswer, QueryRun, RectRecord, SweepScratch,
 };
 use maxrs_em::IoSnapshot;
 use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
@@ -129,18 +129,16 @@ pub struct StreamEngine {
     live: LiveSet,
     /// Per-object maintenance geometry, keyed by id.
     geometry: HashMap<u64, Geometry>,
-    /// Non-empty maintenance cells by column index, in a locality-aware
-    /// [`FrontierMap`]: events touch at most two *adjacent* columns, so
-    /// nearly every probe hits the map's last-accessed leaf.
-    cells: FrontierMap<i64, Cell>,
+    /// Non-empty maintenance cells by column index.
+    cells: BTreeMap<i64, Cell>,
     /// Columns that are currently dirty — the only cells an answer may need
     /// to re-sweep, kept explicitly so answering never scans the whole grid.
-    dirty_cols: FrontierMap<i64, ()>,
+    dirty_cols: BTreeSet<i64>,
     /// Candidate index of the *clean* cells, ordered by
     /// [`candidate_key`](crate::cells) (sum desc, y asc, column asc): the
     /// first entry is the best clean candidate, maintained incrementally on
     /// dirty/clean transitions so answers do not visit clean cells at all.
-    clean_best: FrontierMap<(u64, u64, i64), ()>,
+    clean_best: BTreeSet<(u64, u64, i64)>,
     /// Multiset of every live rectangle's x-edges (arrangement breakpoints).
     x_edges: FloatMultiset,
     /// Multiset of every live rectangle's sweep event y's.
@@ -167,9 +165,9 @@ impl StreamEngine {
             live: LiveSet::new(config.window).map_err(StreamError::from)?,
             config,
             geometry: HashMap::new(),
-            cells: FrontierMap::new(),
-            dirty_cols: FrontierMap::new(),
-            clean_best: FrontierMap::new(),
+            cells: BTreeMap::new(),
+            dirty_cols: BTreeSet::new(),
+            clean_best: BTreeSet::new(),
             x_edges: FloatMultiset::default(),
             y_events: FloatMultiset::default(),
             scratch: SweepScratch::new(),
@@ -331,14 +329,14 @@ impl StreamEngine {
     /// Marks one cell dirty, maintaining the dirty set and evicting its
     /// (now stale) entry from the clean-candidate index.
     fn mark_cell_dirty(
-        clean_best: &mut FrontierMap<(u64, u64, i64), ()>,
-        dirty_cols: &mut FrontierMap<i64, ()>,
+        clean_best: &mut BTreeSet<(u64, u64, i64)>,
+        dirty_cols: &mut BTreeSet<i64>,
         col: i64,
         cell: &mut Cell,
     ) {
         if !cell.dirty {
             cell.dirty = true;
-            dirty_cols.insert(col, ());
+            dirty_cols.insert(col);
             if let Some(c) = cell.cached.take() {
                 clean_best.remove(&crate::cells::candidate_key(&c, col));
             }
@@ -349,7 +347,7 @@ impl StreamEngine {
     /// Routes a just-committed object into the maintenance structures.
     fn attach(&mut self, id: u64, object: WeightedPoint, rect: Rect, col_lo: i64, col_hi: i64) {
         for col in col_lo..=col_hi {
-            let cell = self.cells.get_or_insert_with(col, Cell::default);
+            let cell = self.cells.entry(col).or_default();
             Self::mark_cell_dirty(&mut self.clean_best, &mut self.dirty_cols, col, cell);
             cell.ids.insert(id);
             cell.bound += object.weight;
@@ -432,8 +430,7 @@ impl StreamEngine {
             (col + 1) as f64 * self.cell_width,
         );
         self.rect_buf.clear();
-        let members = &self.cells.get(&col).expect("swept cell exists").ids;
-        self.rect_buf.extend(members.iter().map(|id| {
+        self.rect_buf.extend(self.cells[&col].ids.iter().map(|id| {
             let g = &self.geometry[id];
             RectRecord::new(g.rect, g.weight)
         }));
@@ -457,8 +454,7 @@ impl StreamEngine {
         cell.bound = bound;
         self.dirty_cols.remove(&col);
         if let Some(c) = &cand {
-            self.clean_best
-                .insert(crate::cells::candidate_key(c, col), ());
+            self.clean_best.insert(crate::cells::candidate_key(c, col));
         }
         cand
     }
@@ -491,25 +487,16 @@ impl StreamEngine {
         // Best clean candidate straight from the incremental index — O(1),
         // no scan of the clean cells.
         stats.cells_cached = stats.cells_total - self.dirty_cols.len();
-        let mut best: Option<(CellCandidate, i64)> =
-            self.clean_best.first_key_value().map(|(&(_, _, col), ())| {
-                let c = self
-                    .cells
-                    .get(&col)
-                    .expect("clean-best column exists")
-                    .cached
-                    .expect("clean-best entries always have a cached candidate");
-                (c, col)
-            });
+        let mut best: Option<(CellCandidate, i64)> = self.clean_best.first().map(|&(_, _, col)| {
+            let c = self.cells[&col]
+                .cached
+                .expect("clean-best entries always have a cached candidate");
+            (c, col)
+        });
         let mut dirty: Vec<(f64, i64)> = self
             .dirty_cols
-            .keys()
-            .map(|&col| {
-                (
-                    self.cells.get(&col).expect("dirty column exists").bound,
-                    col,
-                )
-            })
+            .iter()
+            .map(|&col| (self.cells[&col].bound, col))
             .collect();
         dirty.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         for (i, &(bound, col)) in dirty.iter().enumerate() {

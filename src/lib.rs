@@ -12,9 +12,8 @@
 //!   sort-once repeated querying, [`DeltaDataset`] for streaming updates
 //!   over the external path (delta-main + compaction), and
 //!   [`ShardedDataset`] for x-partitioned parallel prepare with
-//!   shard-routed, bit-identical queries.  The sweep-front structures the
-//!   hot paths run on — the locality-aware [`FrontierMap`] and the
-//!   zero-alloc [`SweepScratch`] arena — are re-exported here too.
+//!   shard-routed, bit-identical queries.  The zero-alloc [`SweepScratch`]
+//!   arena the slab sweeps run on is re-exported here too.
 //! * [`stream`] — incremental MaxRS over dynamic data: the sliding-window
 //!   event engine ([`StreamEngine`]) maintaining answers under inserts,
 //!   deletes and window expiry.
@@ -82,9 +81,8 @@ pub use maxrs_core::{
     exact_max_rs, exact_max_rs_from_objects, load_objects, max_k_rs_in_memory, max_rs_in_memory,
     min_rs_in_memory, ApproxMaxCrsOptions, CompactionPolicy, CompactionReport, DeltaDataset,
     DeltaOptions, EngineError, EngineOptions, EngineRun, ExactMaxRsOptions, ExecutionStrategy,
-    FrontierCursor, FrontierMap, InputOrder, LiveSet, MaxCrsResult, MaxRsEngine, MaxRsResult,
-    PreparedDataset, Query, QueryAnswer, QueryBatch, QueryRun, ShardLayout, ShardedDataset,
-    SweepPass, SweepScratch,
+    InputOrder, LiveSet, MaxCrsResult, MaxRsEngine, MaxRsResult, PreparedDataset, Query,
+    QueryAnswer, QueryBatch, QueryRun, ShardLayout, ShardedDataset, SweepPass, SweepScratch,
 };
 pub use maxrs_em::{BlockDevice, EmConfig, EmContext, FsDisk, IoSnapshot, SimDisk, StorageBackend};
 pub use maxrs_geometry::{Circle, Interval, Point, Rect, RectSize, WeightedPoint};
