@@ -21,7 +21,7 @@
 //!   in-memory directory of the boundary values.  A production aSB-tree keys
 //!   its nodes by boundary value and performs this search inside the very same
 //!   root-to-leaf descent it updates, so the I/O count is unchanged by this
-//!   simplification (documented in DESIGN.md).
+//!   simplification.
 
 use maxrs_core::{MaxRsResult, ObjectRecord, Result};
 use maxrs_em::{codec, EmContext, FileId, TupleFile};

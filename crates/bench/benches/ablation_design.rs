@@ -1,4 +1,4 @@
-//! Ablation study of the design choices called out in DESIGN.md:
+//! Ablation study of two design choices of ExactMaxRS:
 //!
 //! * the distribution fan-out `m` (the paper sets `m = Θ(M/B)`; too small a
 //!   fan-out adds recursion levels, too large a fan-out starves the merge of

@@ -1,13 +1,12 @@
 //! Micro-benchmarks of the core building blocks: segment tree, in-memory
 //! plane sweep and external sort.  These are ablation-style measurements that
-//! support the design choices documented in DESIGN.md rather than a figure of
-//! the paper.
+//! support the design choices rather than a figure of the paper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maxrs_bench::runner::{run_engine, run_query};
 use maxrs_core::{
     load_objects, max_rs_in_memory, EngineOptions, ExactMaxRsOptions, MaxRsEngine, Query,
-    SegmentTree,
+    QueryBatch, QueryRun, SegmentTree,
 };
 use maxrs_datagen::{event_stream, Dataset, DatasetKind, EventStreamConfig};
 use maxrs_em::{external_sort_by_key, EmConfig, EmContext};
@@ -158,8 +157,6 @@ fn bench_engine_variants(c: &mut Criterion) {
 /// transform + sweep.  The printed footer records the backend and the I/O
 /// split so the bench output documents *why* the warm path wins.
 fn bench_prepared_reuse(c: &mut Criterion) {
-    use maxrs_bench::runner::run_prepared_reuse;
-
     let config = EmConfig::new(4096, 64 * 4096).unwrap();
     let ds = Dataset::generate(DatasetKind::Uniform, 30_000, 29);
     let size = RectSize::square(20_000.0);
@@ -179,13 +176,17 @@ fn bench_prepared_reuse(c: &mut Criterion) {
     group.bench_function("warm_prepared_run", |b| {
         b.iter(|| prepared.run(&query).unwrap());
     });
-    drop(prepared);
     group.finish();
 
-    let row = run_prepared_reuse(config, &ds.objects, &query, 1).unwrap();
+    let cold = engine.run_file(&ctx, &file, &query).unwrap();
+    let warm = prepared.run(&query).unwrap();
     println!(
         "prepared_reuse {}: backend={} cold_io={} prepare_io={} warm_io={}",
-        row.query, row.backend, row.cold_io, row.prepare_io, row.warm_io
+        query.name(),
+        ctx.backend_name(),
+        cold.io,
+        prepared.prepare_io(),
+        warm.io
     );
 }
 
@@ -196,8 +197,6 @@ fn bench_prepared_reuse(c: &mut Criterion) {
 /// loop pays 4.  The printed footer records the per-path I/O so the bench
 /// output documents *why* the batched path wins.
 fn bench_engine_batch(c: &mut Criterion) {
-    use maxrs_bench::runner::run_query_batch;
-
     let config = EmConfig::new(4096, 64 * 4096).unwrap();
     let ds = Dataset::generate(DatasetKind::Uniform, 30_000, 31);
     let size = RectSize::square(20_000.0);
@@ -216,29 +215,31 @@ fn bench_engine_batch(c: &mut Criterion) {
     let ctx = EmContext::new(config);
     let file = load_objects(&ctx, &ds.objects).unwrap();
     let prepared = engine.prepare_file(&ctx, &file).unwrap();
+    let independent =
+        || -> Vec<QueryRun> { queries.iter().map(|q| prepared.run(q).unwrap()).collect() };
     group.bench_function("run_batch_4_queries", |b| {
         b.iter(|| prepared.run_batch(&queries).unwrap());
     });
     group.bench_function("independent_4_queries", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|q| prepared.run(q).unwrap())
-                .collect::<Vec<_>>()
-        });
+        b.iter(independent);
     });
-    drop(prepared);
     group.finish();
 
-    let row = run_query_batch(config, &ds.objects, &queries, 1).unwrap();
+    // Per-query I/O is leader-attributed, so each sum is its path's total.
+    let batched = prepared.run_batch(&queries).unwrap();
+    let independent = independent();
+    let io = |runs: &[QueryRun]| runs.iter().map(|r| r.io.total()).sum::<u64>();
     println!(
         "engine_batch: backend={} groups={}/{} batch_io={} independent_io={} verified={}",
-        row.backend,
-        row.groups,
-        row.queries.len(),
-        row.batch_io,
-        row.independent_io,
-        row.verified
+        ctx.backend_name(),
+        QueryBatch::new(&queries).unwrap().num_groups(),
+        queries.len(),
+        io(&batched),
+        io(&independent),
+        batched
+            .iter()
+            .zip(&independent)
+            .all(|(b, s)| b.answer == s.answer)
     );
 }
 

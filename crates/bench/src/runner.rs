@@ -1,16 +1,12 @@
 //! Running one algorithm on one dataset under one EM configuration.
 
-use std::time::Instant;
-
 use maxrs_baselines::{asb_tree_sweep, naive_sweep, Algorithm};
 use maxrs_core::{
     exact_max_rs, load_objects, EngineOptions, EngineRun, ExactMaxRsOptions, MaxRsEngine,
-    MaxRsResult, Query, QueryBatch, QueryRun,
+    MaxRsResult, Query, QueryRun,
 };
 use maxrs_em::{EmConfig, EmContext, IoSnapshot};
 use maxrs_geometry::{RectSize, WeightedPoint};
-
-use crate::json::Value;
 
 /// Outcome of one algorithm run: the answer and the I/O it cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,242 +102,6 @@ pub fn run_query(
     engine.run_file(&ctx, &file, query)
 }
 
-/// One cold-vs-prepared comparison: the same query answered by a stateless
-/// [`MaxRsEngine::run_file`] (pays the external sort every time) and by the
-/// second run on a [`PreparedDataset`](maxrs_core::PreparedDataset) (sort
-/// paid once at prepare time), with wall-clock and I/O for every phase and
-/// the storage-backend name recorded alongside.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedReuseRun {
-    /// Storage-backend name of the context ("sim", "fs").
-    pub backend: String,
-    /// Short name of the query variant measured.
-    pub query: String,
-    /// Dataset cardinality.
-    pub n: u64,
-    /// Wall-clock of the cold single-shot query, in nanoseconds.
-    pub cold_ns: u128,
-    /// Wall-clock of the one-time preparation (external x-sort).
-    pub prepare_ns: u128,
-    /// Wall-clock of the *second* query on the prepared dataset (the first
-    /// warm run is discarded as pool warm-up).
-    pub warm_ns: u128,
-    /// Blocks transferred by the cold query.
-    pub cold_io: IoSnapshot,
-    /// Blocks transferred by the preparation.
-    pub prepare_io: IoSnapshot,
-    /// Blocks transferred by the measured warm query.
-    pub warm_io: IoSnapshot,
-}
-
-impl PreparedReuseRun {
-    /// Serializes the comparison for the experiment harness's JSON output.
-    pub fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("id", Value::String("prepared_reuse".into())),
-            ("backend", Value::String(self.backend.clone())),
-            ("query", Value::String(self.query.clone())),
-            ("n", Value::Number(self.n as f64)),
-            ("cold_ns", Value::Number(self.cold_ns as f64)),
-            ("prepare_ns", Value::Number(self.prepare_ns as f64)),
-            ("warm_ns", Value::Number(self.warm_ns as f64)),
-            ("cold_io", Value::Number(self.cold_io.total() as f64)),
-            ("prepare_io", Value::Number(self.prepare_io.total() as f64)),
-            ("warm_io", Value::Number(self.warm_io.total() as f64)),
-            (
-                "io_saved_per_query",
-                Value::Number(self.cold_io.total_delta(&self.warm_io) as f64),
-            ),
-        ])
-    }
-}
-
-/// Measures cold-vs-prepared execution of `query` under a fresh EM context
-/// (dataset loading excluded from every phase, as usual).
-pub fn run_prepared_reuse(
-    config: EmConfig,
-    objects: &[WeightedPoint],
-    query: &Query,
-    parallelism: usize,
-) -> maxrs_core::Result<PreparedReuseRun> {
-    let engine = MaxRsEngine::with_options(EngineOptions {
-        em_config: config,
-        exact: ExactMaxRsOptions {
-            parallelism,
-            ..Default::default()
-        },
-        force_strategy: None,
-    });
-    let ctx = EmContext::new(config);
-    let file = load_objects(&ctx, objects)?;
-
-    let t = Instant::now();
-    let cold = engine.run_file(&ctx, &file, query)?;
-    let cold_ns = t.elapsed().as_nanos();
-
-    let t = Instant::now();
-    let prepared = engine.prepare_file(&ctx, &file)?;
-    let prepare_ns = t.elapsed().as_nanos();
-
-    // First warm run fills the buffer pool; the second is the steady state a
-    // repeated-query workload observes.
-    let _ = prepared.run(query)?;
-    let t = Instant::now();
-    let warm = prepared.run(query)?;
-    let warm_ns = t.elapsed().as_nanos();
-
-    Ok(PreparedReuseRun {
-        backend: ctx.backend_name().to_string(),
-        query: query.name().to_string(),
-        n: file.len(),
-        cold_ns,
-        prepare_ns,
-        warm_ns,
-        cold_io: cold.io,
-        prepare_io: prepared.prepare_io(),
-        warm_io: warm.io,
-    })
-}
-
-/// One batched-vs-independent comparison over a shared
-/// [`PreparedDataset`](maxrs_core::PreparedDataset): the same M queries
-/// answered by one `run_batch` (shared sweep passes) and by M independent
-/// `run` calls, with wall-clock, I/O, throughput and the per-query I/O
-/// attribution recorded for the experiment harness.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchRun {
-    /// Storage-backend name of the context ("sim", "fs").
-    pub backend: String,
-    /// Dataset cardinality.
-    pub n: u64,
-    /// Short names of the batched queries, in batch order.
-    pub queries: Vec<String>,
-    /// Number of shared sweep groups the batch planned into.
-    pub groups: usize,
-    /// Wall-clock of the one `run_batch` call, in nanoseconds.
-    pub batch_ns: u128,
-    /// Blocks transferred by the batch.
-    pub batch_io: IoSnapshot,
-    /// Wall-clock of the M independent `run` calls, in nanoseconds.
-    pub independent_ns: u128,
-    /// Blocks transferred by the independent runs.
-    pub independent_io: IoSnapshot,
-    /// Per-query I/O attribution of the batch (leader-attributed shared
-    /// passes; sums to `batch_io`).
-    pub per_query_io: Vec<IoSnapshot>,
-    /// Whether every batched answer was bit-identical to its independent run.
-    pub verified: bool,
-}
-
-impl BatchRun {
-    /// Queries per second achieved by the batched path.
-    pub fn batch_qps(&self) -> f64 {
-        self.queries.len() as f64 / (self.batch_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Queries per second achieved by the independent path.
-    pub fn independent_qps(&self) -> f64 {
-        self.queries.len() as f64 / (self.independent_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Serializes the comparison for the experiment harness's JSON output:
-    /// queries/sec for both paths plus a per-query I/O row per batched query.
-    pub fn to_value(&self) -> Value {
-        let per_query: Vec<Value> = self
-            .queries
-            .iter()
-            .zip(&self.per_query_io)
-            .map(|(name, io)| {
-                Value::object(vec![
-                    ("query", Value::String(name.clone())),
-                    ("io", Value::Number(io.total() as f64)),
-                    ("reads", Value::Number(io.reads as f64)),
-                    ("writes", Value::Number(io.writes as f64)),
-                ])
-            })
-            .collect();
-        Value::object(vec![
-            ("id", Value::String("batch".into())),
-            ("backend", Value::String(self.backend.clone())),
-            ("n", Value::Number(self.n as f64)),
-            ("queries", Value::Number(self.queries.len() as f64)),
-            ("groups", Value::Number(self.groups as f64)),
-            ("batch_ns", Value::Number(self.batch_ns as f64)),
-            ("batch_io", Value::Number(self.batch_io.total() as f64)),
-            ("batch_qps", Value::Number(self.batch_qps())),
-            ("independent_ns", Value::Number(self.independent_ns as f64)),
-            (
-                "independent_io",
-                Value::Number(self.independent_io.total() as f64),
-            ),
-            ("independent_qps", Value::Number(self.independent_qps())),
-            (
-                "io_saved",
-                Value::Number(self.independent_io.total_delta(&self.batch_io) as f64),
-            ),
-            ("per_query", Value::Array(per_query)),
-            ("verified", Value::Bool(self.verified)),
-        ])
-    }
-}
-
-/// Measures batched vs. independent execution of `queries` over one prepared
-/// dataset under a fresh EM context (dataset loading and the one-time
-/// preparation excluded from both measured paths, as usual).  The batch runs
-/// first, so buffer-pool warmth favors the independent baseline and the
-/// reported savings stay conservative.
-pub fn run_query_batch(
-    config: EmConfig,
-    objects: &[WeightedPoint],
-    queries: &[Query],
-    parallelism: usize,
-) -> maxrs_core::Result<BatchRun> {
-    let engine = MaxRsEngine::with_options(EngineOptions {
-        em_config: config,
-        exact: ExactMaxRsOptions {
-            parallelism,
-            ..Default::default()
-        },
-        force_strategy: None,
-    });
-    let ctx = EmContext::new(config);
-    let file = load_objects(&ctx, objects)?;
-    let prepared = engine.prepare_file(&ctx, &file)?;
-    let batch = QueryBatch::new(queries)?;
-
-    let before = ctx.stats();
-    let t = Instant::now();
-    let batched = prepared.run_planned(&batch)?;
-    let batch_ns = t.elapsed().as_nanos();
-    let batch_io = ctx.stats().delta(&before);
-
-    let before = ctx.stats();
-    let t = Instant::now();
-    let independent: Vec<QueryRun> = queries
-        .iter()
-        .map(|q| prepared.run(q))
-        .collect::<maxrs_core::Result<_>>()?;
-    let independent_ns = t.elapsed().as_nanos();
-    let independent_io = ctx.stats().delta(&before);
-
-    let verified = batched
-        .iter()
-        .zip(&independent)
-        .all(|(b, s)| b.answer == s.answer);
-    Ok(BatchRun {
-        backend: ctx.backend_name().to_string(),
-        n: file.len(),
-        queries: queries.iter().map(|q| q.name().to_string()).collect(),
-        groups: batch.num_groups(),
-        batch_ns,
-        batch_io,
-        independent_ns,
-        independent_io,
-        per_query_io: batched.iter().map(|r| r.io).collect(),
-        verified,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,77 +155,6 @@ mod tests {
         assert_eq!(placements[0].total_weight, best, "top-1 equals MaxRS");
         assert!(min.answer.as_max_rs().unwrap().total_weight <= best);
         assert!(crs.answer.as_max_crs().unwrap().total_weight <= best + 1e-9);
-    }
-
-    #[test]
-    fn prepared_reuse_records_backend_and_beats_cold_io() {
-        let ds = Dataset::generate(DatasetKind::Uniform, 2000, 7);
-        let config = EmConfig::new(512, 32 * 512).unwrap();
-        let run = run_prepared_reuse(
-            config,
-            &ds.objects,
-            &Query::max_rs(RectSize::square(50_000.0)),
-            1,
-        )
-        .unwrap();
-        assert_eq!(run.backend, config.backend.name());
-        assert_eq!(run.n, 2000);
-        assert!(run.prepare_io.total() > 0, "the x-sort does I/O");
-        assert!(
-            run.warm_io.total() < run.cold_io.total(),
-            "warm {} must beat cold {}",
-            run.warm_io,
-            run.cold_io
-        );
-        let json = run.to_value();
-        assert_eq!(
-            json.get("backend").unwrap().as_str(),
-            Some(run.backend.as_str())
-        );
-        assert_eq!(json.get("query").unwrap().as_str(), Some("max-rs"));
-        assert!(json.get("warm_ns").unwrap().as_f64().unwrap() >= 0.0);
-        assert_eq!(
-            json.get("io_saved_per_query").unwrap().as_f64().unwrap(),
-            run.cold_io.total_delta(&run.warm_io) as f64
-        );
-    }
-
-    #[test]
-    fn batch_run_verifies_and_beats_independent_io() {
-        use maxrs_geometry::Rect;
-
-        let ds = Dataset::generate(DatasetKind::Uniform, 2500, 13);
-        let config = EmConfig::new(512, 32 * 512).unwrap();
-        let size = RectSize::square(60_000.0);
-        let queries = vec![
-            Query::max_rs(size),
-            Query::top_k(size, 2),
-            Query::approx_max_crs(60_000.0),
-            Query::min_rs(size, Rect::new(100_000.0, 900_000.0, 100_000.0, 900_000.0)),
-        ];
-        let run = run_query_batch(config, &ds.objects, &queries, 1).unwrap();
-        assert!(run.verified, "batched answers diverged");
-        assert_eq!(run.backend, config.backend.name());
-        assert_eq!(run.queries.len(), 4);
-        assert_eq!(run.groups, 2, "three variants share one sweep group");
-        assert!(
-            run.batch_io.total() < run.independent_io.total(),
-            "batch {} vs independent {}",
-            run.batch_io,
-            run.independent_io
-        );
-        // Leader attribution sums to the measured batch total.
-        let attributed: u64 = run.per_query_io.iter().map(|io| io.total()).sum();
-        assert_eq!(attributed, run.batch_io.total());
-
-        let json = run.to_value();
-        assert_eq!(json.get("id").unwrap().as_str(), Some("batch"));
-        assert_eq!(json.get("groups").unwrap().as_f64(), Some(2.0));
-        assert!(json.get("batch_qps").unwrap().as_f64().unwrap() > 0.0);
-        assert_eq!(
-            json.get("io_saved").unwrap().as_f64().unwrap(),
-            run.independent_io.total_delta(&run.batch_io) as f64
-        );
     }
 
     #[test]

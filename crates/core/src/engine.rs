@@ -20,7 +20,7 @@
 //! The same strategy ladder serves every query variant — top-k, MinRS and
 //! ApproxMaxCRS all reduce to (rounds of) the rectangle distribution sweep,
 //! so a variant query on a billion-object file runs the identical slab
-//! pipeline and parallel MergeSweep as plain MaxRS.  Because the external
+//! pipeline and MergeSweep as plain MaxRS.  Because the external
 //! pipeline reports canonical max-regions (see [`crate::sweep`]), every
 //! strategy returns the *identical* answer, not merely one of equal weight.
 //! Several queries against one dataset batch into shared sweep passes via

@@ -14,7 +14,7 @@
 //! deterministic *surrogates* with the same cardinalities, the same normalized
 //! space and the qualitative spatial character the figures depend on (UX:
 //! sparse, strongly clustered point chains; NE: dense multi-cluster with
-//! uniform background).  See `DESIGN.md` §5 for the substitution rationale.
+//! uniform background).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

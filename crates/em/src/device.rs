@@ -24,11 +24,8 @@ use crate::{FileId, IoSnapshot, Result};
 /// is the only caching layer the model acknowledges; devices must not add
 /// caching that changes the counted transfers (every `read_block` /
 /// `write_block` call counts as one, whether or not the bytes were already
-/// staged).  Physical read-ahead *below* the counters is fine — [`FsDisk`]
-/// overlaps the next sequential block's disk read with the caller's compute,
-/// which moves wall-clock, never a counter.
-///
-/// [`FsDisk`]: crate::FsDisk
+/// staged).  Physical overlap *below* the counters is fine as long as it
+/// moves wall-clock, never a counter.
 ///
 /// All methods take `&self`: devices are internally synchronized and shared
 /// across the scoped worker threads of the parallel slab stage

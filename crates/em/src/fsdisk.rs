@@ -5,9 +5,8 @@ use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::{BlockDevice, EmError, FileId, IoSnapshot, IoStats, Result};
 
@@ -72,17 +71,6 @@ fn pwrite(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
 /// backend-invariant (the backend-parity tests assert exactly that); what
 /// changes is that blocks genuinely hit the filesystem.
 ///
-/// # Read-ahead
-///
-/// Sequential scans dominate the EM algorithms (run formation, merge passes,
-/// the sweep itself), so the device double-buffers them: after serving block
-/// `idx` it hands block `idx + 1` to a lazily spawned background worker,
-/// overlapping the next block's disk read with the caller's compute.  A
-/// staged block is served to the matching `read_block` call — which still
-/// records one logical read, so I/O counts stay backend-invariant — and any
-/// write or delete invalidates staged and in-flight read-ahead, so it can
-/// never serve stale bytes.
-///
 /// # RAII
 ///
 /// Dropping the device removes every backing file, and the directory too when
@@ -105,10 +93,6 @@ pub struct FsDisk {
     files: Mutex<HashMap<FileId, FsFile>>,
     next_id: AtomicU64,
     stats: Arc<IoStats>,
-    /// Double-buffered read-ahead (see the type-level docs): the shared slot
-    /// plus the lazily spawned worker thread that fills it.
-    prefetch: Arc<Prefetcher>,
-    worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl FsDisk {
@@ -147,34 +131,7 @@ impl FsDisk {
             files: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             stats: Arc::new(IoStats::new()),
-            prefetch: Arc::new(Prefetcher::new()),
-            worker: Mutex::new(None),
         })
-    }
-
-    /// Hands the next sequential block to the read-ahead worker (spawned on
-    /// first use), so its disk read overlaps the caller's compute.
-    fn submit_prefetch(&self, id: FileId, idx: u64, handle: Arc<File>) {
-        {
-            let mut st = self.prefetch.state.lock();
-            if st.shutdown {
-                return;
-            }
-            let epoch = st.epoch;
-            st.request = Some(PrefetchRequest {
-                id,
-                idx,
-                handle,
-                epoch,
-            });
-        }
-        self.prefetch.wake.notify_one();
-        let mut worker = self.worker.lock();
-        if worker.is_none() {
-            let prefetch = Arc::clone(&self.prefetch);
-            let block_size = self.block_size;
-            *worker = Some(std::thread::spawn(move || prefetch.run(block_size)));
-        }
     }
 
     /// The directory holding the backing files.
@@ -191,87 +148,6 @@ impl FsDisk {
 /// Maps an `std::io` failure into the EM error type.
 fn io_err(e: std::io::Error) -> EmError {
     EmError::Io(e.to_string())
-}
-
-/// A read-ahead the worker thread should perform: the handle is captured at
-/// submit time so the worker never touches the directory map.
-struct PrefetchRequest {
-    id: FileId,
-    idx: u64,
-    handle: Arc<File>,
-    epoch: u64,
-}
-
-/// Double-buffer state shared between callers and the read-ahead worker: at
-/// most one pending request and one staged block.  `epoch` invalidates both
-/// whenever any block is written or a file is deleted — staleness is decided
-/// under the lock, so a staged block is either current or discarded.
-struct PrefetchState {
-    request: Option<PrefetchRequest>,
-    ready: Option<(FileId, u64, u64, Vec<u8>)>,
-    epoch: u64,
-    shutdown: bool,
-}
-
-/// The read-ahead channel: a mutex/condvar pair the lazily spawned worker
-/// thread sleeps on.
-struct Prefetcher {
-    state: Mutex<PrefetchState>,
-    wake: Condvar,
-}
-
-impl Prefetcher {
-    fn new() -> Self {
-        Prefetcher {
-            state: Mutex::new(PrefetchState {
-                request: None,
-                ready: None,
-                epoch: 0,
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// Bumps the epoch and drops any staged or pending block: called on every
-    /// write and delete, so read-ahead can never serve stale bytes.
-    fn invalidate(&self) {
-        let mut st = self.state.lock();
-        st.epoch += 1;
-        st.ready = None;
-        st.request = None;
-    }
-
-    /// The worker loop: sleep until a request (or shutdown) arrives, read the
-    /// block **without counting it**, and stage it if still current.
-    fn run(self: Arc<Self>, block_size: usize) {
-        loop {
-            let req = {
-                let mut st = self.state.lock();
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    if let Some(r) = st.request.take() {
-                        break r;
-                    }
-                    self.wake.wait(&mut st);
-                }
-            };
-            let mut buf = vec![0u8; block_size];
-            let ok = pread(&req.handle, &mut buf, req.idx * block_size as u64).is_ok();
-            let mut st = self.state.lock();
-            if ok && st.epoch == req.epoch && !st.shutdown {
-                st.ready = Some((req.id, req.idx, req.epoch, buf));
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Prefetcher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Prefetcher").finish_non_exhaustive()
-    }
 }
 
 impl BlockDevice for FsDisk {
@@ -305,7 +181,6 @@ impl BlockDevice for FsDisk {
     }
 
     fn delete_file(&self, id: FileId) -> Result<()> {
-        self.prefetch.invalidate();
         match self.files.lock().remove(&id) {
             Some(file) => {
                 // Close the handle before unlinking (drop order), then remove
@@ -343,7 +218,7 @@ impl BlockDevice for FsDisk {
         assert_eq!(dst.len(), self.block_size, "destination must be one block");
         // Look the handle up under the lock, transfer outside it: the
         // directory mutex never spans a blocking syscall.
-        let (handle, blocks) = {
+        let handle = {
             let files = self.files.lock();
             let file = files.get(&id).ok_or(EmError::FileNotFound(id))?;
             if idx >= file.blocks {
@@ -353,34 +228,10 @@ impl BlockDevice for FsDisk {
                     len: file.blocks,
                 });
             }
-            (Arc::clone(&file.handle), file.blocks)
+            Arc::clone(&file.handle)
         };
-        // Serve from the read-ahead slot when it staged exactly this block;
-        // the transfer still counts — read-ahead moves wall-clock, never the
-        // logical I/O a caller observes.
-        let staged = {
-            let mut st = self.prefetch.state.lock();
-            let epoch = st.epoch;
-            match st.ready.take() {
-                Some((rid, ridx, repoch, buf)) if rid == id && ridx == idx && repoch == epoch => {
-                    Some(buf)
-                }
-                other => {
-                    st.ready = other;
-                    None
-                }
-            }
-        };
-        match staged {
-            Some(buf) => dst.copy_from_slice(&buf),
-            None => pread(&handle, dst, idx * self.block_size as u64).map_err(io_err)?,
-        }
+        pread(&handle, dst, idx * self.block_size as u64).map_err(io_err)?;
         self.stats.record_read();
-        // Double-buffering: start reading the next sequential block while the
-        // caller chews on this one.
-        if idx + 1 < blocks {
-            self.submit_prefetch(id, idx + 1, handle);
-        }
         Ok(())
     }
 
@@ -397,8 +248,6 @@ impl BlockDevice for FsDisk {
         if let Some(file) = self.files.lock().get_mut(&id) {
             file.blocks = file.blocks.max(idx + 1);
         }
-        // Any staged or in-flight read-ahead may now be stale.
-        self.prefetch.invalidate();
         self.stats.record_write();
         Ok(())
     }
@@ -422,16 +271,6 @@ impl BlockDevice for FsDisk {
 
 impl Drop for FsDisk {
     fn drop(&mut self) {
-        {
-            let mut st = self.prefetch.state.lock();
-            st.shutdown = true;
-            st.request = None;
-            st.ready = None;
-        }
-        self.prefetch.wake.notify_one();
-        if let Some(worker) = self.worker.get_mut().take() {
-            let _ = worker.join();
-        }
         let mut files = self.files.lock();
         for (_, file) in files.drain() {
             let path = file.path.clone();
@@ -551,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_scan_with_read_ahead_is_correct_and_counted() {
+    fn sequential_scan_is_correct_and_counted() {
         let disk = FsDisk::new(32).unwrap();
         let f = disk.create_file().unwrap();
         const BLOCKS: u64 = 64;
@@ -564,53 +403,17 @@ mod tests {
             disk.read_block(f, i, &mut buf).unwrap();
             assert_eq!(buf, vec![i as u8; 32], "block {i} content");
         }
-        // Every transfer counts exactly once, whether the bytes came from the
-        // read-ahead slot or straight off the disk.
+        // Every transfer counts exactly once.
         let delta = disk.stats().delta(&before);
         assert_eq!(delta.reads, BLOCKS);
         assert_eq!(delta.writes, 0);
 
-        // A second pass (read-ahead slot warm from the first) is identical.
+        // A second pass is identical.
         for i in 0..BLOCKS {
             disk.read_block(f, i, &mut buf).unwrap();
             assert_eq!(buf, vec![i as u8; 32]);
         }
         assert_eq!(disk.stats().delta(&before).reads, 2 * BLOCKS);
-    }
-
-    #[test]
-    fn read_ahead_never_serves_stale_bytes_after_a_write() {
-        let disk = FsDisk::new(16).unwrap();
-        let f = disk.create_file().unwrap();
-        disk.write_block(f, 0, &[1u8; 16]).unwrap();
-        disk.write_block(f, 1, &[2u8; 16]).unwrap();
-        let mut buf = vec![0u8; 16];
-        for _ in 0..100 {
-            // Reading block 0 schedules read-ahead of block 1; overwrite
-            // block 1 while that may be in flight, then read it.
-            disk.read_block(f, 0, &mut buf).unwrap();
-            disk.write_block(f, 1, &[3u8; 16]).unwrap();
-            disk.read_block(f, 1, &mut buf).unwrap();
-            assert_eq!(buf, vec![3u8; 16], "stale read-ahead served");
-            disk.write_block(f, 1, &[2u8; 16]).unwrap();
-        }
-    }
-
-    #[test]
-    fn read_ahead_survives_file_deletion() {
-        let disk = FsDisk::new(16).unwrap();
-        let f = disk.create_file().unwrap();
-        disk.write_block(f, 0, &[1u8; 16]).unwrap();
-        disk.write_block(f, 1, &[2u8; 16]).unwrap();
-        let mut buf = vec![0u8; 16];
-        disk.read_block(f, 0, &mut buf).unwrap(); // schedules block 1
-        disk.delete_file(f).unwrap();
-        // A fresh file reuses ids freely; its blocks must not be shadowed.
-        let g = disk.create_file().unwrap();
-        disk.write_block(g, 0, &[7u8; 16]).unwrap();
-        disk.write_block(g, 1, &[8u8; 16]).unwrap();
-        disk.read_block(g, 1, &mut buf).unwrap();
-        assert_eq!(buf, vec![8u8; 16]);
     }
 
     #[test]

@@ -353,3 +353,53 @@ fn pass_through_server_matches_sequential_too() {
     };
     assert_concurrent_matches_sequential(registry, workloads, config, "pass-through");
 }
+
+#[test]
+fn size_trigger_puts_several_queries_into_one_batch() {
+    // The window outlasts the test, so only the size trigger can flush: 16
+    // submissions from one thread before the first wait leave the batcher as
+    // exactly two full batches, and each batch shares sweep passes among its
+    // queries.
+    let registry = Arc::new(DatasetRegistry::new(external_engine(StorageBackend::Sim)));
+    registry
+        .insert("random", &pseudo_random_objects(2000, 29, 1000.0))
+        .unwrap();
+    let pool = query_pool(1000.0);
+    let queries: Vec<Query> = (0..16).map(|j| pool[j % pool.len()]).collect();
+    let dataset = registry.get("random").unwrap();
+    let expected: Vec<QueryAnswer> = queries
+        .iter()
+        .map(|q| dataset.run(q).unwrap().answer)
+        .collect();
+    let config = ServeConfig {
+        window: Duration::from_secs(3600),
+        max_batch: 8,
+        workers: 2,
+        queue_capacity: queries.len(),
+        overload: OverloadPolicy::Block,
+    };
+    let server = MaxRsServer::start(registry, config).unwrap();
+    let tickets: Vec<_> = queries
+        .iter()
+        .map(|q| server.submit("random", *q).unwrap())
+        .collect();
+    for ((ticket, query), expected) in tickets.into_iter().zip(&queries).zip(&expected) {
+        assert_eq!(
+            &ticket.wait().unwrap().run.answer,
+            expected,
+            "{} diverged from PreparedDataset::run",
+            query.name()
+        );
+    }
+
+    let stats = server.stats();
+    assert_eq!(stats.batches, 2, "two size-triggered flushes");
+    assert_eq!(stats.mean_batch_size(), 8.0);
+    assert!(
+        stats.sweep_groups < stats.batched_queries,
+        "{} sweep groups for {} batched queries: no query shared a pass",
+        stats.sweep_groups,
+        stats.batched_queries
+    );
+    server.shutdown();
+}

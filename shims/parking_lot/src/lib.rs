@@ -2,16 +2,16 @@
 //! crate.
 //!
 //! The build environment of this repository has no access to crates.io, so the
-//! tiny API slice the workspace relies on — [`Mutex`] and [`RwLock`] with
-//! non-poisoning guards, plus the matching [`Condvar`] — is provided here on
-//! top of `std::sync`.  Poisoning is translated into lock acquisition that
-//! ignores the poison flag, matching parking_lot's semantics (a panicking
-//! thread does not wedge the lock for everyone else).
+//! tiny API slice the workspace relies on — a [`Mutex`] whose `lock()` returns
+//! the guard directly — is provided here on top of `std::sync`.  Poisoning is
+//! translated into lock acquisition that ignores the poison flag, matching
+//! parking_lot's semantics (a panicking thread does not wedge the lock for
+//! everyone else).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+pub use std::sync::MutexGuard;
 
 /// A mutual-exclusion lock with the `parking_lot::Mutex` API: `lock()` returns
 /// the guard directly (no `Result`) and panicking while holding the lock does
@@ -21,29 +21,6 @@ pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
 }
 
-/// The guard returned by [`Mutex::lock`].  Wraps the std guard in an `Option`
-/// so [`Condvar::wait`] can hand it through std's by-value wait while keeping
-/// parking_lot's by-reference signature (the slot is only ever empty *during*
-/// a wait, when the caller cannot observe it).
-#[derive(Debug)]
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard holds the lock")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard holds the lock")
-    }
-}
-
 impl<T> Mutex<T> {
     /// Creates a new mutex protecting `value`.
     pub const fn new(value: T) -> Self {
@@ -51,101 +28,12 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex and returns the protected value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        MutexGuard { inner: Some(inner) }
-    }
-
-    /// Returns a mutable reference to the protected value without locking
-    /// (possible because `&mut self` proves exclusive access).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-/// A condition variable with the `parking_lot::Condvar` API: `wait` takes the
-/// guard by `&mut` (instead of std's by-value round trip) and spurious
-/// wake-ups are possible, exactly as with both upstream implementations.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically releases the guarded lock and blocks until notified, then
-    /// reacquires the lock before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard holds the lock");
-        guard.inner = Some(match self.inner.wait(inner) {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        });
-    }
-
-    /// Wakes one thread blocked on this condition variable, if any.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes every thread blocked on this condition variable.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-/// A reader-writer lock with the `parking_lot::RwLock` API: `read()`/`write()`
-/// return guards directly and the lock never poisons.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.inner.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Acquires an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.inner.write() {
+        match self.inner.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -161,35 +49,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes_a_waiter() {
-        let pair = std::sync::Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = std::sync::Arc::clone(&pair);
-        let waiter = std::thread::spawn(move || {
-            let (lock, cvar) = &*pair2;
-            let mut ready = lock.lock();
-            while !*ready {
-                cvar.wait(&mut ready);
-            }
-            *ready
-        });
-        {
-            let (lock, cvar) = &*pair;
-            *lock.lock() = true;
-            cvar.notify_one();
-        }
-        assert!(waiter.join().unwrap());
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(7);
-        assert_eq!(*l.read(), 7);
-        *l.write() = 9;
-        assert_eq!(*l.read(), 9);
     }
 
     #[test]
