@@ -2,7 +2,10 @@
 //!
 //! * the distribution fan-out `m` (the paper sets `m = Θ(M/B)`; too small a
 //!   fan-out adds recursion levels, too large a fan-out starves the merge of
-//!   buffer blocks),
+//!   buffer blocks).  The requested `m` is an upper bound: a slab of `n`
+//!   rectangles is split at most `⌈2.5·n/M⌉` ways, `M` of the configuration
+//!   rather than the `memory_rects` override, and settings above that cap
+//!   run alike,
 //! * the in-memory threshold `M` (when to stop recursing and plane-sweep),
 //!
 //! measured both in wall-clock time (Criterion) and in I/O count (printed).

@@ -8,7 +8,9 @@
 //!    (`O((N/B) log_{M/B}(N/B))` I/Os).
 //! 3. **Recurse**: if the rectangles of the current slab fit in the memory
 //!    budget `M`, run the in-memory plane sweep; otherwise divide the slab
-//!    into `m = Θ(M/B)` sub-slabs, distribute the rectangles
+//!    of `n` rectangles into at most `min(m, ⌈2.5·n/M⌉)` sub-slabs,
+//!    `m = Θ(M/B)`, at rectangle-edge quantiles
+//!    ([`crate::slab::compute_partition`]), distribute the rectangles
 //!    ([`crate::slab::distribute`]), solve each sub-slab recursively and
 //!    combine the child slab-files with [`merge_sweep`](crate::merge_sweep()).
 //! 4. **Extract** the best tuple of the final slab-file and **canonicalize**
@@ -45,13 +47,19 @@ const MIN_POOL_BLOCKS_PER_WORKER: usize = 8;
 /// experiments; overrides exist for tests and ablation studies.
 #[derive(Debug, Clone, Copy)]
 pub struct ExactMaxRsOptions {
-    /// Override for the distribution fan-out `m` (default: `EmConfig::fanout`).
+    /// Override for the largest distribution fan-out `m` (default:
+    /// `EmConfig::fanout`).  It is an upper bound: a slab of `n` rectangles
+    /// is split into at most `max(2, ⌈2.5·n/M⌉)` sub-slabs (see
+    /// [`compute_partition`](crate::slab::compute_partition)).
     pub fanout: Option<usize>,
     /// Override for the in-memory threshold `M`, in rectangles (default:
-    /// `EmConfig::mem_records::<RectRecord>()`).
+    /// `EmConfig::mem_records::<RectRecord>()`).  It moves only the leaf
+    /// threshold; the fan-out cap counts the configuration's `M`.
     pub memory_rects: Option<usize>,
-    /// Reservoir size used when slab boundaries must be estimated from an
-    /// unsorted rectangle file (recursion levels below the first).
+    /// Reservoir size of the rectangle-edge sample that slab boundaries are
+    /// drawn from, except at the root of a center-x-sorted pass, which
+    /// samples [`BoundarySource::SortedExact`](crate::slab::BoundarySource)'s
+    /// default of 8,192.
     pub boundary_sample: usize,
     /// Maximum number of worker threads for the parallel slab stage
     /// (default: the available core count; `1` runs the paper's sequential
@@ -80,7 +88,7 @@ impl Default for ExactMaxRsOptions {
         ExactMaxRsOptions {
             fanout: None,
             memory_rects: None,
-            boundary_sample: 8192,
+            boundary_sample: crate::slab::DEFAULT_BOUNDARY_SAMPLE,
             parallelism: available_parallelism(),
         }
     }

@@ -1,11 +1,12 @@
 //! Slab partitioning and rectangle distribution for the distribution sweep.
 //!
-//! At every recursion node of ExactMaxRS the current slab is divided into
-//! `m = Θ(M/B)` sub-slabs containing roughly the same number of rectangles.
-//! Each rectangle is then routed to the sub-slabs holding its vertical edges
-//! (cropped accordingly), while the parts that *span* entire sub-slabs are
-//! diverted to a separate spanning file — the key idea that guarantees the
-//! recursion terminates (Lemma 1 of the paper).
+//! At every recursion node of ExactMaxRS the current slab is divided into at
+//! most `m = Θ(M/B)` sub-slabs — no more than `⌈2.5·n/M⌉` for a slab of `n`
+//! rectangles — split at quantiles of the rectangle edges, so each sub-slab
+//! holds about the same number of edges.  Each rectangle is then routed to the
+//! sub-slabs holding its vertical edges (cropped accordingly), while the parts
+//! that *span* entire sub-slabs are diverted to a separate spanning file — the
+//! key idea that guarantees the recursion terminates (Lemma 1 of the paper).
 
 use maxrs_em::{external_sort_by_key, EmContext, TupleFile, TupleWriter};
 use maxrs_geometry::{Interval, Rect};
@@ -68,10 +69,19 @@ impl SlabPartition {
     /// after level.  A sub-slab it covers only partly receives the cropped
     /// end piece (the whole rectangle when both edges fall into one
     /// sub-slab); a right edge exactly on a boundary leaves no zero-width
-    /// piece behind.
+    /// piece behind.  A rectangle that misses the partition's outer bounds
+    /// altogether — where [`Rect::clip_x`] would drop it at the leaves — goes
+    /// nowhere.
     pub fn crop(&self, rec: &RectRecord) -> Crop {
         let b = &self.boundaries;
         let r = rec.rect;
+        let outer = Interval::new(b[0], b[self.num_slabs()]);
+        if r.clip_x(&outer).is_none() {
+            return Crop {
+                pieces: [None, None],
+                span: None,
+            };
+        }
         let j = self.locate(r.x_lo);
         let k = self.locate(r.x_hi);
         let covers_left = r.x_lo <= b[j];
@@ -122,25 +132,41 @@ pub struct Crop {
     pub span: Option<[SpanEvent; 2]>,
 }
 
-/// How slab boundaries are derived from the input file.
+/// The reservoir size of [`BoundarySource::SortedExact`], and the default of
+/// [`ExactMaxRsOptions::boundary_sample`](crate::ExactMaxRsOptions::boundary_sample).
+pub(crate) const DEFAULT_BOUNDARY_SAMPLE: usize = 8192;
+
+/// How large a reservoir [`compute_partition`] draws its edge sample from.
+/// Both variants sample the rectangle edges with the same deterministic
+/// reservoir; neither reads the file's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundarySource {
-    /// The file is sorted by rectangle center x, so exact quantiles can be
-    /// read off in a single sequential pass (the situation after the initial
-    /// external sort of the paper's pipeline).
+    /// The root of a pass over a center-x-sorted file, as the sweep marks
+    /// it: a reservoir of 8,192 edges, the default
+    /// [`ExactMaxRsOptions::boundary_sample`](crate::ExactMaxRsOptions::boundary_sample).
     SortedExact,
-    /// The file is in arbitrary order; boundaries are quantiles of a
-    /// deterministic reservoir sample of at most the given size.
+    /// A reservoir of at most the given size.
     Sampled(usize),
 }
 
-/// Computes `m` sub-slab boundaries for the rectangles of `file` within the
+/// Computes the sub-slab boundaries for the rectangles of `file` within the
 /// outer slab `outer`.
 ///
-/// Duplicate quantiles (heavy ties on x) are collapsed, so the returned
-/// partition may have fewer than `m` slabs; callers must handle partitions
-/// that degenerate to a single slab (no progress) by falling back to the
-/// in-memory sweep.
+/// `m` is the largest fan-out the caller accepts.  A file of `n` rectangles
+/// gets `k ≤ max(2, ⌈2.5·n/M⌉)` sub-slabs (`M` =
+/// `mem_records::<RectRecord>()` of the context's configuration), split at
+/// quantiles of the rectangle edges (`x_lo`, `x_hi`) strictly inside `outer`.
+/// Each sub-slab then holds about `2n/k ≤ 0.8·M` edges, and the distribution
+/// never hands a child more rectangles than the edges inside its sub-slab, so
+/// a slab of up to `m·M/2.5` rectangles ends in one level of in-memory
+/// children whatever the rectangle widths.
+///
+/// When no edge lies strictly inside a bounded `outer` (every rectangle
+/// covers the whole slab), the slab is split at its midpoint, so every
+/// rectangle becomes a span event.  Duplicate quantiles (heavy ties on x) are
+/// collapsed, so the returned partition may have fewer slabs; callers must
+/// handle partitions that degenerate to a single slab (no progress) by
+/// falling back to the in-memory sweep.
 pub fn compute_partition(
     ctx: &EmContext,
     file: &TupleFile<RectRecord>,
@@ -148,63 +174,54 @@ pub fn compute_partition(
     m: usize,
     source: BoundarySource,
 ) -> Result<SlabPartition> {
-    let m = m.max(2);
     let n = file.len();
-    let centers: Vec<f64> = match source {
-        BoundarySource::SortedExact => {
-            // One sequential pass: remember the centers at the quantile ranks.
-            let mut targets: Vec<u64> = (1..m as u64).map(|i| i * n / m as u64).collect();
-            targets.dedup();
-            let mut out = Vec::with_capacity(targets.len());
-            let mut reader = ctx.open_reader(file);
-            let mut idx: u64 = 0;
-            let mut t = 0usize;
-            while let Some(rec) = reader.next_record()? {
-                if t < targets.len() && idx == targets[t] {
-                    out.push(rec.center_x());
-                    t += 1;
-                }
-                idx += 1;
-                if t == targets.len() {
-                    break;
+    let mem = ctx.config().mem_records::<RectRecord>().max(1) as u64;
+    let m = m.min((5 * n).div_ceil(2 * mem) as usize).max(2);
+    let cap = match source {
+        BoundarySource::SortedExact => DEFAULT_BOUNDARY_SAMPLE,
+        BoundarySource::Sampled(cap) => cap,
+    }
+    .max(m * 4);
+
+    let mut sample: Vec<f64> = Vec::with_capacity(cap.min(2 * n as usize));
+    let mut reader = ctx.open_reader(file);
+    let mut seen: u64 = 0;
+    // Deterministic xorshift so experiments are reproducible.
+    let mut state: u64 = 0x9E3779B97F4A7C15 ^ (n.wrapping_mul(0x2545F4914F6CDD1D));
+    let mut next_rand = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    while let Some(rec) = reader.next_record()? {
+        for edge in [rec.rect.x_lo, rec.rect.x_hi] {
+            if !outer.contains_open(edge) {
+                continue;
+            }
+            seen += 1;
+            if sample.len() < cap {
+                sample.push(edge);
+            } else {
+                let j = next_rand() % seen;
+                if (j as usize) < cap {
+                    sample[j as usize] = edge;
                 }
             }
-            out
         }
-        BoundarySource::Sampled(cap) => {
-            let cap = cap.max(m * 4);
-            let mut sample: Vec<f64> = Vec::with_capacity(cap.min(n as usize));
-            let mut reader = ctx.open_reader(file);
-            let mut seen: u64 = 0;
-            // Deterministic xorshift so experiments are reproducible.
-            let mut state: u64 = 0x9E3779B97F4A7C15 ^ (n.wrapping_mul(0x2545F4914F6CDD1D));
-            let mut next_rand = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            while let Some(rec) = reader.next_record()? {
-                seen += 1;
-                if sample.len() < cap {
-                    sample.push(rec.center_x());
-                } else {
-                    let j = next_rand() % seen;
-                    if (j as usize) < cap {
-                        sample[j as usize] = rec.center_x();
-                    }
-                }
-            }
-            sample.sort_unstable_by(f64::total_cmp);
-            (1..m)
-                .map(|i| sample[(i * sample.len() / m).min(sample.len().saturating_sub(1))])
-                .collect()
-        }
+    }
+    sample.sort_unstable_by(f64::total_cmp);
+    // With no edge inside, the midpoint (NaN or infinite on an unbounded
+    // side, and then skipped) still splits a bounded slab.
+    let cuts: Vec<f64> = if sample.is_empty() {
+        vec![outer.lo + (outer.hi - outer.lo) / 2.0]
+    } else {
+        (1..m).map(|i| sample[i * sample.len() / m]).collect()
     };
 
     let mut boundaries = Vec::with_capacity(m + 1);
     boundaries.push(outer.lo);
-    for c in centers {
+    for c in cuts {
         if c > *boundaries.last().unwrap() && c < outer.hi {
             boundaries.push(c);
         }
@@ -332,28 +349,109 @@ mod tests {
     }
 
     #[test]
-    fn compute_partition_sorted_exact() {
+    fn compute_partition_caps_the_fan_out_at_the_file_size() {
+        // 256-byte blocks and a 4,096-byte buffer: M = 102 rectangles.
         let ctx = ctx();
-        // 100 rectangles with centers 0..100, sorted.
-        let rects: Vec<RectRecord> = (0..100)
-            .map(|i| rect(i as f64 - 0.5, i as f64 + 0.5, 0.0, 1.0, 1.0))
+        assert_eq!(ctx.config().mem_records::<RectRecord>(), 102);
+        let partition_of = |n: usize| {
+            let rects: Vec<RectRecord> = (0..n)
+                .map(|i| rect(i as f64 - 0.5, i as f64 + 0.5, 0.0, 1.0, 1.0))
+                .collect();
+            let file = ctx.write_all(&rects).unwrap();
+            let p = compute_partition(
+                &ctx,
+                &file,
+                Interval::UNBOUNDED,
+                4,
+                BoundarySource::SortedExact,
+            )
+            .unwrap();
+            ctx.delete_file(file).unwrap();
+            p
+        };
+
+        // ⌈2.5·100/102⌉ = 3 sub-slabs, at edge quantiles.
+        let p = partition_of(100);
+        assert!(p.num_slabs() >= 2 && p.num_slabs() <= 3, "{p:?}");
+        assert!(p.boundaries[0].is_infinite() && p.boundaries[p.num_slabs()].is_infinite());
+        assert!((p.boundaries[1] - 33.0).abs() <= 2.0, "{p:?}");
+
+        // A file many buffers long keeps the requested fan-out.
+        let p = partition_of(2_000);
+        assert_eq!(p.num_slabs(), 4);
+        for (i, q) in [500.0, 1000.0, 1500.0].into_iter().enumerate() {
+            assert!((p.boundaries[i + 1] - q).abs() <= 50.0, "{p:?}");
+        }
+    }
+
+    /// A slab of up to `m·M/2.5` rectangles ends in one level: at most
+    /// `⌈2.5·n/M⌉` sub-slabs, and no child larger than `M`, for any
+    /// rectangle width and either reservoir.
+    #[test]
+    fn compute_partition_finishes_a_few_buffers_in_one_level() {
+        use maxrs_datagen::{Dataset, DatasetKind, SPACE_EXTENT};
+        use maxrs_geometry::RectSize;
+
+        // 1 KiB blocks, 64-block buffer: M = 1,638 rectangles, m = 62.
+        let ctx = EmContext::new(EmConfig::new(1024, 64 * 1024).unwrap());
+        let mem = ctx.config().mem_records::<RectRecord>();
+        let fanout = ctx.config().fanout();
+        for kind in [DatasetKind::Uniform, DatasetKind::Gaussian] {
+            for n in [5_000, 20_000] {
+                let objects = Dataset::generate(kind, n, 7).objects;
+                let cap = (5 * n).div_ceil(2 * mem);
+                assert!(cap <= fanout);
+                for share in [0.01, 0.1, 0.4] {
+                    let size = RectSize::square(share * SPACE_EXTENT);
+                    let mut rects: Vec<RectRecord> = objects
+                        .iter()
+                        .map(|o| RectRecord::new(o.to_rect(size), o.weight))
+                        .collect();
+                    let unsorted = ctx.write_all(&rects).unwrap();
+                    rects.sort_by(|a, b| a.center_x().total_cmp(&b.center_x()));
+                    let sorted = ctx.write_all(&rects).unwrap();
+                    for (file, source) in [
+                        (&sorted, BoundarySource::SortedExact),
+                        (&unsorted, BoundarySource::Sampled(8192)),
+                    ] {
+                        let p = compute_partition(&ctx, file, Interval::UNBOUNDED, fanout, source)
+                            .unwrap();
+                        let at = format!("{kind:?} n={n} share={share} {source:?}");
+                        assert!(p.num_slabs() >= 2 && p.num_slabs() <= cap, "{at}");
+                        let dist = distribute(&ctx, file, &p).unwrap();
+                        for f in dist.slab_inputs {
+                            assert!(f.len() as usize <= mem, "{at}: child of {}", f.len());
+                            ctx.delete_file(f).unwrap();
+                        }
+                        ctx.delete_file(dist.span_events).unwrap();
+                    }
+                    ctx.delete_file(sorted).unwrap();
+                    ctx.delete_file(unsorted).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compute_partition_splits_a_slab_no_edge_falls_inside() {
+        // A bounded slab narrower than every rectangle (a MinRS domain
+        // narrower than the query): all rectangles cover it, so the reservoir
+        // is empty.  One slab would hand a file larger than M to the leaf
+        // sweep; the midpoint split turns every rectangle into a span event.
+        let ctx = ctx();
+        let n = 300;
+        let rects: Vec<RectRecord> = (0..n)
+            .map(|i| rect(-(i as f64), 10.0 + i as f64, i as f64, i as f64 + 2.0, 1.0))
             .collect();
         let file = ctx.write_all(&rects).unwrap();
-        let p = compute_partition(
-            &ctx,
-            &file,
-            Interval::UNBOUNDED,
-            4,
-            BoundarySource::SortedExact,
-        )
-        .unwrap();
-        assert_eq!(p.num_slabs(), 4);
-        // Quantile boundaries at roughly 25 / 50 / 75.
-        assert!((p.boundaries[1] - 25.0).abs() <= 2.0);
-        assert!((p.boundaries[2] - 50.0).abs() <= 2.0);
-        assert!((p.boundaries[3] - 75.0).abs() <= 2.0);
-        assert!(p.boundaries[0].is_infinite());
-        assert!(p.boundaries[4].is_infinite());
+        let outer = Interval::new(2.0, 6.0);
+        for source in [BoundarySource::SortedExact, BoundarySource::Sampled(32)] {
+            let p = compute_partition(&ctx, &file, outer, 8, source).unwrap();
+            assert_eq!(p.boundaries, vec![2.0, 4.0, 6.0], "{source:?}");
+            let dist = distribute(&ctx, &file, &p).unwrap();
+            assert!(dist.slab_inputs.iter().all(|f| f.is_empty()));
+            assert_eq!(dist.span_events.len(), 2 * n as u64);
+        }
     }
 
     #[test]

@@ -326,9 +326,11 @@ pub fn next_breakpoint_after(
 /// Runs the distribution-sweep recursion over an **already distributed**
 /// rectangle file: the caller has cropped the rectangles to `slab` (and
 /// routed away anything outside it), so no transform and no top-level sort
-/// happen here.  `sorted` says whether the file is in center-x order (exact
-/// boundary selection) or not (sampled boundaries, as for recursion
-/// children).  This is the per-shard entry point of the sharded dataset
+/// happen here.  `sorted` says whether the file is in center-x order (the
+/// root's boundaries then come from the default-size edge reservoir,
+/// [`BoundarySource::SortedExact`]) or not (a reservoir of
+/// `opts.boundary_sample` edges, as for recursion children).  This is the
+/// per-shard entry point of the sharded dataset
 /// layer ([`crate::shard`]), which runs one such solve per shard and then
 /// combines the shard slab-files through the same span-event MergeSweep the
 /// recursion itself uses.
@@ -385,7 +387,8 @@ impl<'a> Runner<'a> {
             return self.solve_in_memory(input, slab);
         }
 
-        // Divide the slab into m sub-slabs with roughly equal rectangle counts.
+        // Divide the slab into at most m sub-slabs, fewer for a small slab,
+        // with roughly equal rectangle-edge counts.
         let source = if sorted {
             BoundarySource::SortedExact
         } else {

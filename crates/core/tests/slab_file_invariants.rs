@@ -232,3 +232,38 @@ fn crop_spans_covered_sub_slabs_and_drops_zero_width_pieces() {
     assert_eq!(c.pieces, [Some((1, rect(12.0, 18.0))), None]);
     assert_eq!(span(&c), None);
 }
+
+/// The crop rule drops a rectangle that misses a bounded partition — under
+/// exactly the condition on which the leaf sweep's `clip_x` would drop it —
+/// instead of carrying it down into an end sub-slab.
+#[test]
+fn crop_drops_rectangles_that_miss_the_partition() {
+    let p = SlabPartition::new(vec![0.0, 10.0, 20.0, 30.0]);
+    let rect = |x_lo: f64, x_hi: f64| RectRecord::new(Rect::new(x_lo, x_hi, 1.0, 2.0), 3.0);
+    let outer = Interval::new(0.0, 30.0);
+    for r in [rect(-9.0, -1.0), rect(31.0, 40.0), rect(-0.5, -1e-9)] {
+        assert!(r.rect.clip_x(&outer).is_none());
+        assert_eq!(
+            p.crop(&r),
+            Crop {
+                pieces: [None, None],
+                span: None
+            },
+            "{r:?}"
+        );
+    }
+
+    // A rectangle touching an outer bound still has a zero-width part in the
+    // slab, so `clip_x` keeps it and so does the crop.
+    for (r, slab) in [(rect(-5.0, 0.0), 0), (rect(30.0, 35.0), 2)] {
+        assert!(r.rect.clip_x(&outer).is_some());
+        assert_eq!(p.crop(&r).pieces, [Some((slab, r)), None], "{r:?}");
+    }
+
+    // An unbounded partition drops nothing.
+    let p = SlabPartition::new(vec![f64::NEG_INFINITY, 0.0, f64::INFINITY]);
+    assert_eq!(
+        p.crop(&rect(-9.0, -1.0)).pieces,
+        [Some((0, rect(-9.0, -1.0))), None]
+    );
+}

@@ -139,7 +139,10 @@ impl EmConfig {
 
     /// Merge / distribution fan-out `m = Θ(M/B)`: the number of input streams
     /// that can be processed simultaneously, leaving one block for the output
-    /// buffer and one block of slack.
+    /// buffer and one block of slack.  The external sort merges this many
+    /// runs at once; the distribution sweep takes it as an upper bound and
+    /// splits a slab of `n` rectangles into at most `max(2, ⌈2.5·n/M⌉)`
+    /// sub-slabs.
     pub fn fanout(&self) -> usize {
         self.buffer_blocks().saturating_sub(2).max(2)
     }

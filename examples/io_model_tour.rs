@@ -5,7 +5,9 @@
 //! This reproduces, in miniature, the behaviour of Figure 13 of the paper:
 //! ExactMaxRS benefits from a larger buffer (the `log_{M/B}` factor shrinks
 //! and the base cases grow), until the whole working set fits and the curve
-//! flattens.
+//! flattens.  Each slab is split into at most `⌈2.5·n/M⌉` sub-slabs, so a
+//! larger buffer never fans a small slab out wider than it needs: every step
+//! up the buffer sizes moves at most 5% more blocks, which the tour asserts.
 //!
 //! The sweep honors the storage backend selected by `MAXRS_BACKEND` — run it
 //! with `MAXRS_BACKEND=fs` and every block lands in a real file, while the
@@ -58,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(result.total_weight >= 1.0);
         if let Some(prev) = previous {
             assert!(
-                stats.total() <= prev + prev / 4,
-                "more buffer should never cost substantially more I/O"
+                stats.total() <= prev + prev / 20,
+                "more buffer should never cost more than 5% more I/O"
             );
         }
         previous = Some(stats.total());
