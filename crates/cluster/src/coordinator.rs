@@ -473,17 +473,18 @@ impl ClusterCoordinator {
 
     // ---- the distributed sweep ----------------------------------------------
 
-    /// One `(size, weight_scale, root)` pass over the cluster: the
-    /// two-round distribute/solve protocol (see [`crate::protocol`]) plus
-    /// the canonical [`merge_sweep`] on the coordinator's merge device.
-    /// Returns the merged root slab-file, exactly the file the
-    /// single-machine `ShardedDataset` sweep produces.
+    /// One `(size, weight_scale, root)` pass over the cluster, restricted
+    /// to the unsuppressed rectangles meeting `band`: the two-round
+    /// distribute/solve protocol (see [`crate::protocol`]) plus the
+    /// canonical [`merge_sweep`] on the coordinator's merge device.  Returns
+    /// the merged root slab-file, exactly the file the single-machine
+    /// `ShardedDataset` sweep produces.
     fn cluster_slab_file(
         &self,
         size: RectSize,
         weight_scale: f64,
         root: Interval,
-        suppressed: &[Rect],
+        (suppressed, band): (&[Rect], Interval),
         agg: &Mutex<IoSnapshot>,
     ) -> Result<TupleFile<SlabTuple>> {
         let ShardRoute {
@@ -501,6 +502,7 @@ impl ClusterCoordinator {
             owners: owners.iter().map(|&o| o as u32).collect(),
             engaged: engaged.iter().map(|&s| s as u32).collect(),
             suppressed: suppressed.to_vec(),
+            band,
         };
 
         // Round 1 — distribute: spans and cross-server piece exports.
@@ -720,9 +722,15 @@ impl SweepHost for ClusterSweep<'_> {
         weight_scale: f64,
         root: Interval,
         suppressed: &[Rect],
+        band: Interval,
     ) -> Result<TupleFile<SlabTuple>> {
-        self.cluster
-            .cluster_slab_file(size, weight_scale, root, suppressed, &self.remote_io)
+        self.cluster.cluster_slab_file(
+            size,
+            weight_scale,
+            root,
+            (suppressed, band),
+            &self.remote_io,
+        )
     }
 
     fn next_breakpoint(

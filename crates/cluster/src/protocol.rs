@@ -20,7 +20,11 @@
 //! session bookkeeping.  Top-k suppression rounds stay stateless the same
 //! way: every request carries the list of already-chosen rectangles
 //! ([`PassSpec::suppressed`]) and servers skip the objects inside them in
-//! every scan of the request.
+//! every scan of the request.  A round after the first sweeps only the
+//! y-band its predecessor's pick can change ([`PassSpec::band`]; see
+//! [`maxrs_core::batch`]): servers crop only the rectangles meeting it, and
+//! the coordinator splices the merged band into the previous round's
+//! slab-file on its own device.
 //!
 //! The encoding is length-prefixed little-endian, reusing the exact on-disk
 //! [`Record`] codecs for records, so a record crosses the wire bit-identical
@@ -57,6 +61,9 @@ pub struct PassSpec {
     /// Top-k suppression: objects strictly inside any of these rectangles
     /// are filtered out of every scan of the pass.
     pub suppressed: Vec<Rect>,
+    /// The closed y-band of the pass: only rectangles meeting it are swept
+    /// ([`Interval::UNBOUNDED`] except for top-k rounds after the first).
+    pub band: Interval,
 }
 
 /// A batch of rectangle pieces cropped from one source shard into one
@@ -317,6 +324,7 @@ impl Writer {
         self.u32s(&p.owners);
         self.u32s(&p.engaged);
         self.rects(&p.suppressed);
+        self.interval(p.band);
     }
     fn piece_sets(&mut self, ps: &[PieceSet]) {
         self.u32(ps.len() as u32);
@@ -434,6 +442,7 @@ impl<'a> Reader<'a> {
             owners: self.u32s()?,
             engaged: self.u32s()?,
             suppressed: self.rects()?,
+            band: self.interval()?,
         })
     }
     fn piece_sets(&mut self) -> WireResult<Vec<PieceSet>> {
@@ -722,6 +731,7 @@ mod tests {
             owners: vec![0, 1, 2],
             engaged: vec![0, 2, 3],
             suppressed: vec![Rect::new(0.0, 1.0, -2.0, 3.0)],
+            band: Interval::new(-4.5, 7.5),
         }
     }
 
@@ -730,6 +740,10 @@ mod tests {
         roundtrip_request(Request::Describe);
         roundtrip_request(Request::FetchObjects);
         roundtrip_request(Request::Distribute(sample_pass()));
+        roundtrip_request(Request::Distribute(PassSpec {
+            band: Interval::UNBOUNDED,
+            ..sample_pass()
+        }));
         roundtrip_request(Request::Solve {
             pass: sample_pass(),
             imported: vec![PieceSet {

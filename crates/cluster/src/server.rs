@@ -9,7 +9,8 @@
 //! The handlers run the single-machine
 //! [`ShardedDataset`](maxrs_core::ShardedDataset)'s phases on the shards
 //! this server hosts, with the same shared pieces of `maxrs-core`: the crop
-//! scan ([`crop_scan`]: suppression, transform and [`SlabPartition::crop`]),
+//! scan ([`crop_scan`]: suppression and the y-band, transform and
+//! [`SlabPartition::crop`]),
 //! the per-slab recursion and the breakpoint scan.
 //! Pieces concatenate in the same global source order, which is what makes
 //! the coordinator's merged answers bit-identical to the unsharded sweep.
@@ -202,7 +203,8 @@ impl ShardServer {
 
     /// Checks a pass once, before any scan: at least two strictly
     /// increasing bounds, one owner per slab, owner and engaged ids below
-    /// `K`, and a positive finite rectangle size.
+    /// `K`, a positive finite rectangle size and a band whose bounds are
+    /// numbers with `lo <= hi`.
     fn check_pass(&self, pass: &PassSpec) -> CoreResult<SlabPartition> {
         let malformed =
             |detail: String| CoreError::InvalidParameter(format!("malformed pass: {detail}"));
@@ -221,6 +223,13 @@ impl ShardServer {
         }
         self.check_ids(pass.owners.iter().chain(&pass.engaged))?;
         Query::max_rs(pass.size).validate()?;
+        let band = pass.band;
+        if band.lo.is_nan() || band.hi.is_nan() || band.lo > band.hi {
+            return Err(malformed(format!(
+                "band [{}, {}] is not an interval",
+                band.lo, band.hi
+            )));
+        }
         Ok(SlabPartition::new(pass.bounds.clone()))
     }
 
@@ -260,7 +269,7 @@ impl ShardServer {
                 h.objects(),
                 &partition,
                 (pass.size, pass.weight_scale),
-                &pass.suppressed,
+                (&pass.suppressed, pass.band),
                 |t, piece| {
                     if !self.hosts(pass.owners[t] as usize) {
                         pieces.entry(t as u32).or_default().push(piece);
@@ -317,7 +326,7 @@ impl ShardServer {
                 h.objects(),
                 &partition,
                 (pass.size, pass.weight_scale),
-                &pass.suppressed,
+                (&pass.suppressed, pass.band),
                 |t, piece| {
                     if self.hosts(owners[t]) {
                         pieces.entry((h.id, t)).or_default().push(piece);

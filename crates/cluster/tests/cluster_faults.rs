@@ -438,9 +438,18 @@ fn malformed_requests_get_error_responses_instead_of_panics() {
         owners: vec![0, 1],
         engaged: vec![0, 1],
         suppressed: Vec::new(),
+        band: Interval::UNBOUNDED,
     };
     assert!(matches!(
         server.handle(&Request::Distribute(valid.clone())),
+        Response::Distributed { .. }
+    ));
+    let banded = PassSpec {
+        band: Interval::new(-10.0, 10.0),
+        ..valid.clone()
+    };
+    assert!(matches!(
+        server.handle(&Request::Distribute(banded)),
         Response::Distributed { .. }
     ));
 
@@ -489,6 +498,24 @@ fn malformed_requests_get_error_responses_instead_of_panics() {
         },
         PassSpec {
             engaged: vec![0, 7],
+            ..valid.clone()
+        },
+        PassSpec {
+            band: Interval { lo: 5.0, hi: -5.0 },
+            ..valid.clone()
+        },
+        PassSpec {
+            band: Interval {
+                lo: f64::NAN,
+                hi: 1.0,
+            },
+            ..valid.clone()
+        },
+        PassSpec {
+            band: Interval {
+                lo: 0.0,
+                hi: f64::NAN,
+            },
             ..valid.clone()
         },
     ];

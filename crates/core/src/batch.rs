@@ -13,8 +13,8 @@
 //!   rectangle size (a circle's MBR is the `d × d` square) share one
 //!   positive-weight pass: MaxRS answers *are* the pass's canonical best,
 //!   top-k takes it as its first round (later suppression rounds are
-//!   shared up to the largest requested `k`), and ApproxMaxCRS refines the
-//!   shared centroid with its own 5-candidate sums.
+//!   shared up to the largest requested `k`, see below), and ApproxMaxCRS
+//!   refines the shared centroid with its own 5-candidate sums.
 //! * [`Query::MinRs`] queries sharing a size and a domain x-slab share one
 //!   weight-negated pass; each member streams its own domain-clipped strip
 //!   scan over the shared slab-file.
@@ -22,9 +22,9 @@
 //! # One driver, many hosts
 //!
 //! The driver asks a dataset for a handful of operations only, the
-//! [`SweepHost`] trait: one sweep pass (size, weight scale, root slab and the
-//! suppressed rectangles of earlier top-k rounds in, merged root slab-file
-//! out), the next arrangement breakpoint for canonicalization, the
+//! [`SweepHost`] trait: one sweep pass (size, weight scale, root slab, the
+//! suppressed rectangles of earlier top-k rounds and a y-band in, merged root
+//! slab-file out), the next arrangement breakpoint for canonicalization, the
 //! ApproxMaxCRS candidate sums, the objects themselves and an I/O meter.
 //! Top-k suppression is a scan predicate — every scan of a round leaves out
 //! the objects strictly inside an already chosen rectangle — so no host
@@ -45,6 +45,25 @@
 //! per-query path *is* a batch of one.  Whether a group's sweep runs alone
 //! with parallel children or beside other groups on one worker, it ends in
 //! the same flat MergeSweep, so this holds for any weights.
+//!
+//! # Top-k rounds splice
+//!
+//! The merged slab-file holds one tuple per horizontal strip: its `y`, the
+//! strip's max-interval and weight.  Suppressing the objects strictly inside
+//! a chosen `w × h` rectangle `R` changes the location-weight only inside the
+//! y-band `B = [R.y_lo − h/2, R.y_hi + h/2]`, so every tuple outside `B` is
+//! already a tuple of the next round.  Round 1 keeps its slab-file; each
+//! later round sweeps only the objects whose rectangle meets `B` (the `band`
+//! of [`SweepHost::sweep`]) and streams the `y`-ordered splice — the band
+//! file's tuples inside `B`, the previous round's outside — through the
+//! extract rule, writing the spliced file only when another round follows.
+//! For integer weights the splice equals a full re-sweep bit for bit:
+//! outside `B` the event `y`s, the sums and the leftmost max cell's `x_lo`
+//! are unchanged; inside `B` every rectangle active at a tuple's `y` meets
+//! `B`; and canonicalization re-derives `x_hi` from the objects as before.
+//! A group with no round after the first (every MaxRS, ApproxMaxCRS and
+//! top-1 query) deletes its slab-file before canonicalization, in the block
+//! sequence of a lone pass.
 //!
 //! # I/O attribution
 //!
@@ -68,7 +87,7 @@ use crate::parallel::parallel_map;
 use crate::query::{Query, QueryAnswer, QueryRun};
 use crate::records::{ObjectRecord, SlabTuple};
 use crate::result::{MaxCrsResult, MaxRsResult};
-use crate::sweep::{extract_best, next_breakpoint_after, SweepPass};
+use crate::sweep::{extract_best, next_breakpoint_after, BestTuple, SweepPass};
 
 /// A validated slice of queries planned into shared sweep groups.
 ///
@@ -211,13 +230,18 @@ pub trait SweepHost {
     /// One sweep pass: the merged, y-sorted slab-file of `root` over every
     /// object's `size` rectangle with its weight multiplied by
     /// `weight_scale`, leaving out the objects strictly inside one of
-    /// `suppressed`.  The caller deletes the file.
+    /// `suppressed` and keeping only the rectangles that meet the closed
+    /// y-band `band` (see [`swept_rect`](crate::sweep::swept_rect)).  With
+    /// [`Interval::UNBOUNDED`] that is every rectangle; a narrower band is a
+    /// top-k round's (module docs), whose tuples inside the band are the full
+    /// pass's.  The caller deletes the file.
     fn sweep(
         &self,
         size: RectSize,
         weight_scale: f64,
         root: Interval,
         suppressed: &[Rect],
+        band: Interval,
     ) -> std::result::Result<TupleFile<SlabTuple>, Self::Error>;
 
     /// The smallest arrangement breakpoint strictly greater than `x` over the
@@ -279,11 +303,13 @@ impl SweepHost for FileHost<'_> {
         weight_scale: f64,
         root: Interval,
         suppressed: &[Rect],
+        band: Interval,
     ) -> Result<TupleFile<SlabTuple>> {
         self.pass
             .with_weight_scale(weight_scale)
             .with_root(root)
             .with_suppressed(suppressed)
+            .with_band(band)
             .slab_file(self.objects, size)
     }
 
@@ -524,11 +550,14 @@ fn shared_group<H: SweepHost>(
         return Ok(trivial_answers(members, queries));
     }
 
-    // The shared phase: the full pipeline once, charged to the leader.
-    let (best, shared_io) = measured(host, meter, || {
-        best_placement(host, size, 1.0, Interval::UNBOUNDED, &[])
+    // The shared phase: the full pipeline once, charged to the leader.  Its
+    // slab-file outlives it when later top-k rounds splice into it.
+    let ((best, slab_file), shared_io) = measured(host, meter, || {
+        placement(host, size, 1.0, Interval::UNBOUNDED, &[], max_k > 1)
     })?;
-    let (rounds, rounds_io) = measured(host, meter, || top_k_rounds(host, size, max_k, best))?;
+    let (rounds, rounds_io) = measured(host, meter, || {
+        top_k_rounds(host, size, max_k, best, slab_file)
+    })?;
 
     let mut out = Vec::with_capacity(members.len());
     let mut shared_io = Some(shared_io);
@@ -562,35 +591,174 @@ fn shared_group<H: SweepHost>(
     Ok(out)
 }
 
-/// Greedy MaxkRS suppression rounds, with round 1 supplied by the group's
-/// shared pass.
+/// Greedy MaxkRS suppression rounds, with round 1 (and its slab-file,
+/// whenever a round follows) supplied by the group's shared pass.
 ///
 /// Each further round solves MaxRS on the objects outside every rectangle
 /// chosen so far — the external analogue of
 /// [`max_k_rs_in_memory`](crate::extensions::max_k_rs_in_memory)'s `retain`,
 /// and the same answers: round `r` sees exactly the objects the in-memory
 /// greedy sees, because canonical max-regions make every round's center
-/// strategy-independent.  The suppression is a predicate of the round's
-/// scans, so the x-sorted input is swept as it is and no round writes a
-/// filtered copy.  Rounds do not depend on `k`, so one shared sequence
-/// serves every top-k member (each takes its prefix).
+/// strategy-independent.  A round re-sweeps only the y-band its predecessor's
+/// pick can change and splices it into the previous slab-file
+/// ([`next_round`], module docs); the suppression is a predicate of the
+/// scans, so no round writes a filtered copy of the objects.  Rounds do not
+/// depend on `k`, so one shared sequence serves every top-k member (each
+/// takes its prefix).
 fn top_k_rounds<H: SweepHost>(
     host: &H,
     size: RectSize,
     max_k: usize,
     first: MaxRsResult,
+    mut slab_file: Option<TupleFile<SlabTuple>>,
 ) -> std::result::Result<Vec<MaxRsResult>, H::Error> {
     let mut rounds = Vec::new();
     let mut suppressed = Vec::new();
     let mut best = first;
+    // Invariant: `slab_file` is kept exactly when another round will run.
     while rounds.len() < max_k && best.total_weight > 0.0 {
         rounds.push(best);
         suppressed.push(Rect::centered_at(best.center, size));
         if rounds.len() < max_k {
-            best = best_placement(host, size, 1.0, Interval::UNBOUNDED, &suppressed)?;
+            let prev = slab_file
+                .take()
+                .expect("a slab-file is kept while rounds remain");
+            let more = rounds.len() + 1 < max_k;
+            (best, slab_file) = next_round(host, size, &suppressed, prev, more)?;
         }
     }
+    debug_assert!(slab_file.is_none(), "the last round keeps no slab-file");
     Ok(rounds)
+}
+
+/// One top-k round after the first: sweeps the band `B` of the last pick
+/// (the last of `suppressed`) and splices it into `prev`, the previous
+/// round's slab-file, which is consumed.  Returns the round's canonical best
+/// and, when `more` rounds follow and it has positive weight, its slab-file.
+fn next_round<H: SweepHost>(
+    host: &H,
+    size: RectSize,
+    suppressed: &[Rect],
+    prev: TupleFile<SlabTuple>,
+    more: bool,
+) -> std::result::Result<(MaxRsResult, Option<TupleFile<SlabTuple>>), H::Error> {
+    let ctx = host.scratch();
+    let chosen = suppressed.last().expect("a later round follows a pick");
+    // From the pick's own f64 edges: an object strictly inside it has
+    // `y > chosen.y_lo`, so by monotone rounding its rectangle's edges lie in
+    // `band` — no strip outside the band changes.
+    let half = size.height / 2.0;
+    let band = Interval::new(chosen.y_lo - half, chosen.y_hi + half);
+    let band_file = match host.sweep(size, 1.0, Interval::UNBOUNDED, suppressed, band) {
+        Ok(file) => file,
+        Err(e) => {
+            let _ = ctx.delete_file(prev);
+            return Err(e);
+        }
+    };
+    let (best, written) = match splice(ctx, &prev, &band_file, band, more) {
+        Ok(out) => out,
+        Err(e) => {
+            let _ = delete_all(ctx, [prev, band_file]);
+            return Err(e.into());
+        }
+    };
+    // The spliced copy, written only when `more`, is kept for a round that
+    // will run.
+    let (kept, dropped) = if best.total_weight > 0.0 {
+        (written, None)
+    } else {
+        (None, written)
+    };
+    if let Err(e) = delete_all(ctx, [prev, band_file].into_iter().chain(dropped)) {
+        if let Some(file) = kept {
+            let _ = ctx.delete_file(file);
+        }
+        return Err(CoreError::from(e).into());
+    }
+    finish_round(host, size, Interval::UNBOUNDED, suppressed, best, kept)
+}
+
+/// Canonicalizes a round's best and pairs it with `kept`, the round's
+/// slab-file for the next round, which is deleted if canonicalization fails.
+fn finish_round<H: SweepHost>(
+    host: &H,
+    size: RectSize,
+    root: Interval,
+    suppressed: &[Rect],
+    best: MaxRsResult,
+    kept: Option<TupleFile<SlabTuple>>,
+) -> std::result::Result<(MaxRsResult, Option<TupleFile<SlabTuple>>), H::Error> {
+    match canonicalize(host, size, root, suppressed, best) {
+        Ok(best) => Ok((best, kept)),
+        Err(e) => {
+            if let Some(file) = kept {
+                let _ = host.scratch().delete_file(file);
+            }
+            Err(e)
+        }
+    }
+}
+
+/// Streams a round's slab-file — `prev`'s tuples with `y` outside `band`,
+/// `band_file`'s with `y` inside it, in `y` order — through the extract rule,
+/// writing it to a new file only when `write`.
+fn splice(
+    ctx: &EmContext,
+    prev: &TupleFile<SlabTuple>,
+    band_file: &TupleFile<SlabTuple>,
+    band: Interval,
+    write: bool,
+) -> Result<(MaxRsResult, Option<TupleFile<SlabTuple>>)> {
+    let mut writer = if write {
+        Some(ctx.create_writer::<SlabTuple>()?)
+    } else {
+        None
+    };
+    let mut best = BestTuple::default();
+    let mut emit = |t: SlabTuple| -> Result<()> {
+        best.push(t);
+        if let Some(w) = writer.as_mut() {
+            w.push(&t)?;
+        }
+        Ok(())
+    };
+    let mut outer = ctx.open_reader(prev);
+    while let Some(&t) = outer.peek()? {
+        if t.y >= band.lo {
+            break;
+        }
+        outer.next_record()?;
+        emit(t)?;
+    }
+    let mut inner = ctx.open_reader(band_file);
+    while let Some(t) = inner.next_record()? {
+        if t.y > band.hi {
+            break;
+        }
+        if t.y >= band.lo {
+            emit(t)?;
+        }
+    }
+    while let Some(t) = outer.next_record()? {
+        if t.y > band.hi {
+            emit(t)?;
+        }
+    }
+    let written = writer.map(|w| w.finish()).transpose()?;
+    Ok((best.result(), written))
+}
+
+/// Deletes every file, returning the first error.
+fn delete_all(
+    ctx: &EmContext,
+    files: impl IntoIterator<Item = TupleFile<SlabTuple>>,
+) -> maxrs_em::Result<()> {
+    let mut deleted = Ok(());
+    for file in files {
+        deleted = deleted.and(ctx.delete_file(file));
+    }
+    deleted
 }
 
 /// The MinRS group: one weight-negated pass over the shared domain x-slab,
@@ -611,7 +779,9 @@ fn min_rs_group<H: SweepHost>(
         _ => unreachable!("MinRS groups hold MinRS queries"),
     };
     // The shared phase — negated transform + sweep — charged to the leader.
-    let (slab_file, shared_io) = measured(host, meter, || host.sweep(size, -1.0, slab, &[]))?;
+    let (slab_file, shared_io) = measured(host, meter, || {
+        host.sweep(size, -1.0, slab, &[], Interval::UNBOUNDED)
+    })?;
 
     // Per-member strip scans over the shared slab-file.
     let ctx = host.scratch();
@@ -706,12 +876,31 @@ pub(crate) fn best_placement<H: SweepHost>(
     root: Interval,
     suppressed: &[Rect],
 ) -> std::result::Result<MaxRsResult, H::Error> {
-    let slab_file = host.sweep(size, weight_scale, root, suppressed)?;
-    let best = extract_best(host.scratch(), &slab_file);
-    host.scratch()
-        .delete_file(slab_file)
-        .map_err(CoreError::from)?;
-    canonicalize(host, size, root, suppressed, best?)
+    placement(host, size, weight_scale, root, suppressed, false).map(|(best, _)| best)
+}
+
+/// [`best_placement`], keeping the slab-file for the next top-k round when
+/// `keep` and the best weight is positive.  Otherwise the file is deleted
+/// before canonicalization, as a lone pass does.
+fn placement<H: SweepHost>(
+    host: &H,
+    size: RectSize,
+    weight_scale: f64,
+    root: Interval,
+    suppressed: &[Rect],
+    keep: bool,
+) -> std::result::Result<(MaxRsResult, Option<TupleFile<SlabTuple>>), H::Error> {
+    let ctx = host.scratch();
+    let slab_file = host.sweep(size, weight_scale, root, suppressed, Interval::UNBOUNDED)?;
+    let best = extract_best(ctx, &slab_file);
+    let kept = match &best {
+        Ok(best) if keep && best.total_weight > 0.0 => Some(slab_file),
+        _ => {
+            ctx.delete_file(slab_file).map_err(CoreError::from)?;
+            None
+        }
+    };
+    finish_round(host, size, root, suppressed, best?, kept)
 }
 
 /// Stage 4b of the kernel on any host: gives a sweep result the canonical
@@ -757,6 +946,78 @@ fn canonical_x<H: SweepHost>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::{load_objects, sort_objects_by_x};
+    use maxrs_em::EmConfig;
+
+    /// Runs `rounds` top-k rounds after the first on `objects` and checks
+    /// that every spliced slab-file holds exactly the tuples — `y`, sum and
+    /// `x_lo` — of a full re-sweep over the objects left.
+    fn assert_splices_match_full_sweeps(objects: &[WeightedPoint], size: RectSize, rounds: usize) {
+        let ctx = EmContext::new(EmConfig::new(1024, 8 * 1024).unwrap());
+        let file = load_objects(&ctx, objects).unwrap();
+        let sorted = sort_objects_by_x(&ctx, &file).unwrap();
+        let opts = ExactMaxRsOptions::sequential();
+        let host = FileHost::new(SweepPass::presorted(&ctx, &opts), &sorted);
+        let all = Interval::UNBOUNDED;
+        let key = |t: &SlabTuple| (t.y, t.sum, t.x_lo);
+        let (mut best, mut slab_file) = placement(&host, size, 1.0, all, &[], true).unwrap();
+        let mut suppressed = Vec::new();
+        for round in 2..rounds + 2 {
+            suppressed.push(Rect::centered_at(best.center, size));
+            let prev = slab_file.take().expect("every round has positive weight");
+            (best, slab_file) = next_round(&host, size, &suppressed, prev, true).unwrap();
+            let spliced = slab_file.as_ref().expect("another round follows");
+            let full = host.sweep(size, 1.0, all, &suppressed, all).unwrap();
+            assert_eq!(
+                ctx.read_all(spliced)
+                    .unwrap()
+                    .iter()
+                    .map(key)
+                    .collect::<Vec<_>>(),
+                ctx.read_all(&full)
+                    .unwrap()
+                    .iter()
+                    .map(key)
+                    .collect::<Vec<_>>(),
+                "round {round} of {size:?}"
+            );
+            ctx.delete_file(full).unwrap();
+        }
+        ctx.delete_file(slab_file.unwrap()).unwrap();
+        ctx.delete_file(sorted).unwrap();
+        ctx.delete_file(file).unwrap();
+        assert_eq!(ctx.num_files(), 0);
+    }
+
+    #[test]
+    fn spliced_slab_files_match_full_re_sweeps() {
+        // Integer weights on pseudo-random points: tall rectangles make
+        // consecutive bands overlap without holding every strip.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % 1000
+        };
+        let scattered: Vec<WeightedPoint> = (0..600)
+            .map(|_| WeightedPoint::at(next() as f64, next() as f64, (1 + next() % 4) as f64))
+            .collect();
+        assert_splices_match_full_sweeps(&scattered, RectSize::new(60.0, 200.0), 6);
+        // Columns sharing every y under rectangles taller than the data:
+        // each band holds every strip, so the splice takes every tuple from
+        // the band file.
+        let columns: Vec<WeightedPoint> = (0..600)
+            .map(|i| {
+                WeightedPoint::at(
+                    (10 * (i / 20)) as f64,
+                    (10 * (i % 20)) as f64,
+                    (1 + i / 20 % 5) as f64,
+                )
+            })
+            .collect();
+        assert_splices_match_full_sweeps(&columns, RectSize::new(15.0, 1000.0), 6);
+    }
 
     #[test]
     fn planning_groups_by_sweep_key() {

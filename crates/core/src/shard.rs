@@ -82,7 +82,7 @@ use crate::prepared::PreparedDataset;
 use crate::query::{Query, QueryRun};
 use crate::records::{ObjectRecord, RectRecord, SlabTuple, SpanEvent};
 use crate::slab::SlabPartition;
-use crate::sweep::{is_suppressed, next_breakpoint_after, solve_rects};
+use crate::sweep::{next_breakpoint_after, solve_rects, swept_rect};
 
 /// How a [`ShardedDataset`] is laid out: how many shards, where their block
 /// devices live, and how boundary selection samples the input.
@@ -367,15 +367,16 @@ impl ShardedDataset {
     }
 
     /// The sharded distribution sweep for one `(size, weight_scale, root)`
-    /// pass: distribute (per source shard, concurrent) → solve (per global
-    /// slab inside its owner shard, concurrent) → MergeSweep over per-shard
-    /// readers.  Returns the merged root slab-file on the merge context.
+    /// pass over the objects [`crop_scan`] keeps: distribute (per source
+    /// shard, concurrent) → solve (per global slab inside its owner shard,
+    /// concurrent) → MergeSweep over per-shard readers.  Returns the merged
+    /// root slab-file on the merge context.
     fn sharded_slab_file(
         &self,
         size: RectSize,
         weight_scale: f64,
         root: Interval,
-        suppressed: &[Rect],
+        (suppressed, band): (&[Rect], Interval),
     ) -> Result<TupleFile<SlabTuple>> {
         let files = &self.shard_files();
         let ShardRoute {
@@ -395,7 +396,7 @@ impl ShardedDataset {
                 &partition,
                 &owners,
                 (size, weight_scale),
-                suppressed,
+                (suppressed, band),
             )
         });
         let mut sources: Vec<SourceOut> = Vec::with_capacity(outs.len());
@@ -489,7 +490,7 @@ impl ShardedDataset {
         partition: &SlabPartition,
         owners: &[usize],
         pass: (RectSize, f64),
-        suppressed: &[Rect],
+        (suppressed, band): (&[Rect], Interval),
     ) -> Result<SourceOut> {
         let mut writers: Vec<Option<TupleWriter<'_, RectRecord>>> =
             (0..partition.num_slabs()).map(|_| None).collect();
@@ -498,7 +499,7 @@ impl ShardedDataset {
             files[source],
             partition,
             pass,
-            suppressed,
+            (suppressed, band),
             |t, piece| push_piece(files, owners, &mut writers, t, &piece),
             |pair| {
                 let writer = match span_writer.as_mut() {
@@ -621,8 +622,9 @@ impl SweepHost for ShardedDataset {
         weight_scale: f64,
         root: Interval,
         suppressed: &[Rect],
+        band: Interval,
     ) -> Result<TupleFile<SlabTuple>> {
-        self.sharded_slab_file(size, weight_scale, root, suppressed)
+        self.sharded_slab_file(size, weight_scale, root, (suppressed, band))
     }
 
     /// The **minimum** of the engaged shards' breakpoints and `root.hi` —
@@ -747,25 +749,27 @@ fn concatenate<T: Record>(ctx: &EmContext, parts: &[&TupleFile<T>]) -> Result<Tu
 
 /// The crop scan of one source shard, shared by [`ShardedDataset`] and the
 /// shard servers of `maxrs-cluster`: every object of the shard's sorted file
-/// outside the `suppressed` rectangles is transformed to `size`, its weight
-/// scaled by `weight_scale`, and cropped against the global `partition` by
-/// the one crop rule ([`SlabPartition::crop`]).  Each piece reaches
-/// `on_piece` with its global slab, each span-event pair reaches `on_span`,
-/// in scan order; the first error, of the scan or of a callback, ends it.
+/// that the pass keeps — outside the `suppressed` rectangles, its `size`
+/// rectangle meeting the closed y-`band` ([`swept_rect`], the filter of the
+/// unsharded transform) — is transformed to `size`, its weight scaled by
+/// `weight_scale`, and cropped against the global `partition` by the one
+/// crop rule ([`SlabPartition::crop`]).  Each piece reaches `on_piece` with
+/// its global slab, each span-event pair reaches `on_span`, in scan order;
+/// the first error, of the scan or of a callback, ends it.
 pub fn crop_scan(
     (ctx, objects): (&EmContext, &TupleFile<ObjectRecord>),
     partition: &SlabPartition,
     (size, weight_scale): (RectSize, f64),
-    suppressed: &[Rect],
+    (suppressed, band): (&[Rect], Interval),
     mut on_piece: impl FnMut(usize, RectRecord) -> Result<()>,
     mut on_span: impl FnMut([SpanEvent; 2]) -> Result<()>,
 ) -> Result<()> {
     let mut reader = ctx.open_reader(objects);
     while let Some(rec) = reader.next_record()? {
-        if is_suppressed(suppressed, &rec) {
+        let Some(rect) = swept_rect(suppressed, band, &rec, size) else {
             continue;
-        }
-        let record = RectRecord::new(rec.0.to_rect(size), weight_scale * rec.0.weight);
+        };
+        let record = RectRecord::new(rect, weight_scale * rec.0.weight);
         let crop = partition.crop(&record);
         for (t, piece) in crop.pieces.into_iter().flatten() {
             on_piece(t, piece)?;

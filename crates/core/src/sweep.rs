@@ -25,7 +25,9 @@
 //! stages 1–3 of one pass.  A pass can also skip objects: top-k suppression
 //! rounds hand it the chosen rectangles ([`SweepPass::with_suppressed`]), and
 //! the transform and breakpoint scans leave out every object strictly inside
-//! one of them.
+//! one of them; a round after the first also restricts its transform to the
+//! rectangles meeting a y-band ([`SweepPass::with_band`]), the only strips
+//! its pick can change (see [`crate::batch`]).
 //!
 //! # Canonical max-regions
 //!
@@ -107,6 +109,7 @@ pub struct SweepPass<'a> {
     weight_scale: f64,
     root: Interval,
     suppressed: &'a [Rect],
+    band: Interval,
 }
 
 impl<'a> SweepPass<'a> {
@@ -120,6 +123,7 @@ impl<'a> SweepPass<'a> {
             weight_scale: 1.0,
             root: Interval::UNBOUNDED,
             suppressed: &[],
+            band: Interval::UNBOUNDED,
         }
     }
 
@@ -156,6 +160,18 @@ impl<'a> SweepPass<'a> {
         self
     }
 
+    /// Restricts the transform (and so [`slab_file`](SweepPass::slab_file))
+    /// to the objects whose rectangle meets the closed y-band `band` (see
+    /// [`swept_rect`]): every tuple of the slab-file whose `y` lies in `band`
+    /// is then the unrestricted pass's tuple — same `y`, sum and `x_lo` for
+    /// integer weights — because every rectangle active at such a `y` meets
+    /// the band.  [`max_rs`](SweepPass::max_rs) and the breakpoint scan
+    /// ignore the band.  Default: [`Interval::UNBOUNDED`], every object.
+    pub fn with_band(mut self, band: Interval) -> Self {
+        self.band = band;
+        self
+    }
+
     /// The context this pass runs against.
     pub fn ctx(&self) -> &'a EmContext {
         self.ctx
@@ -167,20 +183,21 @@ impl<'a> SweepPass<'a> {
     }
 
     /// Stage 1 — streams the object file into a rectangle file of the query
-    /// size, scaling weights by the pass's weight scale and leaving out
-    /// suppressed objects.  One transform-aware scan
-    /// ([`EmContext::filter_map_file`]): `O(N/B)` I/Os, no intermediate
-    /// staging.  The input file is left untouched.
+    /// size, scaling weights by the pass's weight scale and keeping only the
+    /// rectangles the pass sweeps ([`swept_rect`]: not suppressed, meeting
+    /// the band).  One transform-aware scan ([`EmContext::filter_map_file`]):
+    /// `O(N/B)` I/Os, no intermediate staging.  The input file is left
+    /// untouched.
     pub fn transform(
         &self,
         objects: &TupleFile<ObjectRecord>,
         size: RectSize,
     ) -> Result<TupleFile<RectRecord>> {
-        let (scale, suppressed) = (self.weight_scale, self.suppressed);
+        let (scale, suppressed, band) = (self.weight_scale, self.suppressed, self.band);
         self.ctx
             .filter_map_file(objects, |rec: ObjectRecord| {
-                (!is_suppressed(suppressed, &rec))
-                    .then(|| RectRecord::new(rec.0.to_rect(size), scale * rec.0.weight))
+                swept_rect(suppressed, band, &rec, size)
+                    .map(|rect| RectRecord::new(rect, scale * rec.0.weight))
             })
             .map_err(CoreError::from)
     }
@@ -271,6 +288,24 @@ impl<'a> SweepPass<'a> {
 /// — the top-k suppression predicate every scan of a round applies.
 pub fn is_suppressed(suppressed: &[Rect], rec: &ObjectRecord) -> bool {
     suppressed.iter().any(|r| r.contains_open(&rec.0.point))
+}
+
+/// The `size` rectangle of `rec` when a sweep pass takes it in: the object
+/// is not suppressed ([`is_suppressed`]) and its rectangle meets the closed
+/// y-band `band` ([`Interval::UNBOUNDED`] keeps every rectangle).  The one
+/// object filter of the transform ([`SweepPass::transform`]) and of the
+/// sharded crop scan ([`crate::shard::crop_scan`]).
+pub fn swept_rect(
+    suppressed: &[Rect],
+    band: Interval,
+    rec: &ObjectRecord,
+    size: RectSize,
+) -> Option<Rect> {
+    if is_suppressed(suppressed, rec) {
+        return None;
+    }
+    let rect = rec.0.to_rect(size);
+    rect.y_interval().intersects(&band).then_some(rect)
 }
 
 /// Streams an object file into a rectangle file of the query size (stage 1 of
@@ -488,8 +523,11 @@ impl<'a> Runner<'a> {
         input: TupleFile<RectRecord>,
         slab: Interval,
     ) -> Result<TupleFile<SlabTuple>> {
-        let rects = self.ctx.read_all(&input)?;
-        self.ctx.delete_file(input)?;
+        // The input is consumed whether or not it could be read.
+        let rects = self.ctx.read_all(&input);
+        let deleted = self.ctx.delete_file(input);
+        let rects = rects?;
+        deleted?;
         // Borrow the worker thread's sweep scratch: the recursion sweeps one
         // in-memory slab after another on this thread, and the breakpoint /
         // event / segment-tree buffers are reused across all of them.
@@ -507,34 +545,50 @@ impl<'a> Runner<'a> {
 /// Scans the final slab-file for the best tuple and converts it into a result.
 pub fn extract_best(ctx: &EmContext, slab_file: &TupleFile<SlabTuple>) -> Result<MaxRsResult> {
     let mut reader = ctx.open_reader(slab_file);
-    let mut best: Option<SlabTuple> = None;
-    let mut best_next_y: Option<f64> = None;
-    let mut awaiting_next = false;
+    let mut best = BestTuple::default();
     while let Some(t) = reader.next_record()? {
-        if awaiting_next {
-            best_next_y = Some(t.y);
-            awaiting_next = false;
+        best.push(t);
+    }
+    Ok(best.result())
+}
+
+/// The extract rule over a y-ordered tuple stream: the first tuple of the
+/// largest sum wins, and its strip ends at the next tuple's `y`.
+#[derive(Debug, Default)]
+pub(crate) struct BestTuple {
+    best: Option<SlabTuple>,
+    /// The `y` of the tuple after `best`, once seen.
+    next_y: Option<f64>,
+}
+
+impl BestTuple {
+    /// Feeds the next tuple of the stream.
+    pub(crate) fn push(&mut self, t: SlabTuple) {
+        if self.best.is_some() && self.next_y.is_none() {
+            self.next_y = Some(t.y);
         }
-        if best.is_none_or(|b| t.sum > b.sum) {
-            best = Some(t);
-            best_next_y = None;
-            awaiting_next = true;
+        if self.best.is_none_or(|b| t.sum > b.sum) {
+            self.best = Some(t);
+            self.next_y = None;
         }
     }
-    let best = match best {
-        Some(b) => b,
-        None => return Ok(MaxRsResult::empty()),
-    };
-    let y_lo = best.y;
-    let y_hi = best_next_y.filter(|&y| y > y_lo).unwrap_or(y_lo + 1.0);
-    let x = best.interval();
-    let region = Rect::new(x.lo, x.hi, y_lo, y_hi);
-    let center = Point::new(x.representative(), (y_lo + y_hi) / 2.0);
-    Ok(MaxRsResult {
-        center,
-        total_weight: best.sum,
-        region,
-    })
+
+    /// The (not yet canonicalized) result of the best tuple.
+    pub(crate) fn result(&self) -> MaxRsResult {
+        let Some(best) = self.best else {
+            return MaxRsResult::empty();
+        };
+        let y_lo = best.y;
+        let y_hi = self.next_y.filter(|&y| y > y_lo).unwrap_or(y_lo + 1.0);
+        let x = best.interval();
+        let region = Rect::new(x.lo, x.hi, y_lo, y_hi);
+        let center = Point::new(x.representative(), (y_lo + y_hi) / 2.0);
+        MaxRsResult {
+            center,
+            total_weight: best.sum,
+            region,
+        }
+    }
 }
 
 #[cfg(test)]

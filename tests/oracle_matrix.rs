@@ -10,7 +10,9 @@
 //! breakpoint.  Besides equality with the reference, every MaxRS and MinRS
 //! answer must attain its weight at its center, and its region's `x_hi` must
 //! be the next arrangement breakpoint after its `x_lo` (see
-//! [`check_region`]).
+//! [`check_region`]).  A second test runs top-k rows built to stress the
+//! splice of later rounds into earlier rounds' slab-files (see
+//! [`top_k_splices_match_the_greedy_reference`]).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,7 +25,7 @@ use maxrs::{
     approx_max_crs_in_memory, max_k_rs_in_memory, max_rs_in_memory, min_rs_in_memory, DeltaDataset,
     DeltaOptions, EmConfig, EngineOptions, ExactMaxRsOptions, ExecutionStrategy, Interval,
     MaxRsEngine, MaxRsResult, Query, QueryAnswer, QueryRun, Rect, RectSize, ShardLayout,
-    WeightedPoint,
+    StorageBackend, WeightedPoint,
 };
 
 const EXTENT: f64 = 1e6;
@@ -249,4 +251,174 @@ fn every_path_matches_the_in_memory_references() {
         wrong.len(),
         wrong.join("\n")
     );
+}
+
+/// What a greedy top-k sequence does to the y-bands of its later rounds:
+/// round `r + 1` re-sweeps only `B_r = [R_r.y_lo − h/2, R_r.y_hi + h/2]` of
+/// the `r`-th pick `R_r`.
+#[derive(Debug, Default)]
+struct Bands {
+    /// Consecutive picks lie within one rectangle height in y, so their
+    /// bands overlap.
+    overlap: bool,
+    /// Some band holds every rectangle edge left after its pick.
+    covers_all: bool,
+    /// Some band meets no rectangle left after its pick: its sweep is empty.
+    empty: bool,
+}
+
+fn bands(objects: &[WeightedPoint], size: RectSize, picks: &[MaxRsResult]) -> Bands {
+    let mut out = Bands::default();
+    let mut left = objects.to_vec();
+    for (r, pick) in picks.iter().enumerate().take(picks.len().saturating_sub(1)) {
+        let chosen = Rect::centered_at(pick.center, size);
+        out.overlap |= (picks[r + 1].center.y - pick.center.y).abs() < size.height;
+        let half = size.height / 2.0;
+        let band = Interval::new(chosen.y_lo - half, chosen.y_hi + half);
+        left.retain(|o| !chosen.contains_open(&o.point));
+        let rects: Vec<Rect> = left.iter().map(|o| o.to_rect(size)).collect();
+        out.covers_all |= rects
+            .iter()
+            .all(|rect| band.contains_interval(&rect.y_interval()));
+        out.empty |= !rects.iter().any(|rect| rect.y_interval().intersects(&band));
+    }
+    out
+}
+
+/// Top-k over data built so the later rounds' bands overlap, cover every
+/// strip, tie on an integer lattice, or hold only suppressed objects (an
+/// empty band sweep), on every path that splices — prepared on both storage
+/// backends, parallel, delta after compaction, sharded and clustered —
+/// against the in-memory greedy.  Each row first asserts, on the
+/// reference's picks, that it really exercises its case.
+#[test]
+fn top_k_splices_match_the_greedy_reference() {
+    let squash = |objects: Vec<WeightedPoint>, factor: f64| -> Vec<WeightedPoint> {
+        objects
+            .into_iter()
+            .map(|o| WeightedPoint::at(o.point.x, o.point.y * factor, o.weight))
+            .collect()
+    };
+    // A thin horizontal strip of uniform data: every pick sits within one
+    // rectangle height of the previous one.
+    let strip = squash(
+        Dataset::generate(DatasetKind::Uniform, 1_500, 4).objects,
+        0.02,
+    );
+    // Columns sharing one set of y under rectangles taller than the data: a
+    // pick spans its column's every y, so its band holds every strip and
+    // the splice takes every tuple from the band sweep.
+    let columns: Vec<WeightedPoint> = (0..1_000)
+        .map(|i| {
+            let (c, j) = (i / 25, i % 25);
+            let x = 10_000.0 * c as f64 + (c * 389 % 1_000) as f64;
+            WeightedPoint::at(x, 40.0 * j as f64, 1.0 + (c * 7 % 5) as f64)
+        })
+        .collect();
+    // An integer lattice whose rectangle edges fall on lattice lines.
+    let lattice: Vec<WeightedPoint> = (0..900)
+        .map(|i| {
+            WeightedPoint::at(
+                10.0 * (i % 30) as f64,
+                10.0 * (i / 30) as f64,
+                1.0 + (i % 3) as f64,
+            )
+        })
+        .collect();
+    // Clusters far apart in y, each inside one rectangle: a pick's band
+    // holds only the objects it suppresses.
+    let clusters: Vec<WeightedPoint> = (0..4)
+        .flat_map(|c| {
+            (0..400 - 80 * c).map(move |i| {
+                let (x0, y0) = (2.0e5 * c as f64, 1.0e5 * c as f64);
+                WeightedPoint::unit(x0 + (i * 37 % 1000) as f64, y0 + (i * 53 % 1000) as f64)
+            })
+        })
+        .collect();
+
+    type Case = fn(&Bands) -> bool;
+    let rows: [(&str, Vec<WeightedPoint>, RectSize, usize, Case); 4] = [
+        (
+            "overlapping bands",
+            strip,
+            RectSize::square(10_000.0),
+            6,
+            |b| b.overlap && !b.covers_all,
+        ),
+        (
+            "band covers every strip",
+            columns,
+            RectSize::new(5_000.0, EXTENT),
+            5,
+            |b| b.covers_all,
+        ),
+        ("lattice ties", lattice, RectSize::square(20.0), 8, |b| {
+            b.overlap
+        }),
+        ("empty band", clusters, RectSize::square(2_000.0), 5, |b| {
+            b.empty
+        }),
+    ];
+
+    let seq = engine(8, 1, ExecutionStrategy::ExternalSequential);
+    let on = |backend| {
+        MaxRsEngine::with_options(EngineOptions {
+            em_config: seq.options().em_config.with_backend(backend),
+            ..*seq.options()
+        })
+    };
+    let (sim, fs) = (on(StorageBackend::Sim), on(StorageBackend::Fs));
+    let par = engine(16, 2, ExecutionStrategy::ExternalParallel);
+    let mut wrong = Vec::new();
+    for (row, objects, size, k, case) in rows {
+        let query = Query::top_k(size, k);
+        let expected = reference(&objects, &query);
+        let QueryAnswer::TopK(picks) = &expected else {
+            unreachable!("a top-k reference")
+        };
+        assert!(picks.len() > 2, "{row}: only {} picks", picks.len());
+        let shape = bands(&objects, size, picks);
+        assert!(
+            case(&shape),
+            "{row}: the picks do not stress the splice: {shape:?}"
+        );
+
+        let par_run = par.run(&objects, &query).unwrap();
+        assert!(
+            par_run.workers > 1,
+            "{row}: em-par must run more than one worker"
+        );
+        let runs = [
+            (
+                "prepared sim",
+                sim.prepare(&objects).unwrap().run(&query).unwrap(),
+            ),
+            (
+                "prepared fs",
+                fs.prepare(&objects).unwrap().run(&query).unwrap(),
+            ),
+            ("em-par", par_run),
+            (
+                "delta after compaction",
+                compacted_delta(&seq, &objects).run(&query).unwrap(),
+            ),
+            (
+                "sharded K=3",
+                seq.prepare_sharded(&objects, &ShardLayout::new(3))
+                    .unwrap()
+                    .run(&query)
+                    .unwrap(),
+            ),
+            (
+                "cluster",
+                cluster(*seq.options(), &objects).run(&query).unwrap(),
+            ),
+        ];
+        for (path, run) in runs {
+            if run.answer != expected {
+                wrong.push(format!("{row} {path}: {:?} != {expected:?}", run.answer));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
