@@ -151,9 +151,9 @@ fn bench_engine_variants(c: &mut Criterion) {
 }
 
 /// Cold query vs. second query on a [`PreparedDataset`]: the amortization
-/// the prepared layer exists for.  "cold" pays transform + external sort +
-/// sweep on every iteration (`MaxRsEngine::run_file`); "warm" re-runs the
-/// query against the dataset's retained x-sorted file and pays only
+/// the prepared layer exists for.  "cold" pays the copy of the object file +
+/// transform + sweep on every iteration (`MaxRsEngine::run_file`); "warm"
+/// re-runs the query against the dataset's retained copy and pays only
 /// transform + sweep.  The printed footer records the backend and the I/O
 /// split so the bench output documents *why* the warm path wins.
 fn bench_prepared_reuse(c: &mut Criterion) {

@@ -128,10 +128,11 @@ fn stream_runs(opts: &FigureOptions) -> Vec<StreamRun> {
 
 /// Sharded-prepare scaling: the **same** fixed input is partitioned and
 /// prepared through a [`maxrs_core::ShardedDataset`] at K ∈ {1, 2, 4, 8},
-/// so prepare wall-clock vs shard count is the curve (the headline: the
-/// one-time external sort scales with cores).  The input is deliberately
-/// larger than the figure sweeps — per-shard sort work has to dwarf the
-/// pool's spawn cost for the speedup to mean anything — and the query set
+/// so prepare wall-clock vs shard count is one curve (the K shard loads run
+/// concurrently) and query latency vs the shards each query touches the
+/// other.  The input is deliberately larger than the figure sweeps —
+/// per-shard work has to dwarf the pool's spawn cost for the speedup to mean
+/// anything — and the query set
 /// mixes whole-domain MaxRS/top-k with narrow- and wide-domain MinRS so the
 /// samples cover the shards-touched spectrum.  Every sampled answer of
 /// every row is verified bit-identical to an unsharded prepare.

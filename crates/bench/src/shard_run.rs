@@ -1,8 +1,8 @@
 //! Sharded-prepare scaling measurements: the same fixed input prepared
 //! through [`ShardedDataset`](maxrs_core::ShardedDataset) at increasing
-//! shard counts — prepare wall-clock vs `K` (the headline: the one-time
-//! external sort scales with cores), per-shard I/O, and query latency vs
-//! the number of shards each query actually touches — the measurements
+//! shard counts — prepare wall-clock vs `K` (the `K` shard loads run
+//! concurrently, each onto its own device), per-shard I/O, and query latency
+//! vs the number of shards each query actually touches — the measurements
 //! behind the `shard` command of the experiment harness.
 
 use std::time::Instant;

@@ -39,7 +39,7 @@ struct HostedShard {
 }
 
 impl HostedShard {
-    /// The shard's context and x-sorted object file.
+    /// The shard's context and object file.
     fn objects(&self) -> (&EmContext, &TupleFile<ObjectRecord>) {
         self.data.external_parts().expect("shards are external")
     }

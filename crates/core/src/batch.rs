@@ -28,8 +28,8 @@
 //! ApproxMaxCRS candidate sums, the objects themselves and an I/O meter.
 //! Top-k suppression is a scan predicate — every scan of a round leaves out
 //! the objects strictly inside an already chosen rectangle — so no host
-//! materializes per-round copies of its data.  A single x-sorted object
-//! file ([`PreparedDataset`](crate::PreparedDataset),
+//! materializes per-round copies of its data.  A single object file
+//! ([`PreparedDataset`](crate::PreparedDataset),
 //! [`DeltaDataset`](crate::DeltaDataset)), the local
 //! [`ShardedDataset`](crate::ShardedDataset) and the remote shards behind
 //! `maxrs-cluster`'s coordinator all implement it, and [`run_on_host`]
@@ -211,7 +211,7 @@ impl QueryBatch {
 /// variant reduces to, whatever the dataset's layout (see the
 /// [module docs](crate::batch)).
 ///
-/// Implemented for a single x-sorted object file (the prepared and delta
+/// Implemented for a single object file (the prepared and delta
 /// datasets), for [`ShardedDataset`](crate::ShardedDataset) and for
 /// `maxrs-cluster`'s coordinator; [`run_on_host`] drives any of them.
 pub trait SweepHost {
@@ -255,7 +255,7 @@ pub trait SweepHost {
     ) -> std::result::Result<f64, Self::Error>;
 
     /// The weight sums of the open disks of `diameter` centered at
-    /// `candidates`, accumulated in object x order — ApproxMaxCRS
+    /// `candidates`, accumulated in the host's object order — ApproxMaxCRS
     /// refinement.
     fn candidate_sums(
         &self,
@@ -263,7 +263,7 @@ pub trait SweepHost {
         diameter: f64,
     ) -> std::result::Result<Vec<f64>, Self::Error>;
 
-    /// Every object, in x order.
+    /// Every object, in the host's object order.
     fn objects(&self) -> std::result::Result<Vec<WeightedPoint>, Self::Error>;
 
     /// Blocks moved on the host so far; the driver meters each phase as a
@@ -271,7 +271,7 @@ pub trait SweepHost {
     fn io(&self) -> IoSnapshot;
 }
 
-/// The host over one x-sorted object file swept by a [`SweepPass`]: what
+/// The host over one object file swept by a [`SweepPass`]: what
 /// [`PreparedDataset`](crate::PreparedDataset) and
 /// [`DeltaDataset`](crate::DeltaDataset) run on, and what
 /// [`SweepPass::max_rs`] runs on for a single query.
@@ -353,14 +353,15 @@ pub fn run_on_host<H: SweepHost>(
     collect_runs(batch, outcomes, strategy, workers)
 }
 
-/// Executes a planned batch over an object file **already sorted by x** (the
-/// retained file of a [`PreparedDataset`](crate::PreparedDataset)): one
+/// Executes a planned batch over an object file in any order (the retained
+/// file of a [`PreparedDataset`](crate::PreparedDataset), the net file of a
+/// [`DeltaDataset`](crate::DeltaDataset)): one
 /// kernel pass per sweep group, groups concurrent on the `parallel_map` pool
 /// when more than one group and more than one worker exist.  Reports I/O per
 /// query under the leader-attribution rule (module docs).
 pub(crate) fn run_batch_external(
     ctx: &EmContext,
-    sorted: &TupleFile<ObjectRecord>,
+    objects: &TupleFile<ObjectRecord>,
     batch: &QueryBatch,
     strategy: ExecutionStrategy,
     workers: usize,
@@ -398,7 +399,7 @@ pub(crate) fn run_batch_external(
             parallelism: 1,
             ..exact_opts
         };
-        let host = FileHost::new(SweepPass::presorted(ctx, &group_opts), sorted);
+        let host = FileHost::new(SweepPass::new(ctx, &group_opts), objects);
         let outcomes = parallel_map(
             actual_workers.min(batch.groups.len()),
             batch.groups.iter().collect(),
@@ -406,7 +407,7 @@ pub(crate) fn run_batch_external(
         );
         collect_runs(batch, outcomes, actual_strategy, actual_workers)
     } else {
-        let host = FileHost::new(SweepPass::presorted(ctx, &exact_opts), sorted);
+        let host = FileHost::new(SweepPass::new(ctx, &exact_opts), objects);
         run_on_host(&host, batch, actual_strategy, actual_workers)
     }
 }
@@ -946,7 +947,7 @@ fn canonical_x<H: SweepHost>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{load_objects, sort_objects_by_x};
+    use crate::exact::load_objects;
     use maxrs_em::EmConfig;
 
     /// Runs `rounds` top-k rounds after the first on `objects` and checks
@@ -955,9 +956,8 @@ mod tests {
     fn assert_splices_match_full_sweeps(objects: &[WeightedPoint], size: RectSize, rounds: usize) {
         let ctx = EmContext::new(EmConfig::new(1024, 8 * 1024).unwrap());
         let file = load_objects(&ctx, objects).unwrap();
-        let sorted = sort_objects_by_x(&ctx, &file).unwrap();
         let opts = ExactMaxRsOptions::sequential();
-        let host = FileHost::new(SweepPass::presorted(&ctx, &opts), &sorted);
+        let host = FileHost::new(SweepPass::new(&ctx, &opts), &file);
         let all = Interval::UNBOUNDED;
         let key = |t: &SlabTuple| (t.y, t.sum, t.x_lo);
         let (mut best, mut slab_file) = placement(&host, size, 1.0, all, &[], true).unwrap();
@@ -984,7 +984,6 @@ mod tests {
             ctx.delete_file(full).unwrap();
         }
         ctx.delete_file(slab_file.unwrap()).unwrap();
-        ctx.delete_file(sorted).unwrap();
         ctx.delete_file(file).unwrap();
         assert_eq!(ctx.num_files(), 0);
     }

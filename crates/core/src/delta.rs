@@ -1,30 +1,29 @@
 //! [`DeltaDataset`]: a delta-main design — streaming updates over the
 //! external-memory MaxRS pipeline.
 //!
-//! [`PreparedDataset`] realizes the paper's static
-//! world: sort the objects by x once, answer every query sort-free.  A
-//! `DeltaDataset` keeps that **sort-once invariant under updates**: the
-//! disk-resident sorted **main** (base run) absorbs a stream of
-//! [`Event`]s through an in-memory **delta** — inserts held in an x-ordered
-//! index, deletions of base-resident objects as a tombstone multiset — and
-//! every [`Query`] variant is answered by merging the delta into the
-//! [`SweepPass`](crate::sweep::SweepPass) kernel's input as one merged
-//! x-ordered stream ([`InputOrder::PresortedByX`](crate::InputOrder)): **no
-//! re-sort, ever**.  Canonical max-regions (see [`crate::sweep`]) make the
-//! answers bit-identical to preparing the net survivor set from scratch —
-//! the property the `delta_determinism` differential suite replays
-//! ≥10k-event sequences to enforce.
+//! [`PreparedDataset`] realizes the paper's static world: store the objects
+//! once, answer every query against the stored file.  A `DeltaDataset` keeps
+//! that file under updates: the disk-resident **main** (base run) absorbs a
+//! stream of [`Event`]s through an in-memory **delta** — inserts held in
+//! arrival order, deletions of base-resident objects as a tombstone multiset
+//! — and every [`Query`] variant is answered over the **net file**: the base
+//! minus its tombstones followed by the delta inserts, written in one read
+//! of the base and one write.  No stage of the
+//! [`SweepPass`](crate::sweep::SweepPass) kernel reads the order of its
+//! input, so nothing is ever sorted, and canonical max-regions (see
+//! [`crate::sweep`]) make the answers bit-identical to preparing the net
+//! survivor set from scratch — the property the `delta_determinism`
+//! differential suite replays ≥10k-event sequences to enforce.
 //!
 //! # Compaction
 //!
-//! Queries over a large delta pay a merge scan per sweep pass, so a
-//! **compaction** periodically propagates the delta into the main: one
-//! `O(N/B)` sequential pass ([`maxrs_em::merge_run`]) builds a new sorted
-//! base run (tombstoned records dropped, delta inserts merged in), the old
-//! run is RAII-deleted, and the delta resets to empty.  Compaction is
+//! Queries over a large delta pay the net file's read and write per batch,
+//! so a **compaction** periodically propagates the delta into the main: it
+//! writes the net file once more, keeps it as the new base run, deletes the
+//! old run and resets the delta to empty.  Compaction is
 //! **answer-invariant** — it changes the physical layout, never the record
 //! multiset — and its I/O is metered with an [`IoSnapshot`] so tests can
-//! hold it to a constant factor of the `2·N/B` merge floor.  It runs either
+//! hold it to a constant factor of the `2·N/B` floor.  It runs either
 //! explicitly ([`DeltaDataset::compact`]) or automatically under a
 //! [`CompactionPolicy`] threshold checked after every
 //! [`apply`](DeltaDataset::apply) batch.
@@ -44,16 +43,15 @@
 //! queries keep answering against the pre-update snapshot while updates and
 //! compaction proceed — see `maxrs-serve`'s `DatasetRegistry::apply`.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use maxrs_em::{merge_run, EmContext, IoSnapshot, TupleFile};
+use maxrs_em::{EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::WeightedPoint;
 
 use crate::batch::{run_batch_external, QueryBatch};
 use crate::engine::{runs_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
 use crate::error::{CoreError, Result};
-use crate::events::{total_order_bits, Event, EventOutcome, LiveRecord, LiveSet};
+use crate::events::{Event, EventOutcome, LiveRecord, LiveSet};
 use crate::prepared::PreparedDataset;
 use crate::query::{Query, QueryRun};
 use crate::records::ObjectRecord;
@@ -87,10 +85,10 @@ pub struct DeltaOptions {
 /// delta experiments measure and the property tests bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompactionReport {
-    /// Blocks transferred by the merge pass (one sequential read of the old
+    /// Blocks transferred by the compaction (one sequential read of the old
     /// base + one sequential write of the new run, including its flush).
     pub io: IoSnapshot,
-    /// Records in the base run before the merge.
+    /// Records in the base run before the compaction.
     pub base_before: u64,
     /// Records in the new base run (= the net dataset size).
     pub base_after: u64,
@@ -108,18 +106,9 @@ fn record_key(o: &WeightedPoint) -> RecordKey {
     (o.point.x.to_bits(), o.point.y.to_bits(), o.weight.to_bits())
 }
 
-/// Center-x order of the transformed rectangles == object x order, for every
-/// query size (see [`crate::prepared`]); NaN is unreachable (validated).
-fn by_x(a: &ObjectRecord, b: &ObjectRecord) -> Ordering {
-    a.0.point
-        .x
-        .partial_cmp(&b.0.point.x)
-        .unwrap_or(Ordering::Equal)
-}
-
-/// A dynamic dataset over the external-memory pipeline: a sorted base run
-/// plus an in-memory delta, queried through one merged x-ordered stream and
-/// periodically compacted (module docs).
+/// A dynamic dataset over the external-memory pipeline: a base run plus an
+/// in-memory delta, queried through one net file and periodically compacted
+/// (module docs).
 ///
 /// ```
 /// use maxrs_core::{DeltaDataset, DeltaOptions, Event, MaxRsEngine, Query};
@@ -148,17 +137,17 @@ pub struct DeltaDataset {
     opts: EngineOptions,
     policy: CompactionPolicy,
     ctx: Box<EmContext>,
-    /// The sorted base run of the last compaction; `Some` until `Drop`.
+    /// The base run of the last compaction; `Some` until `Drop`.
     base: Option<TupleFile<ObjectRecord>>,
     base_len: u64,
     /// The canonical event semantics: ids, clock, window expiry.
     live: LiveSet,
     /// Ids of live objects whose record resides in `base`.
     in_base: HashSet<u64>,
-    /// Delta inserts in x order, keyed by (x total-order bits, arrival seq).
-    delta: BTreeMap<(u64, u64), WeightedPoint>,
-    /// Locator of each delta insert for O(log n) removal by id.
-    delta_index: HashMap<u64, (u64, u64)>,
+    /// Delta inserts in arrival order, keyed by arrival sequence.
+    delta: BTreeMap<u64, WeightedPoint>,
+    /// Arrival sequence of each delta insert, for O(log n) removal by id.
+    delta_index: HashMap<u64, u64>,
     delta_seq: u64,
     /// Multiset of base records logically deleted since the last compaction.
     tombstones: HashMap<RecordKey, u64>,
@@ -171,9 +160,24 @@ impl DeltaDataset {
     /// (its [`EngineOptions::em_config`] provisions the owned context) and
     /// the given delta options.
     pub fn new(engine: &MaxRsEngine, options: DeltaOptions) -> Result<Self> {
+        let ctx = EmContext::new(engine.options().em_config);
+        DeltaDataset::with_context(engine, options, ctx)
+    }
+
+    /// [`new`](DeltaDataset::new) on a context the caller built — say, over
+    /// a block device of its choice ([`EmContext::with_device`]) — the
+    /// delta's analogue of [`MaxRsEngine::prepare_file`].  The base run, the
+    /// per-query net files and the compactions live in `ctx`, whose
+    /// configuration also sets the in-memory cutoff and the snapshots'
+    /// contexts; the engine contributes the rest of its options.
+    pub fn with_context(
+        engine: &MaxRsEngine,
+        options: DeltaOptions,
+        ctx: EmContext,
+    ) -> Result<Self> {
         let opts = *engine.options();
         let live = LiveSet::new(options.window).map_err(CoreError::from)?;
-        let ctx = Box::new(EmContext::new(opts.em_config));
+        let ctx = Box::new(ctx);
         let base = ctx.create_writer::<ObjectRecord>()?.finish()?;
         Ok(DeltaDataset {
             opts,
@@ -218,8 +222,8 @@ impl DeltaDataset {
         self.live.survivors()
     }
 
-    /// Records in the sorted base run (may include records already
-    /// tombstoned but not yet compacted away).
+    /// Records in the base run (may include records already tombstoned but
+    /// not yet compacted away).
     pub fn base_len(&self) -> u64 {
         self.base_len
     }
@@ -250,8 +254,8 @@ impl DeltaDataset {
 
     /// Applies a batch of events through the canonical [`LiveSet`]
     /// semantics, routing the effects into the delta: inserts enter the
-    /// x-ordered in-memory index, removals of base-resident records become
-    /// tombstones, removals of delta-resident records cancel in place.
+    /// in-memory index in arrival order, removals of base-resident records
+    /// become tombstones, removals of delta-resident records cancel in place.
     /// Stops at the first error (events before it are applied; as in the
     /// stream engine, a failed event's clock advance sticks).  After the
     /// batch, a [`CompactionPolicy::DeltaThreshold`] may trigger a
@@ -293,12 +297,12 @@ impl DeltaDataset {
         Ok(runs.pop().expect("one run per query"))
     }
 
-    /// Answers a batch of queries in shared sweep passes over **one merged
-    /// x-ordered stream** of base + delta (no re-sort); with an empty delta
-    /// the base run is swept directly.  Answers are bit-identical to a
+    /// Answers a batch of queries in shared sweep passes over the **net
+    /// file** (module docs), written once per batch; with an empty delta the
+    /// base run is swept directly.  Answers are bit-identical to a
     /// from-scratch [`MaxRsEngine::prepare`] over
     /// [`survivors`](DeltaDataset::survivors) — canonical max-regions make
-    /// them independent of how the sorted stream was obtained.
+    /// them independent of the file's order.
     pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<QueryRun>> {
         self.run_planned(&QueryBatch::new(queries)?)
     }
@@ -315,18 +319,18 @@ impl DeltaDataset {
             engine.guard_in_memory_capacity(net, self.ctx.config())?;
             return Ok(runs_in_memory(&self.survivors(), batch));
         }
-        let merged = if self.delta_len() == 0 {
+        let net_file = if self.delta_len() == 0 {
             None
         } else {
-            Some(self.build_merged()?)
+            Some(self.build_net()?)
         };
-        let file = match &merged {
+        let file = match &net_file {
             Some(f) => f,
             None => self.base.as_ref().expect("base present until drop"),
         };
         let runs = run_batch_external(&self.ctx, file, batch, strategy, workers, &self.opts.exact);
-        if let Some(f) = merged {
-            // Delete the per-query merge file before propagating any run
+        if let Some(f) = net_file {
+            // Delete the per-query net file before propagating any run
             // error, so failed queries leave no orphans.
             let deleted = self.ctx.delete_file(f);
             let runs = runs?;
@@ -336,12 +340,16 @@ impl DeltaDataset {
         runs
     }
 
-    /// Propagates the delta into the base: **one** `O(N/B)` sequential
-    /// merge pass ([`maxrs_em::merge_run`]) builds the new sorted run with
-    /// tombstoned records dropped and delta inserts merged in, the old run
-    /// is deleted, and the delta resets to empty.  Answer-invariant by
-    /// construction (the record multiset is unchanged); a no-op at zero
-    /// pending records.  The report meters the pass's I/O.
+    /// Propagates the delta into the base: the net file (module docs) is
+    /// written in one `O(N/B)` pass and flushed, installed as the new base
+    /// run, the old run is deleted, and the delta resets to empty.
+    /// Answer-invariant by construction (the record multiset is unchanged); a
+    /// no-op at zero pending records.  The report meters the pass's I/O.
+    ///
+    /// A failure before the new run is installed deletes it and leaves the
+    /// dataset as it was.  A failure to delete the old run comes back as the
+    /// error of a compaction that otherwise completed: the new base is in
+    /// place and the delta is empty.
     pub fn compact(&mut self) -> Result<CompactionReport> {
         let base_before = self.base_len;
         let delta_records = self.delta_len();
@@ -354,17 +362,17 @@ impl DeltaDataset {
             });
         }
         let before = self.ctx.stats();
-        let merged = self.build_merged()?;
+        let net = self.build_net()?;
         // Materialize the new run: its dirty blocks belong to the
         // compaction, not to whichever query happens to evict them first
         // (mirrors `prepare`).
-        self.ctx.flush_file(&merged)?;
-        let io = self.ctx.stats().since(&before);
-        if let Some(old) = self.base.take() {
-            self.ctx.delete_file(old)?;
+        if let Err(e) = self.ctx.flush_file(&net) {
+            let _ = self.ctx.delete_file(net);
+            return Err(e.into());
         }
-        self.base_len = merged.len();
-        self.base = Some(merged);
+        let io = self.ctx.stats().since(&before);
+        self.base_len = net.len();
+        let old = self.base.replace(net);
         self.delta.clear();
         self.delta_index.clear();
         self.delta_seq = 0;
@@ -372,6 +380,9 @@ impl DeltaDataset {
         self.tombstone_count = 0;
         self.in_base = self.live.ids().collect();
         self.compactions += 1;
+        if let Some(old) = old {
+            self.ctx.delete_file(old)?;
+        }
         Ok(CompactionReport {
             io,
             base_before,
@@ -380,11 +391,10 @@ impl DeltaDataset {
         })
     }
 
-    /// An immutable [`PreparedDataset`] of the current net dataset, built
-    /// **without sorting**: the merged x-ordered stream is copied into a
-    /// fresh context of the same configuration.  Serving layers swap such
-    /// snapshots atomically so readers are never torn by updates or
-    /// compaction.
+    /// An immutable [`PreparedDataset`] of the current net dataset: the net
+    /// file (module docs) is copied into a fresh context of the same
+    /// configuration.  Serving layers swap such snapshots atomically so
+    /// readers are never torn by updates or compaction.
     pub fn snapshot(&self) -> Result<PreparedDataset<'static>> {
         let engine = MaxRsEngine::with_options(self.opts);
         let net = self.len();
@@ -393,16 +403,16 @@ impl DeltaDataset {
             engine.guard_in_memory_capacity(net, self.ctx.config())?;
             return Ok(PreparedDataset::from_memory(self.opts, self.survivors()));
         }
-        let merged = if self.delta_len() == 0 {
+        let net_file = if self.delta_len() == 0 {
             None
         } else {
-            Some(self.build_merged()?)
+            Some(self.build_net()?)
         };
-        let source = match &merged {
+        let source = match &net_file {
             Some(f) => f,
             None => self.base.as_ref().expect("base present until drop"),
         };
-        let ctx = Box::new(EmContext::new(self.opts.em_config));
+        let ctx = Box::new(EmContext::new(self.ctx.config()));
         let copied = (|| {
             let before = ctx.stats();
             let mut reader = self.ctx.open_reader(source);
@@ -410,65 +420,59 @@ impl DeltaDataset {
             while let Some(rec) = reader.next_record()? {
                 writer.push(&rec)?;
             }
-            let sorted = writer.finish()?;
-            ctx.flush_file(&sorted)?;
-            Ok::<_, CoreError>((sorted, ctx.stats().since(&before)))
+            let file = writer.finish()?;
+            ctx.flush_file(&file)?;
+            Ok::<_, CoreError>((file, ctx.stats().since(&before)))
         })();
-        if let Some(f) = merged {
+        if let Some(f) = net_file {
             let deleted = self.ctx.delete_file(f);
-            let (sorted, io) = copied?;
+            let (file, io) = copied?;
             deleted?;
-            return Ok(PreparedDataset::from_sorted_owned(
-                self.opts, ctx, sorted, io,
-            ));
+            return Ok(PreparedDataset::from_owned(self.opts, ctx, file, io));
         }
-        let (sorted, io) = copied?;
-        Ok(PreparedDataset::from_sorted_owned(
-            self.opts, ctx, sorted, io,
-        ))
+        let (file, io) = copied?;
+        Ok(PreparedDataset::from_owned(self.opts, ctx, file, io))
     }
 
-    /// Builds the merged net run: base (minus tombstones) + delta inserts,
-    /// in x order, in one sequential pass.
-    fn build_merged(&self) -> Result<TupleFile<ObjectRecord>> {
+    /// Writes the net file: the base minus its tombstones, then the delta
+    /// inserts in arrival order — one sequential read of the base and one
+    /// sequential write.
+    fn build_net(&self) -> Result<TupleFile<ObjectRecord>> {
         let base = self.base.as_ref().expect("base present until drop");
-        let updates: Vec<ObjectRecord> = self.delta.values().map(|&o| ObjectRecord(o)).collect();
         let mut tombs = self.tombstones.clone();
-        merge_run(
-            &self.ctx,
-            base,
-            &updates,
-            by_x,
-            move |rec: &ObjectRecord| {
-                let key = record_key(&rec.0);
-                match tombs.get_mut(&key) {
-                    Some(count) => {
-                        *count -= 1;
-                        if *count == 0 {
-                            tombs.remove(&key);
-                        }
-                        false
+        let mut reader = self.ctx.open_reader(base);
+        let mut writer = self.ctx.create_writer::<ObjectRecord>()?;
+        while let Some(rec) = reader.next_record()? {
+            let key = record_key(&rec.0);
+            match tombs.get_mut(&key) {
+                Some(count) => {
+                    *count -= 1;
+                    if *count == 0 {
+                        tombs.remove(&key);
                     }
-                    None => true,
                 }
-            },
-        )
-        .map_err(CoreError::from)
+                None => writer.push(&rec)?,
+            }
+        }
+        for o in self.delta.values() {
+            writer.push(&ObjectRecord(*o))?;
+        }
+        Ok(writer.finish()?)
     }
 
     fn note_inserted(&mut self, added: &LiveRecord) {
-        let key = (total_order_bits(added.object.point.x), self.delta_seq);
+        let seq = self.delta_seq;
         self.delta_seq += 1;
-        self.delta.insert(key, added.object);
-        self.delta_index.insert(added.id, key);
+        self.delta.insert(seq, added.object);
+        self.delta_index.insert(added.id, seq);
     }
 
     fn note_removed(&mut self, gone: &LiveRecord) {
         if self.in_base.remove(&gone.id) {
             *self.tombstones.entry(record_key(&gone.object)).or_insert(0) += 1;
             self.tombstone_count += 1;
-        } else if let Some(key) = self.delta_index.remove(&gone.id) {
-            self.delta.remove(&key);
+        } else if let Some(seq) = self.delta_index.remove(&gone.id) {
+            self.delta.remove(&seq);
         } else {
             debug_assert!(false, "live object was neither in base nor delta");
         }
@@ -654,7 +658,7 @@ mod tests {
             assert!(ctx_probe > 0);
         }
         // The context died with the dataset; nothing to leak.  The stronger
-        // invariant — merge temporaries never outlive their query — is
+        // invariant — net files never outlive their query — is
         // asserted against a live context:
         let mut delta = DeltaDataset::new(&engine, DeltaOptions::default()).unwrap();
         delta.apply(&insert_events(400, 11)).unwrap();
@@ -680,7 +684,7 @@ mod tests {
         let query = Query::max_rs(RectSize::square(100.0));
         delta.run(&query).unwrap();
         delta.context().flush_all().unwrap();
-        assert_eq!(delta.context().num_files(), files, "merge file leaked");
+        assert_eq!(delta.context().num_files(), files, "net file leaked");
         assert_eq!(delta.context().disk_blocks(), baseline, "blocks leaked");
     }
 }

@@ -302,8 +302,8 @@ impl MaxRsEngine {
             });
         }
         // External single-shot queries route through the prepared-dataset
-        // machinery: `prepare` pays the one-time x-sort, the prepared run
-        // answers the query over the sorted file.  The reported I/O is the
+        // machinery: `prepare` loads and flushes the object file, the
+        // prepared run answers the query over it.  The reported I/O is the
         // sum of both phases (loading the objects stays excluded, as in the
         // paper's measurements), and answers are bit-identical to a
         // repeated-query [`PreparedDataset`] by construction.
@@ -329,9 +329,9 @@ impl MaxRsEngine {
     ) -> Result<QueryRun> {
         query.validate()?;
         // Routed through the prepared-dataset machinery: `prepare_file` pays
-        // the one-time scan (in-memory strategy) or x-sort (external
+        // the one-time scan (in-memory strategy) or copy (external
         // strategies) inside `ctx`, the prepared run answers the query, and
-        // dropping the prepared dataset removes its sorted file again.  The
+        // dropping the prepared dataset removes its copy again.  The
         // reported I/O is the delta of `ctx`'s counters across the whole
         // call, preserving the previous single-shot semantics.
         let before = ctx.stats();
@@ -354,14 +354,14 @@ impl MaxRsEngine {
     /// per-query [`run`](MaxRsEngine::run) calls on the same data for any
     /// weights (both go through a
     /// [`PreparedDataset`](crate::PreparedDataset)); runs come back in query
-    /// order.  The one-time preparation I/O (the external x-sort) and each
+    /// order.  The one-time preparation I/O (the object file's flush) and each
     /// group's shared pass are attributed to the first query they serve, so
     /// the runs' I/O sums to the true total (see [`crate::batch`], "I/O
     /// attribution").
     pub fn run_batch(&self, objects: &[WeightedPoint], queries: &[Query]) -> Result<Vec<QueryRun>> {
         let batch = QueryBatch::new(queries)?;
         if batch.is_empty() {
-            // Nothing to answer: don't pay the preparation sort for no one.
+            // Nothing to answer: don't prepare for no one.
             return Ok(Vec::new());
         }
         let (strategy, _) = self.select_strategy(objects.len() as u64);

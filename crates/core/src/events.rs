@@ -198,9 +198,8 @@ struct LiveEntry {
 
 /// Maps a non-`NaN` `f64` to a `u64` whose unsigned order matches the float
 /// order (the `total_cmp` bit trick, `-0.0` immediately below `+0.0`) — the
-/// one float-key encoding of the workspace: the expiry queue here, the
-/// x-ordered delta index in [`crate::delta`] and the stream engine's
-/// breakpoint multisets and candidate index.
+/// one float-key encoding of the workspace: the expiry queue here and the
+/// stream engine's breakpoint multisets and candidate index.
 pub fn total_order_bits(t: f64) -> u64 {
     let bits = t.to_bits();
     if bits >> 63 == 1 {

@@ -4,29 +4,32 @@
 //!
 //! 1. **Transform** every object into a rectangle of the query size centered
 //!    at the object (`O(N/B)` I/Os).
-//! 2. **Sort** the rectangles by center x with the external merge sort
-//!    (`O((N/B) log_{M/B}(N/B))` I/Os).
-//! 3. **Recurse**: if the rectangles of the current slab fit in the memory
+//! 2. **Recurse**: if the rectangles of the current slab fit in the memory
 //!    budget `M`, run the in-memory plane sweep; otherwise divide the slab
 //!    of `n` rectangles into at most `min(m, ⌈2.5·n/M⌉)` sub-slabs,
 //!    `m = Θ(M/B)`, at rectangle-edge quantiles
 //!    ([`crate::slab::compute_partition`]), distribute the rectangles
 //!    ([`crate::slab::distribute`]), solve each sub-slab recursively and
 //!    combine the child slab-files with [`merge_sweep`](crate::merge_sweep()).
-//! 4. **Extract** the best tuple of the final slab-file and **canonicalize**
+//! 3. **Extract** the best tuple of the final slab-file and **canonicalize**
 //!    it (widen to the full arrangement cell — see [`crate::sweep`],
 //!    "Canonical max-regions").
 //!
-//! All four stages live in the **sweep kernel** ([`crate::sweep::SweepPass`]);
+//! The paper sorts the rectangles by center x first, to find slab boundaries
+//! that split them into equal counts.  Here every node draws its boundaries
+//! from a deterministic reservoir of rectangle edges instead, so no stage
+//! reads the input's order and nothing is sorted by x; the recursion, and
+//! with it the `O((N/B) log_{M/B}(N/B))` bound, is the same.
+//!
+//! All stages live in the **sweep kernel** ([`crate::sweep::SweepPass`]);
 //! this module keeps the classic entry point [`exact_max_rs`] — one kernel
 //! pass with identity weights over an unbounded root slab — together with its
 //! tuning knobs ([`ExactMaxRsOptions`]) and the object-file helpers.  Callers
-//! that need a different input order, a weight scale or a root slab (the
-//! prepared fast path, MinRS, the batched executor) parameterize a
-//! [`SweepPass`] directly instead of going through per-variant forks of this
-//! pipeline.
+//! that need a weight scale or a root slab (MinRS, the batched executor)
+//! parameterize a [`SweepPass`] directly instead of going through
+//! per-variant forks of this pipeline.
 
-use maxrs_em::{external_sort_by_key, EmConfig, EmContext, TupleFile};
+use maxrs_em::{EmConfig, EmContext, TupleFile};
 use maxrs_geometry::{RectSize, WeightedPoint};
 
 use crate::error::{CoreError, Result};
@@ -57,8 +60,8 @@ pub struct ExactMaxRsOptions {
     /// threshold; the fan-out cap counts the configuration's `M`.
     pub memory_rects: Option<usize>,
     /// Reservoir size of the rectangle-edge sample that slab boundaries are
-    /// drawn from, except at the root of a center-x-sorted pass, which
-    /// samples [`BoundarySource::SortedExact`](crate::slab::BoundarySource)'s
+    /// drawn from, except at the root of a sweep pass, which samples
+    /// [`BoundarySource::SortedExact`](crate::slab::BoundarySource)'s
     /// default of 8,192.
     pub boundary_sample: usize,
     /// Maximum number of worker threads for the parallel slab stage
@@ -128,12 +131,9 @@ impl ExactMaxRsOptions {
 /// [`SweepPass`] with identity weights over an unbounded root slab.
 ///
 /// Returns the optimal location, the maximum range sum and the max-region.
-/// All temporary files are deleted before returning; the input file is left
-/// untouched.  I/O counters of `ctx` reflect the full pipeline (transform,
-/// sort, distribution sweep).  For an input already sorted by x (see
-/// [`sort_objects_by_x`]), use
-/// [`SweepPass::presorted`](crate::sweep::SweepPass::presorted) — same
-/// kernel, no sort, bit-identical answer.
+/// All temporary files are deleted before returning; the input file, in any
+/// order, is left untouched.  I/O counters of `ctx` reflect the full
+/// pipeline (transform, distribution sweep, canonicalization).
 pub fn exact_max_rs(
     ctx: &EmContext,
     objects: &TupleFile<ObjectRecord>,
@@ -141,21 +141,6 @@ pub fn exact_max_rs(
     opts: &ExactMaxRsOptions,
 ) -> Result<MaxRsResult> {
     SweepPass::new(ctx, opts).max_rs(objects, size)
-}
-
-/// Sorts an object file by object x with the external merge sort — the
-/// one-time preprocessing retained by
-/// [`PreparedDataset`](crate::PreparedDataset).
-///
-/// The MaxRS transform centers every rectangle at its object, so x-order of
-/// the objects is center-x order of the transformed rectangles regardless of
-/// the query's rectangle size; one sort therefore serves every subsequent
-/// [`Query`](crate::Query) variant.  The input file is left untouched.
-pub fn sort_objects_by_x(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
-) -> Result<TupleFile<ObjectRecord>> {
-    external_sort_by_key(ctx, objects, |r| r.0.point.x).map_err(CoreError::from)
 }
 
 /// Convenience wrapper: loads the objects into the context and runs

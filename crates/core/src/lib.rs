@@ -18,9 +18,9 @@
 //! * [`MaxRsEngine`] — a facade that auto-selects between the in-memory
 //!   sweep, the sequential external sweep and the **parallel slab stage**
 //!   from the dataset size, the memory budget and the core count,
-//! * [`PreparedDataset`] — sort-once repeated querying: one external x-sort
-//!   at [`MaxRsEngine::prepare`] time serves every subsequent [`Query`]
-//!   variant sort-free ([`crate::prepared`]),
+//! * [`PreparedDataset`] — load-once repeated querying: the object file
+//!   written at [`MaxRsEngine::prepare`] time serves every subsequent
+//!   [`Query`] variant ([`crate::prepared`]),
 //! * [`SweepPass`] — the parameterized sweep kernel every strategy and every
 //!   query variant instantiates ([`crate::sweep`]),
 //! * [`QueryBatch`] / [`PreparedDataset::run_batch`] — batched multi-query
@@ -31,6 +31,10 @@
 //!   split into balanced shards prepared **concurrently** (each on its own
 //!   block device), queries routed to the shards they touch and merged
 //!   exactly through the span-event decomposition ([`crate::shard`]).
+//!
+//! No stage reads the order of an object file, so no path sorts the objects:
+//! a prepared, sharded or delta dataset keeps them in arrival order (see
+//! [`crate::sweep`]).
 //!
 //! The external-memory algorithms run against a [`maxrs_em::EmContext`], which
 //! simulates a block device with a bounded buffer pool and counts every block
@@ -132,9 +136,7 @@ pub use events::{
     total_order_bits, validate_object, Event, EventError, EventOutcome, EventReport, LiveRecord,
     LiveSet,
 };
-pub use exact::{
-    exact_max_rs, exact_max_rs_from_objects, load_objects, sort_objects_by_x, ExactMaxRsOptions,
-};
+pub use exact::{exact_max_rs, exact_max_rs_from_objects, load_objects, ExactMaxRsOptions};
 pub use extensions::{
     max_k_rs_in_memory, min_range_sum, min_rs_in_memory, min_strip_scan, MinStrip,
 };
@@ -156,5 +158,5 @@ pub use shard::{
 pub use slab::{compute_partition, distribute, BoundarySource, Crop, Distribution, SlabPartition};
 pub use sweep::{
     extract_best, is_suppressed, next_breakpoint_after, solve_rects, transform_to_rect_file,
-    InputOrder, SweepPass,
+    SweepPass,
 };

@@ -364,7 +364,6 @@ mod tests {
         assert_eq!(rects.len(), 1);
         assert_eq!(rects[0].rect, Rect::new(8.0, 12.0, 17.0, 23.0));
         assert_eq!(rects[0].weight, 2.0);
-        assert_eq!(rects[0].center_x(), 10.0);
     }
 
     #[test]

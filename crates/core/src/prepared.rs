@@ -1,28 +1,19 @@
-//! [`PreparedDataset`]: preprocess a dataset once, answer many queries.
+//! [`PreparedDataset`]: load a dataset once, answer many queries.
 //!
-//! `MaxRsEngine::run` is stateless: every call over a dataset that exceeds
-//! the memory budget pays the full `O((N/B) log_{M/B}(N/B))` external sort
-//! before the distribution sweep can start.  Workloads that ask several
-//! questions of the *same* data — MaxRS at a few rectangle sizes, a top-k
-//! follow-up, a MinRS sanity check — repeat that sort for no reason: the
-//! sweep only needs its rectangles in center-x order, transformed rectangles
-//! are centered at their objects, and the objects' x-order does not depend on
-//! the query at all.
-//!
-//! [`MaxRsEngine::prepare`] therefore runs the transform-independent part of
-//! the pipeline once — load + external x-sort of the object file — and
-//! retains the sorted file.  [`PreparedDataset::run`] answers any
-//! [`Query`] variant against the retained file with the sort-free pipeline
-//! (a presorted [`SweepPass`](crate::sweep::SweepPass)): each query costs
-//! only the `O(N/B)` transform scan plus the sweep, and a whole *batch* of
+//! [`MaxRsEngine::prepare`] writes the objects into an external-memory
+//! context once and retains that object file; [`PreparedDataset::run`]
+//! answers any [`Query`] variant against it.  Each query costs the `O(N/B)`
+//! transform scan plus the distribution sweep, and a whole *batch* of
 //! queries shares even those across queries of one rectangle size
-//! ([`PreparedDataset::run_batch`], see [`crate::batch`]).  Answers are
-//! bit-identical to single-shot [`MaxRsEngine::run`] calls — which since
-//! this layer exists simply route through a throwaway prepared dataset —
-//! because canonical max-regions (see [`crate::sweep`]) make every answer
+//! ([`PreparedDataset::run_batch`], see [`crate::batch`]).  The file is kept
+//! in arrival order: no stage of the sweep reads the order of its input (see
+//! [`crate::sweep`]), so preparing moves each block of the dataset at most
+//! once.  Answers are bit-identical to single-shot [`MaxRsEngine::run`]
+//! calls — which simply route through a throwaway prepared dataset — because
+//! canonical max-regions (see [`crate::sweep`]) make every answer
 //! independent of how the sweep's input was obtained.
 //!
-//! The sorted file is owned RAII-style: dropping the `PreparedDataset`
+//! The object file is owned RAII-style: dropping the `PreparedDataset`
 //! deletes its blocks, so a long-running engine that prepares many datasets
 //! never leaks disk space (`disk_blocks()` returns to its baseline — a test
 //! asserts exactly that).
@@ -33,7 +24,7 @@ use maxrs_geometry::WeightedPoint;
 use crate::batch::{run_batch_external, QueryBatch};
 use crate::engine::{runs_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
 use crate::error::Result;
-use crate::exact::{load_objects, sort_objects_by_x};
+use crate::exact::load_objects;
 use crate::query::{Query, QueryRun};
 use crate::records::ObjectRecord;
 
@@ -61,17 +52,17 @@ enum Source<'a> {
     /// The dataset fits the memory budget: kept as a plain vector, queries
     /// are answered by the in-memory reference algorithms at zero I/O.
     Memory(Vec<WeightedPoint>),
-    /// External dataset: the object file sorted by x, retained across
-    /// queries.  `sorted` is `Some` until `Drop` takes it.
+    /// External dataset: the object file, retained across queries.  `file`
+    /// is `Some` until `Drop` takes it.
     External {
         ctx: CtxHandle<'a>,
-        sorted: Option<TupleFile<ObjectRecord>>,
+        file: Option<TupleFile<ObjectRecord>>,
     },
 }
 
-/// A dataset preprocessed for repeated queries: the external x-sort is paid
-/// once at construction, then every [`run`](PreparedDataset::run) — any
-/// [`Query`] variant, any rectangle size — skips it.
+/// A dataset stored once for repeated queries: every
+/// [`run`](PreparedDataset::run) — any [`Query`] variant, any rectangle size
+/// — reads the object file written at construction.
 ///
 /// Created by [`MaxRsEngine::prepare`] (own context, configured by the
 /// engine's [`EngineOptions::em_config`]) or
@@ -86,14 +77,14 @@ pub struct PreparedDataset<'a> {
 }
 
 impl MaxRsEngine {
-    /// Preprocesses a dataset for repeated queries: strategy selection plus —
-    /// for datasets exceeding the memory budget — the one-time load and
-    /// external x-sort into a fresh context with the engine's configuration.
+    /// Prepares a dataset for repeated queries: strategy selection plus —
+    /// for datasets exceeding the memory budget — the one-time load into a
+    /// fresh context with the engine's configuration.  The loaded file is
+    /// the retained one; the reported preparation cost is the flush that
+    /// makes it durable.
     ///
     /// See the [`PreparedDataset`] docs and the crate README's cookbook for
-    /// when this pays off: from the second query on, each
-    /// [`PreparedDataset::run`] saves the entire `O((N/B) log_{M/B}(N/B))`
-    /// sort that a stateless [`run`](MaxRsEngine::run) would repeat.
+    /// when this pays off.
     ///
     /// ```
     /// use maxrs_core::{MaxRsEngine, Query};
@@ -130,31 +121,13 @@ impl MaxRsEngine {
             });
         }
         let ctx = Box::new(EmContext::new(opts.em_config));
-        let file = load_objects(&ctx, objects)?;
-        // Loading is excluded from the reported preprocessing cost, exactly
-        // as single-shot runs exclude it from theirs.
-        let before = ctx.stats();
-        let sorted = sort_objects_by_x(&ctx, &file)?;
-        ctx.delete_file(file)?;
-        // Materialize the sorted file: its dirty blocks belong to the
-        // one-time preprocessing cost, not to whichever query happens to
-        // evict them first.
-        ctx.flush_file(&sorted)?;
-        let prepare_io = ctx.stats().since(&before);
-        Ok(PreparedDataset {
-            opts,
-            source: Source::External {
-                ctx: CtxHandle::Owned(ctx),
-                sorted: Some(sorted),
-            },
-            len: objects.len() as u64,
-            prepare_io,
-        })
+        PreparedDataset::load_owned(opts, ctx, objects)
     }
 
     /// [`prepare`](MaxRsEngine::prepare) for an object file already stored in
-    /// a caller-owned context: the sorted copy lives in `ctx` (the input file
-    /// is left untouched) and is deleted when the returned dataset drops.
+    /// a caller-owned context: one scan copies it into a file of `ctx` that
+    /// the returned dataset owns (the input file is left untouched) and
+    /// deletes when it drops.
     ///
     /// The in-memory cutoff and worker cap come from `ctx`'s configuration,
     /// exactly as in [`run_file`](MaxRsEngine::run_file); for a dataset under
@@ -178,18 +151,21 @@ impl MaxRsEngine {
                 prepare_io: ctx.stats().since(&before),
             });
         }
-        let sorted = sort_objects_by_x(ctx, objects)?;
-        // As in `prepare`: the sorted file's dirty blocks are part of the
-        // one-time cost, not of the first query that evicts them.  Only this
-        // file is flushed — a shared context's unrelated cached state (and
-        // its measurements) stays untouched.
-        ctx.flush_file(&sorted)?;
+        let file = ctx.map_file(objects, |rec: ObjectRecord| rec)?;
+        // As in `prepare`: the copy's dirty blocks are part of the one-time
+        // cost, not of the first query that evicts them.  Only this file is
+        // flushed — a shared context's unrelated cached state (and its
+        // measurements) stays untouched.
+        if let Err(e) = ctx.flush_file(&file) {
+            let _ = ctx.delete_file(file);
+            return Err(e.into());
+        }
         Ok(PreparedDataset {
             opts,
             len: objects.len(),
             source: Source::External {
                 ctx: CtxHandle::Borrowed(ctx),
-                sorted: Some(sorted),
+                file: Some(file),
             },
             prepare_io: ctx.stats().since(&before),
         })
@@ -210,23 +186,41 @@ impl PreparedDataset<'static> {
         }
     }
 
-    /// Builds a prepared dataset around an **already x-sorted** object file
-    /// in a context it takes ownership of — the sort-free snapshot path of
-    /// [`DeltaDataset`](crate::DeltaDataset): the delta merge preserves
-    /// x-order, so no new sort is ever paid.
-    pub(crate) fn from_sorted_owned(
+    /// Loads `objects` into `ctx`, which the dataset takes ownership of, and
+    /// flushes the file — the external body of
+    /// [`prepare`](MaxRsEngine::prepare) and of
+    /// [`prepare_shard`](crate::prepare_shard).  Loading is excluded from the
+    /// reported preparation cost, exactly as single-shot runs exclude it from
+    /// theirs; the file's dirty blocks belong to it, not to whichever query
+    /// happens to evict them first.
+    pub(crate) fn load_owned(
         opts: EngineOptions,
         ctx: Box<EmContext>,
-        sorted: TupleFile<ObjectRecord>,
+        objects: &[WeightedPoint],
+    ) -> Result<Self> {
+        let file = load_objects(&ctx, objects)?;
+        let before = ctx.stats();
+        ctx.flush_file(&file)?;
+        let prepare_io = ctx.stats().since(&before);
+        Ok(PreparedDataset::from_owned(opts, ctx, file, prepare_io))
+    }
+
+    /// Builds a prepared dataset around an object file in a context it takes
+    /// ownership of — the snapshot path of
+    /// [`DeltaDataset`](crate::DeltaDataset).
+    pub(crate) fn from_owned(
+        opts: EngineOptions,
+        ctx: Box<EmContext>,
+        file: TupleFile<ObjectRecord>,
         prepare_io: IoSnapshot,
     ) -> Self {
-        let len = sorted.len();
+        let len = file.len();
         PreparedDataset {
             opts,
             len,
             source: Source::External {
                 ctx: CtxHandle::Owned(ctx),
-                sorted: Some(sorted),
+                file: Some(file),
             },
             prepare_io,
         }
@@ -244,30 +238,31 @@ impl PreparedDataset<'_> {
         self.len == 0
     }
 
-    /// The context and retained x-sorted object file of an external dataset,
-    /// or `None` for an in-memory one.  The sharded layer ([`crate::shard`])
+    /// The context and retained object file of an external dataset, or
+    /// `None` for an in-memory one.  The sharded layer ([`crate::shard`])
     /// drives its per-shard passes through this instead of `run_planned`, so
     /// that one global sweep can span every shard's file.
     pub fn external_parts(&self) -> Option<(&EmContext, &TupleFile<ObjectRecord>)> {
         match &self.source {
             Source::Memory(_) => None,
-            Source::External { ctx, sorted } => {
-                Some((ctx.get(), sorted.as_ref().expect("sorted file taken")))
+            Source::External { ctx, file } => {
+                Some((ctx.get(), file.as_ref().expect("object file taken")))
             }
         }
     }
 
-    /// `true` when queries run through the external-memory pipeline (a sorted
+    /// `true` when queries run through the external-memory pipeline (an
     /// object file is retained); `false` when the dataset fits the memory
     /// budget and queries are answered in memory at zero I/O.
     pub fn is_external(&self) -> bool {
         matches!(self.source, Source::External { .. })
     }
 
-    /// Blocks transferred by the one-time preprocessing (the external x-sort,
-    /// or the loading scan of [`prepare_file`](MaxRsEngine::prepare_file) for
-    /// in-memory datasets).  Zero for [`prepare`](MaxRsEngine::prepare) of an
-    /// in-memory dataset.
+    /// Blocks transferred by the one-time preparation: the flush of the
+    /// loaded file ([`prepare`](MaxRsEngine::prepare)), the copy and its
+    /// flush ([`prepare_file`](MaxRsEngine::prepare_file)), or the loading
+    /// scan of `prepare_file` for in-memory datasets.  Zero for `prepare` of
+    /// an in-memory dataset.
     pub fn prepare_io(&self) -> IoSnapshot {
         self.prepare_io
     }
@@ -282,7 +277,7 @@ impl PreparedDataset<'_> {
     }
 
     /// Estimated bytes this dataset keeps resident while it lives: the
-    /// in-memory object vector, or the retained sorted file's blocks for an
+    /// in-memory object vector, or the retained object file's blocks for an
     /// external dataset.  This is what a serving-layer cache (e.g.
     /// `maxrs-serve`'s `DatasetRegistry`) charges against its memory budget —
     /// an estimate of the *retained* footprint, not of the transient working
@@ -302,11 +297,9 @@ impl PreparedDataset<'_> {
     /// Answers any [`Query`] variant against the prepared data.
     ///
     /// External datasets pay the `O(N/B)` transform scan plus the
-    /// distribution sweep — never the external sort, which
-    /// [`prepare`](MaxRsEngine::prepare) already paid (a regression test
-    /// asserts a second `run` does zero sort I/O).  The reported I/O is the
-    /// delta across this query only.  Answers are bit-identical to
-    /// single-shot [`MaxRsEngine::run`] calls with the same options.
+    /// distribution sweep.  The reported I/O is the delta across this query
+    /// only.  Answers are bit-identical to single-shot [`MaxRsEngine::run`]
+    /// calls with the same options.
     ///
     /// A single run is exactly a [`run_batch`](PreparedDataset::run_batch) of
     /// one query, so the per-query and batched paths can never diverge.
@@ -360,11 +353,11 @@ impl PreparedDataset<'_> {
     pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
         match &self.source {
             Source::Memory(objects) => Ok(runs_in_memory(objects, batch)),
-            Source::External { ctx, sorted } => {
+            Source::External { ctx, file } => {
                 let ctx = ctx.get();
-                let sorted = sorted.as_ref().expect("sorted file present until drop");
+                let file = file.as_ref().expect("object file present until drop");
                 let engine = MaxRsEngine::with_options(self.opts);
-                let (strategy, workers) = engine.select_for(sorted.len(), ctx.config());
+                let (strategy, workers) = engine.select_for(file.len(), ctx.config());
                 // An external source always selects an external strategy
                 // (same n, same config as at prepare time); the guard keeps
                 // the run well-defined even if options were somehow forced
@@ -374,7 +367,7 @@ impl PreparedDataset<'_> {
                 } else {
                     strategy
                 };
-                run_batch_external(ctx, sorted, batch, strategy, workers, &self.opts.exact)
+                run_batch_external(ctx, file, batch, strategy, workers, &self.opts.exact)
             }
         }
     }
@@ -382,8 +375,8 @@ impl PreparedDataset<'_> {
 
 impl Drop for PreparedDataset<'_> {
     fn drop(&mut self) {
-        if let Source::External { ctx, sorted } = &mut self.source {
-            if let Some(file) = sorted.take() {
+        if let Source::External { ctx, file } = &mut self.source {
+            if let Some(file) = file.take() {
                 // Deleting can only fail if the file is already gone; either
                 // way its blocks are no longer allocated.
                 let _ = ctx.get().delete_file(file);
@@ -453,7 +446,7 @@ mod tests {
         let objects = pseudo_random_objects(800, 11, 1000.0);
         let prepared = engine.prepare(&objects).unwrap();
         assert!(prepared.is_external());
-        assert!(prepared.prepare_io().total() > 0, "the x-sort does I/O");
+        assert!(prepared.prepare_io().total() > 0, "the flush does I/O");
         assert!(prepared.backend_name().is_some());
 
         let size = RectSize::square(80.0);
@@ -475,7 +468,7 @@ mod tests {
             assert!(prepared_run.io.total() > 0, "{}", query.name());
             assert!(
                 prepared_run.io.total() < single.io.total(),
-                "{}: prepared run ({}) must beat cold run ({}) by the sort",
+                "{}: prepared run ({}) must beat cold run ({}) by the prepare",
                 query.name(),
                 prepared_run.io,
                 single.io
@@ -493,8 +486,7 @@ mod tests {
         let second = prepared.run(&q).unwrap();
         assert_eq!(first.answer, second.answer);
         assert!(first.io.total() > 0);
-        // Buffer-pool warmth can only make later runs cheaper, never dearer:
-        // no run after `prepare` ever pays the external sort again.
+        // Buffer-pool warmth can only make later runs cheaper, never dearer.
         assert!(
             second.io.total() <= first.io.total(),
             "second run ({}) costlier than the first ({})",

@@ -59,11 +59,6 @@ impl RectRecord {
     pub fn new(rect: Rect, weight: f64) -> Self {
         RectRecord { rect, weight }
     }
-
-    /// Center x-coordinate — the sort key of the distribution sweep.
-    pub fn center_x(&self) -> f64 {
-        (self.rect.x_lo + self.rect.x_hi) / 2.0
-    }
 }
 
 impl Record for RectRecord {
@@ -252,7 +247,7 @@ mod tests {
         let rect = WeightedPoint::at(10.0, 20.0, 2.0).to_rect(RectSize::new(4.0, 6.0));
         let rr = RectRecord::new(rect, 2.0);
         roundtrip(rr);
-        assert_eq!(rr.center_x(), 10.0);
+        assert_eq!(rr.rect.center(), Point::new(10.0, 20.0));
     }
 
     #[test]

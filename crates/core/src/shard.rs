@@ -2,12 +2,12 @@
 //!
 //! [`ShardedDataset`] splits the x-domain into `K` coarse shards at
 //! boundaries picked by a sampling pass (so the shards hold roughly equal
-//! object counts), then ingests and external-sorts every shard **concurrently**
-//! on the [`parallel_map`] pool — the one-time `O((N/B) log_{M/B}(N/B))` sort
-//! of [`MaxRsEngine::prepare`] becomes `K` independent sorts of `N/K` records
-//! each, so prepare wall-clock scales with cores.  Each shard owns its own
-//! [`PreparedDataset`] and block device: with [`ShardLayout::directories`]
-//! the shards spread over different directories (and hence disks).
+//! object counts), then loads every shard **concurrently** on the
+//! [`parallel_map`] pool, each in arrival order like
+//! [`MaxRsEngine::prepare`].  Each shard owns its own [`PreparedDataset`]
+//! and block device: with [`ShardLayout::directories`] the shards spread
+//! over different directories (and hence disks), and each query's shard
+//! sweeps run on the shards' own devices.
 //!
 //! ## Queries stay exact — and bit-identical
 //!
@@ -75,7 +75,7 @@ use crate::approx::evaluate_candidates;
 use crate::batch::{run_on_host, QueryBatch, SweepHost};
 use crate::engine::{EngineOptions, ExecutionStrategy, MaxRsEngine};
 use crate::error::{CoreError, Result};
-use crate::exact::{load_objects, sort_objects_by_x, ExactMaxRsOptions};
+use crate::exact::ExactMaxRsOptions;
 use crate::merge_sweep::merge_sweep_readers;
 use crate::parallel::{available_parallelism, parallel_map};
 use crate::prepared::PreparedDataset;
@@ -138,15 +138,15 @@ impl ShardLayout {
     }
 }
 
-/// One shard: its prepared (x-sorted, externally stored) objects; shard `i`
-/// owns [`shard_slab`]`(boundaries, i)`.
+/// One shard: its prepared (externally stored) objects; shard `i` owns
+/// [`shard_slab`]`(boundaries, i)`.
 struct Shard {
     data: PreparedDataset<'static>,
     prepare_io: IoSnapshot,
 }
 
-/// A shard's context and retained x-sorted object file, as the sweep
-/// machinery consumes them.
+/// A shard's context and retained object file, as the sweep machinery
+/// consumes them.
 type ShardFile<'a> = (&'a EmContext, &'a TupleFile<ObjectRecord>);
 
 /// Phase-1 output of one source shard: per-global-slab rectangle pieces
@@ -186,8 +186,8 @@ impl MaxRsEngine {
     /// Partitions `objects` into [`ShardLayout::shards`] x-shards (boundaries
     /// picked by a sampling pass so the shards are balanced) and prepares
     /// every shard **concurrently** on the [`parallel_map`] pool — the
-    /// parallel counterpart of [`prepare`](MaxRsEngine::prepare), with each
-    /// shard external-sorting `~N/K` records on its own block device.
+    /// sharded counterpart of [`prepare`](MaxRsEngine::prepare), with each
+    /// shard loading its `~N/K` records onto its own block device.
     ///
     /// Answers from the returned [`ShardedDataset`] are bit-identical to the
     /// unsharded [`PreparedDataset`]'s for every query variant (integer
@@ -269,9 +269,9 @@ impl ShardedDataset {
         self.shards.iter().map(|s| s.data.len()).collect()
     }
 
-    /// Blocks transferred by the one-time preprocessing, summed over the
-    /// shards (each shard's external x-sort plus its flush; loading is
-    /// excluded exactly as in [`PreparedDataset::prepare_io`]).
+    /// Blocks transferred by the one-time preparation, summed over the
+    /// shards (each shard's flush of its loaded file; loading is excluded
+    /// exactly as in [`PreparedDataset::prepare_io`]).
     pub fn prepare_io(&self) -> IoSnapshot {
         self.shards
             .iter()
@@ -291,7 +291,7 @@ impl ShardedDataset {
             .unwrap_or_else(|| self.merge_ctx.backend_name())
     }
 
-    /// Estimated resident bytes: the retained sorted files of all shards.
+    /// Estimated resident bytes: the retained object files of all shards.
     pub fn resident_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.data.resident_bytes()).sum()
     }
@@ -748,8 +748,8 @@ fn concatenate<T: Record>(ctx: &EmContext, parts: &[&TupleFile<T>]) -> Result<Tu
 }
 
 /// The crop scan of one source shard, shared by [`ShardedDataset`] and the
-/// shard servers of `maxrs-cluster`: every object of the shard's sorted file
-/// that the pass keeps — outside the `suppressed` rectangles, its `size`
+/// shard servers of `maxrs-cluster`: every object of the shard's file that
+/// the pass keeps — outside the `suppressed` rectangles, its `size`
 /// rectangle meeting the closed y-`band` ([`swept_rect`], the filter of the
 /// unsharded transform) — is transformed to `size`, its weight scaled by
 /// `weight_scale`, and cropped against the global `partition` by the one
@@ -817,7 +817,7 @@ fn build_shard(
 }
 
 /// Prepares one shard on its own context (optionally on a dedicated
-/// directory): load, external x-sort, flush — the per-shard body of
+/// directory): load, then flush — the per-shard body of
 /// [`MaxRsEngine::prepare`], measured identically (loading excluded).  The
 /// shard is always stored externally, so its
 /// [`external_parts`](PreparedDataset::external_parts) are available to
@@ -836,16 +836,9 @@ pub fn prepare_shard(
             Box::new(EmContext::with_device(opts.em_config, Box::new(disk)))
         }
     };
-    let raw = load_objects(&ctx, objects)?;
-    let before = ctx.stats();
-    let sorted = sort_objects_by_x(&ctx, &raw)?;
-    ctx.delete_file(raw)?;
-    ctx.flush_file(&sorted)?;
-    let prepare_io = ctx.stats().since(&before);
-    Ok((
-        PreparedDataset::from_sorted_owned(opts, ctx, sorted, prepare_io),
-        prepare_io,
-    ))
+    let data = PreparedDataset::load_owned(opts, ctx, objects)?;
+    let prepare_io = data.prepare_io();
+    Ok((data, prepare_io))
 }
 
 /// The x-interval shard `i` owns, given the interior boundaries: shard 0

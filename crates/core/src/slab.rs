@@ -141,9 +141,10 @@ pub(crate) const DEFAULT_BOUNDARY_SAMPLE: usize = 8192;
 /// reservoir; neither reads the file's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundarySource {
-    /// The root of a pass over a center-x-sorted file, as the sweep marks
-    /// it: a reservoir of 8,192 edges, the default
+    /// The root of a sweep pass: a reservoir of 8,192 edges, the default
     /// [`ExactMaxRsOptions::boundary_sample`](crate::ExactMaxRsOptions::boundary_sample).
+    /// The name is left from when a pass's root was x-sorted; it stays
+    /// because the benchmark package (`benchmark/src/em.rs`) still passes it.
     SortedExact,
     /// A reservoir of at most the given size.
     Sampled(usize),
@@ -386,7 +387,7 @@ mod tests {
 
     /// A slab of up to `m·M/2.5` rectangles ends in one level: at most
     /// `⌈2.5·n/M⌉` sub-slabs, and no child larger than `M`, for any
-    /// rectangle width and either reservoir.
+    /// rectangle width and file order.
     #[test]
     fn compute_partition_finishes_a_few_buffers_in_one_level() {
         use maxrs_datagen::{Dataset, DatasetKind, SPACE_EXTENT};
@@ -408,15 +409,13 @@ mod tests {
                         .map(|o| RectRecord::new(o.to_rect(size), o.weight))
                         .collect();
                     let unsorted = ctx.write_all(&rects).unwrap();
-                    rects.sort_by(|a, b| a.center_x().total_cmp(&b.center_x()));
+                    rects.sort_by(|a, b| a.rect.x_lo.total_cmp(&b.rect.x_lo));
                     let sorted = ctx.write_all(&rects).unwrap();
-                    for (file, source) in [
-                        (&sorted, BoundarySource::SortedExact),
-                        (&unsorted, BoundarySource::Sampled(8192)),
-                    ] {
+                    for (file, order) in [(&unsorted, "generated"), (&sorted, "x-sorted")] {
+                        let source = BoundarySource::Sampled(8192);
                         let p = compute_partition(&ctx, file, Interval::UNBOUNDED, fanout, source)
                             .unwrap();
-                        let at = format!("{kind:?} n={n} share={share} {source:?}");
+                        let at = format!("{kind:?} n={n} share={share} {order}");
                         assert!(p.num_slabs() >= 2 && p.num_slabs() <= cap, "{at}");
                         let dist = distribute(&ctx, file, &p).unwrap();
                         for f in dist.slab_inputs {

@@ -1,24 +1,26 @@
 //! The **sweep kernel**: one parameterized distribution-sweep pipeline that
 //! every query variant and every execution strategy instantiates.
 //!
-//! Historically the crate carried the pipeline four times — `exact_max_rs`
-//! vs. `exact_max_rs_presorted`, `distribution_sweep` vs.
-//! `distribution_sweep_presorted` — plus per-variant re-implementations in
-//! the engine.  [`SweepPass`] collapses them into one parameterized object
-//! with the pipeline's four stages as composable methods:
+//! [`SweepPass`] is one parameterized object with the pipeline's four stages
+//! as composable methods:
 //!
 //! 1. **transform** — stream the object file into query-sized rectangles
 //!    ([`SweepPass::transform`]), optionally scaling weights (`-1` is the
 //!    MinRS reduction);
 //! 2. **slab partition + strip sweep** — the distribution-sweep recursion
-//!    over the rectangles ([`SweepPass::sweep_rects`]), preceded by the
-//!    external center-x sort exactly when the pass's [`InputOrder`] says the
-//!    input needs one;
+//!    over the rectangles ([`SweepPass::sweep_rects`]);
 //! 3. **extract** — the best tuple of the final slab-file
 //!    ([`SweepPass::extract_best`]);
 //! 4. **canonicalize** — give the winning interval the full arrangement
 //!    cell ([`SweepPass::canonicalize`]) so every strategy and every input
 //!    order reports the identical max-region.
+//!
+//! No stage reads the order of the object file: every recursion node draws
+//! its slab boundaries from a reservoir of rectangle edges
+//! ([`compute_partition`]), the leaves sort their events in memory, and
+//! MergeSweep consumes y-sorted streams the recursion produces itself.  No
+//! pass sorts its input, and a file in any order yields the same answer —
+//! bit for bit for integer weights, whose sums are exact in any grouping.
 //!
 //! [`SweepPass::max_rs`] composes all four; the query driver
 //! ([`crate::batch`]) runs the stages separately so several queries can share
@@ -45,7 +47,7 @@
 //! query layer ([`crate::engine::MaxRsEngine::run`]) relies on this to give
 //! every `Query` variant strategy-independent answers.
 
-use maxrs_em::{external_sort_by_key, EmContext, TupleFile};
+use maxrs_em::{EmContext, TupleFile};
 use maxrs_geometry::{Interval, Point, Rect, RectSize};
 
 use crate::batch::{best_placement, canonicalize, FileHost};
@@ -58,27 +60,13 @@ use crate::records::{ObjectRecord, RectRecord, SlabTuple};
 use crate::result::MaxRsResult;
 use crate::slab::{compute_partition, distribute, BoundarySource};
 
-/// Whether a pass's object file is already in the order the sweep needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputOrder {
-    /// Arbitrary order: the kernel pays the
-    /// `O((N/B) log_{M/B}(N/B))` external center-x sort before sweeping.
-    Unsorted,
-    /// Already sorted by object x (see
-    /// [`sort_objects_by_x`](crate::exact::sort_objects_by_x)); transformed
-    /// rectangles are centered at their objects, so the rectangle file is in
-    /// center-x order for *every* query size and the sort is skipped.  This
-    /// is the fast path of [`PreparedDataset`](crate::PreparedDataset).
-    PresortedByX,
-}
-
 /// One parameterized distribution-sweep pass: the sweep kernel.
 ///
 /// A pass captures everything the pipeline varies over — the EM context, the
-/// tuning [`ExactMaxRsOptions`], the input [`InputOrder`], a weight scale
-/// (`-1.0` turns MaxRS into MinRS) and a root slab (the query domain's
-/// x-interval for MinRS, unbounded otherwise) — so callers state *what* to
-/// sweep and never re-implement *how*:
+/// tuning [`ExactMaxRsOptions`], a weight scale (`-1.0` turns MaxRS into
+/// MinRS) and a root slab (the query domain's x-interval for MinRS, unbounded
+/// otherwise) — so callers state *what* to sweep and never re-implement
+/// *how*.  The object file may be in any order:
 ///
 /// ```
 /// use maxrs_core::{load_objects, ExactMaxRsOptions, SweepPass};
@@ -105,7 +93,6 @@ pub enum InputOrder {
 pub struct SweepPass<'a> {
     ctx: &'a EmContext,
     opts: ExactMaxRsOptions,
-    order: InputOrder,
     weight_scale: f64,
     root: Interval,
     suppressed: &'a [Rect],
@@ -113,13 +100,12 @@ pub struct SweepPass<'a> {
 }
 
 impl<'a> SweepPass<'a> {
-    /// A pass over an arbitrarily ordered object file: identity weights,
-    /// unbounded root slab — the classic ExactMaxRS configuration.
+    /// A pass with identity weights over an unbounded root slab — the
+    /// classic ExactMaxRS configuration.
     pub fn new(ctx: &'a EmContext, opts: &ExactMaxRsOptions) -> Self {
         SweepPass {
             ctx,
             opts: *opts,
-            order: InputOrder::Unsorted,
             weight_scale: 1.0,
             root: Interval::UNBOUNDED,
             suppressed: &[],
@@ -127,13 +113,11 @@ impl<'a> SweepPass<'a> {
         }
     }
 
-    /// A pass over an object file already sorted by x: the sort-free pipeline
-    /// of [`PreparedDataset`](crate::PreparedDataset).
+    /// The same pass as [`new`](SweepPass::new): no pass reads its file's
+    /// order any more.  Kept only because the benchmark package
+    /// (`benchmark/src/em.rs`) still calls it by this name.
     pub fn presorted(ctx: &'a EmContext, opts: &ExactMaxRsOptions) -> Self {
-        SweepPass {
-            order: InputOrder::PresortedByX,
-            ..SweepPass::new(ctx, opts)
-        }
+        SweepPass::new(ctx, opts)
     }
 
     /// Multiplies every object weight by `scale` during the transform scan.
@@ -202,31 +186,21 @@ impl<'a> SweepPass<'a> {
             .map_err(CoreError::from)
     }
 
-    /// Stages 2–3 — sorts the rectangles by center x (skipped for
-    /// [`InputOrder::PresortedByX`]) and runs the distribution-sweep
-    /// recursion, returning the final slab-file of the pass's root slab (the
-    /// y-sorted `⟨y, max-interval, sum⟩` tuples).  The input file is
-    /// consumed; rectangle weights may be negative (only `WeightedPoint`
-    /// insists on non-negativity).  `opts.parallelism` caps the workers that
-    /// solve the top-level sub-slabs concurrently; the slab-file is the same
-    /// for every worker count.
+    /// Stages 2–3 — runs the distribution-sweep recursion over the
+    /// rectangles, in whatever order they come, returning the final
+    /// slab-file of the pass's root slab (the y-sorted
+    /// `⟨y, max-interval, sum⟩` tuples).  The input file is consumed;
+    /// rectangle weights may be negative (only `WeightedPoint` insists on
+    /// non-negativity).  `opts.parallelism` caps the workers that solve the
+    /// top-level sub-slabs concurrently; the slab-file is the same for every
+    /// worker count.
     pub fn sweep_rects(&self, rects: TupleFile<RectRecord>) -> Result<TupleFile<SlabTuple>> {
-        let sorted = match self.order {
-            InputOrder::Unsorted => {
-                let sorted = external_sort_by_key(self.ctx, &rects, |r| r.center_x());
-                let deleted = self.ctx.delete_file(rects);
-                let sorted = sorted?;
-                deleted?;
-                sorted
-            }
-            InputOrder::PresortedByX => rects,
-        };
         let runner = Runner {
             ctx: self.ctx,
             opts: self.opts,
             workers: self.opts.effective_parallelism(self.ctx.config()),
         };
-        runner.solve(sorted, self.root, true)
+        runner.solve(rects, self.root, BoundarySource::SortedExact)
     }
 
     /// Stages 1–3 composed: transform, then sweep.
@@ -266,10 +240,10 @@ impl<'a> SweepPass<'a> {
         )
     }
 
-    /// The full pipeline: transform → (sort) → sweep → extract →
-    /// canonicalize.  Returns the optimal location, the maximum range sum and
-    /// the canonical max-region; all temporary files are deleted before
-    /// returning and the input file is left untouched.
+    /// The full pipeline: transform → sweep → extract → canonicalize.
+    /// Returns the optimal location, the maximum range sum and the canonical
+    /// max-region; all temporary files are deleted before returning and the
+    /// input file is left untouched.
     pub fn max_rs(&self, objects: &TupleFile<ObjectRecord>, size: RectSize) -> Result<MaxRsResult> {
         if objects.is_empty() {
             return Ok(MaxRsResult::empty());
@@ -360,12 +334,13 @@ pub fn next_breakpoint_after(
 
 /// Runs the distribution-sweep recursion over an **already distributed**
 /// rectangle file: the caller has cropped the rectangles to `slab` (and
-/// routed away anything outside it), so no transform and no top-level sort
-/// happen here.  `sorted` says whether the file is in center-x order (the
-/// root's boundaries then come from the default-size edge reservoir,
-/// [`BoundarySource::SortedExact`]) or not (a reservoir of
-/// `opts.boundary_sample` edges, as for recursion children).  This is the
-/// per-shard entry point of the sharded dataset
+/// routed away anything outside it), so no transform happens here.  The
+/// file's order is never read.  `sorted` only picks the reservoir the first
+/// node's boundaries come from: `true` the default-size one of a pass's
+/// root ([`BoundarySource::SortedExact`]), `false` one of
+/// `opts.boundary_sample` edges, as for recursion children; the flag keeps
+/// its old name because the benchmark package (`benchmark/src/em.rs`) still
+/// passes it.  This is the per-shard entry point of the sharded dataset
 /// layer ([`crate::shard`]), which runs one such solve per shard and then
 /// combines the shard slab-files through the same span-event MergeSweep the
 /// recursion itself uses.
@@ -382,7 +357,12 @@ pub fn solve_rects(
         opts: *opts,
         workers: workers.max(1),
     };
-    runner.solve(rects, slab, sorted)
+    let source = if sorted {
+        BoundarySource::SortedExact
+    } else {
+        BoundarySource::Sampled(opts.boundary_sample)
+    };
+    runner.solve(rects, slab, source)
 }
 
 struct Runner<'a> {
@@ -410,12 +390,13 @@ impl<'a> Runner<'a> {
     }
 
     /// Solves one recursion node: consumes `input` (the rectangles of `slab`)
-    /// and returns the slab-file of `slab`.
+    /// and returns the slab-file of `slab`.  `source` sizes the edge
+    /// reservoir of this node's boundaries.
     fn solve(
         &self,
         input: TupleFile<RectRecord>,
         slab: Interval,
-        sorted: bool,
+        source: BoundarySource,
     ) -> Result<TupleFile<SlabTuple>> {
         let n = input.len() as usize;
         if n <= self.memory_rects() {
@@ -424,11 +405,6 @@ impl<'a> Runner<'a> {
 
         // Divide the slab into at most m sub-slabs, fewer for a small slab,
         // with roughly equal rectangle-edge counts.
-        let source = if sorted {
-            BoundarySource::SortedExact
-        } else {
-            BoundarySource::Sampled(self.opts.boundary_sample)
-        };
         let dist = match compute_partition(self.ctx, &input, slab, self.fanout(), source) {
             // Heavy ties on x: no vertical split can make progress.  Fall back
             // to the in-memory sweep (documented guard; never triggered by the
@@ -515,7 +491,8 @@ impl<'a> Runner<'a> {
         if input.len() as usize >= parent_size && input.len() as usize > self.memory_rects() {
             return self.solve_in_memory(input, slab);
         }
-        self.solve(input, slab, false)
+        let source = BoundarySource::Sampled(self.opts.boundary_sample);
+        self.solve(input, slab, source)
     }
 
     fn solve_in_memory(
@@ -594,8 +571,7 @@ impl BestTuple {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{load_objects, sort_objects_by_x};
-    use crate::plane_sweep::max_rs_in_memory;
+    use crate::exact::load_objects;
     use maxrs_em::EmConfig;
     use maxrs_geometry::WeightedPoint;
 
@@ -620,27 +596,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn presorted_pass_equals_unsorted_pass_bit_for_bit() {
-        let ctx = tiny_ctx();
-        let objects = pseudo_random_objects(400, 13, 700.0);
-        let size = RectSize::square(90.0);
-        let opts = ExactMaxRsOptions::sequential();
-
-        let file = load_objects(&ctx, &objects).unwrap();
-        let unsorted = SweepPass::new(&ctx, &opts).max_rs(&file, size).unwrap();
-
-        let sorted = sort_objects_by_x(&ctx, &file).unwrap();
-        let presorted = SweepPass::presorted(&ctx, &opts)
-            .max_rs(&sorted, size)
-            .unwrap();
-
-        assert_eq!(unsorted, presorted);
-        assert_eq!(unsorted, max_rs_in_memory(&objects, size));
-        ctx.delete_file(file).unwrap();
-        ctx.delete_file(sorted).unwrap();
     }
 
     #[test]

@@ -363,7 +363,7 @@ fn engine_run_batch_matches_engine_run() {
         let single = engine.run(&objects, query).unwrap();
         assert_eq!(run.answer, single.answer, "{}", query.name());
     }
-    // The first run carries the one-time preparation (the external x-sort).
+    // The first run carries the one-time preparation (the file's flush).
     assert!(batched[0].io.total() > 0);
 
     // An empty batch is answered without touching the dataset at all.

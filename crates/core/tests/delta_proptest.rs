@@ -5,12 +5,12 @@
 //!     bit-identically just before and just after `compact()`, wherever it
 //!     lands in the stream;
 //! (b) after compaction the delta is empty and the context's disk blocks
-//!     return to the single-sorted-run baseline (no temporaries, no stale
-//!     base run survive);
-//! (c) compaction's I/O stays within a constant factor of the `2·N/B` merge
-//!     floor (one sequential read of the old base + one sequential write of
-//!     the new run), proven with [`IoSnapshot`](maxrs_em::IoSnapshot)
-//!     arithmetic — the analogue of `prepared_reuse.rs`'s sort-floor math.
+//!     return to the single-run baseline (no temporaries, no stale base run
+//!     survive);
+//! (c) compaction's I/O stays within a constant factor of the `2·N/B` floor
+//!     (one sequential read of the old base + one sequential write of the
+//!     new run), proven with [`IoSnapshot`](maxrs_em::IoSnapshot)
+//!     arithmetic — the analogue of `prepared_reuse.rs`'s block arithmetic.
 
 use maxrs_core::{
     DeltaDataset, DeltaOptions, EngineOptions, ExactMaxRsOptions, MaxRsEngine, ObjectRecord, Query,
@@ -37,7 +37,7 @@ fn engine() -> MaxRsEngine {
 }
 
 /// Blocks one scan of `n` object records occupies — the `N/B` unit of the
-/// merge floor.
+/// compaction floor.
 fn object_blocks(config: EmConfig, n: u64) -> u64 {
     n.div_ceil((config.block_size / ObjectRecord::SIZE) as u64)
 }
@@ -97,8 +97,8 @@ proptest! {
             );
         }
 
-        // (b) The delta drains and the disk returns to exactly one sorted
-        // run of the net dataset — no temporaries, no stale base.
+        // (b) The delta drains and the disk returns to exactly one run of
+        // the net dataset — no temporaries, no stale base.
         prop_assert_eq!(delta.delta_len(), 0);
         prop_assert_eq!(report.delta_records, pending);
         prop_assert_eq!(report.base_after, delta.len());
@@ -107,10 +107,10 @@ proptest! {
         prop_assert_eq!(
             delta.context().disk_blocks(),
             object_blocks(tiny_config(), delta.len()),
-            "disk must hold the single merged run and nothing else"
+            "disk must hold the single base run and nothing else"
         );
 
-        // (c) I/O within a constant factor of the 2·N/B merge floor: one
+        // (c) I/O within a constant factor of the 2·N/B floor: one
         // sequential read of the old base plus one sequential write (and
         // flush) of the new run.  Buffer-pool hits can push reads *below*
         // the raw block count, so only the upper bound is asserted.
@@ -119,7 +119,7 @@ proptest! {
         prop_assert!(
             report.io.total() <= 2 * floor + 8,
             "compaction I/O {} exceeds 2×floor {} (+8 slack): not a single \
-             sequential merge pass",
+             sequential pass",
             report.io,
             floor
         );

@@ -4,14 +4,14 @@
 //! rectangles wider than a whole shard (so every answer crosses shard
 //! boundaries through the span-event decomposition) and tie-heavy data with
 //! object x-coordinates sitting exactly on shard boundaries.  Also proves
-//! with `IoSnapshot` arithmetic that the K-way parallel prepare moves no
-//! more logical I/O than the single unsharded external sort.
+//! with `IoSnapshot` arithmetic that preparing, sharded or not, reads and
+//! writes each block of the dataset at most once.
 
 use maxrs_core::{
-    EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query, ShardLayout,
-    ShardedDataset,
+    EngineOptions, ExactMaxRsOptions, MaxRsEngine, ObjectRecord, PreparedDataset, Query,
+    ShardLayout, ShardedDataset,
 };
-use maxrs_em::{EmConfig, StorageBackend};
+use maxrs_em::{EmConfig, IoSnapshot, Record, StorageBackend};
 use maxrs_geometry::{Rect, RectSize, WeightedPoint};
 
 fn pseudo_random_objects(n: usize, seed: u64, extent: f64) -> Vec<WeightedPoint> {
@@ -165,35 +165,45 @@ fn sharded_answers_are_bit_identical_on_tie_heavy_data() {
     }
 }
 
+/// Asserts at most one read and one write of each block of an `n`-object
+/// file.
+fn assert_each_block_moved_at_most_once(what: &str, io: IoSnapshot, config: EmConfig, n: u64) {
+    let blocks = n.div_ceil((config.block_size / ObjectRecord::SIZE) as u64);
+    assert!(
+        io.reads <= blocks && io.writes <= blocks,
+        "{what} moved {io} over {blocks} object blocks"
+    );
+}
+
 #[test]
-fn sharded_prepare_io_is_bounded_by_the_unsharded_sort() {
-    // K shards each external-sort ~N/K records: the same record volume in
-    // no more merge passes than the single big sort, so the *logical* I/O
-    // must not exceed ~1x the unsharded prepare (small slack for per-shard
-    // partial-block rounding).
+fn prepare_reads_and_writes_each_block_at_most_once_sharded_or_not() {
+    // 6,000 objects over a 32-block buffer: each of four shards spans
+    // several buffer loads, so a per-shard external sort would read and
+    // write its blocks more than once.
+    let config = tiny_config();
     let objects = pseudo_random_objects(6000, 17, 10_000.0);
-    let engine = engine_with(tiny_config(), 4);
+    let engine = engine_with(config, 4);
     let prepared = engine.prepare(&objects).unwrap();
     assert!(prepared.is_external());
-    let unsharded_io = prepared.prepare_io().total();
-    assert!(unsharded_io > 0);
+    assert!(prepared.prepare_io().total() > 0);
+    assert_each_block_moved_at_most_once(
+        "unsharded prepare",
+        prepared.prepare_io(),
+        config,
+        prepared.len(),
+    );
 
     let sharded = engine
         .prepare_sharded(&objects, &ShardLayout::new(4))
         .unwrap();
     assert_eq!(sharded.num_shards(), 4);
-    let sharded_io = sharded.prepare_io().total();
-    assert!(sharded_io > 0);
-    assert!(
-        sharded_io <= unsharded_io + unsharded_io / 10 + 8,
-        "4-way sharded prepare moved {sharded_io} blocks vs {unsharded_io} unsharded"
-    );
+    assert!(sharded.prepare_io().total() > 0);
+    let per_shard = sharded.prepare_io_per_shard();
+    for (i, (io, len)) in per_shard.iter().zip(sharded.shard_lens()).enumerate() {
+        assert_each_block_moved_at_most_once(&format!("shard {i}"), *io, config, len);
+    }
 
     // Per-shard attribution adds up to the total.
-    let per_shard: u64 = sharded
-        .prepare_io_per_shard()
-        .iter()
-        .map(|io| io.total())
-        .sum();
-    assert_eq!(per_shard, sharded_io);
+    let summed: u64 = per_shard.iter().map(|io| io.total()).sum();
+    assert_eq!(summed, sharded.prepare_io().total());
 }

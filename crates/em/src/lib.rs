@@ -25,8 +25,6 @@
 //!   block-buffered record files,
 //! * [`external_sort`] — multiway external merge sort with
 //!   `O((N/B) log_{M/B}(N/B))` I/Os,
-//! * [`merge_run`] — one-pass sequential merge of a sorted file with
-//!   in-memory updates (the delta-main compaction primitive),
 //! * [`EmContext`] — ties the above together with an [`EmConfig`] holding the
 //!   block size and buffer size (the knobs varied in Figures 13 and 15).
 //!
@@ -61,7 +59,6 @@ mod disk;
 mod error;
 mod file;
 mod fsdisk;
-mod merge;
 mod pool;
 mod record;
 mod rw;
@@ -75,7 +72,6 @@ pub use disk::{FileId, SimDisk};
 pub use error::EmError;
 pub use file::TupleFile;
 pub use fsdisk::FsDisk;
-pub use merge::merge_run;
 pub use pool::BufferPool;
 pub use record::{codec, Record};
 pub use rw::{TupleReader, TupleWriter};

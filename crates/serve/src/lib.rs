@@ -5,9 +5,9 @@
 //!
 //! * [`DatasetRegistry`] — caches [`PreparedDataset`](maxrs_core::PreparedDataset)s
 //!   keyed by dataset id behind ref-counted [`DatasetHandle`]s, with LRU
-//!   eviction under a configurable memory budget.  The one-time external
-//!   x-sort is paid at [`insert`](DatasetRegistry::insert); every query after
-//!   that is sort-free.
+//!   eviction under a configurable memory budget.  The one-time load into an
+//!   external-memory context is paid at [`insert`](DatasetRegistry::insert);
+//!   every query after that reads the retained file.
 //! * [`MaxRsServer`] — dynamic micro-batching: queries submitted concurrently
 //!   by independent clients accumulate for a short window
 //!   ([`ServeConfig::window`], or until [`ServeConfig::max_batch`] of them are
@@ -32,7 +32,7 @@
 //! use maxrs_serve::{DatasetRegistry, MaxRsServer, ServeConfig};
 //! use std::sync::Arc;
 //!
-//! // 1. Register datasets: the external x-sort happens once, here.
+//! // 1. Register datasets: each is loaded once, here.
 //! let registry = Arc::new(DatasetRegistry::new(MaxRsEngine::new()));
 //! let cafes = vec![
 //!     WeightedPoint::unit(1.0, 1.0),

@@ -1,10 +1,10 @@
 //! [`DatasetRegistry`]: a cache of served datasets keyed by dataset id.
 //!
 //! A long-lived server answers queries against many datasets, and preparing
-//! one (the external x-sort) is exactly the cost
-//! [`MaxRsEngine::prepare`] exists to amortize.  The registry caches prepared
-//! datasets behind ref-counted handles so concurrent batches share one
-//! preparation, and it enforces a configurable memory budget with LRU
+//! one (loading it into its own external-memory context) is the cost
+//! [`MaxRsEngine::prepare`] pays once per dataset.  The registry caches
+//! prepared datasets behind ref-counted handles so concurrent batches share
+//! one preparation, and it enforces a configurable memory budget with LRU
 //! eviction: when the retained footprint
 //! ([`PreparedDataset::resident_bytes`]) of the cached datasets exceeds the
 //! budget, the least-recently-used entries are dropped from the cache.
@@ -51,7 +51,7 @@ use parking_lot::Mutex;
 use crate::error::{Result, ServeError};
 
 /// A ref-counted handle to a cached dataset.  Cloning is cheap; the dataset
-/// (and its retained sorted files) lives until the last handle drops.
+/// (and its retained object files) lives until the last handle drops.
 pub type DatasetHandle = Arc<ServedDataset>;
 
 /// What a registry entry serves: an unsharded [`PreparedDataset`], a
@@ -62,7 +62,7 @@ pub type DatasetHandle = Arc<ServedDataset>;
 /// executor treats them uniformly.
 #[derive(Debug)]
 pub enum ServedDataset {
-    /// A single prepared dataset (one sorted file, one device).
+    /// A single prepared dataset (one object file, one device).
     Prepared(PreparedDataset<'static>),
     /// An x-sharded dataset ([`MaxRsEngine::prepare_sharded`]).
     Sharded(ShardedDataset),
@@ -251,14 +251,14 @@ impl DatasetRegistry {
         }
     }
 
-    /// Prepares `objects` (pays the external x-sort once) and caches the
-    /// result under `id`, returning a handle.  Replaces any dataset already
+    /// Prepares `objects` (loads them once) and caches the result under
+    /// `id`, returning a handle.  Replaces any dataset already
     /// cached under the same id — existing handles to the replaced dataset
     /// stay valid until dropped.  May evict least-recently-used *other*
     /// entries to respect the memory budget.
     ///
     /// Preparation runs outside the registry lock, so concurrent lookups of
-    /// other datasets never stall behind a slow external sort.
+    /// other datasets never stall behind a slow load.
     pub fn insert(&self, id: &str, objects: &[WeightedPoint]) -> Result<DatasetHandle> {
         let prepared: DatasetHandle =
             Arc::new(ServedDataset::Prepared(self.engine.prepare(objects)?));
@@ -266,8 +266,8 @@ impl DatasetRegistry {
     }
 
     /// Prepares `objects` as a [`ShardedDataset`] under `layout` — the
-    /// external x-sort runs `layout.shards`-way parallel, and the shards can
-    /// live on dedicated directories — and caches it under `id`, exactly like
+    /// shards load `layout.shards`-way parallel and can live on dedicated
+    /// directories — and caches it under `id`, exactly like
     /// [`insert`](DatasetRegistry::insert) otherwise.  Sharded entries answer
     /// bit-identically to unsharded ones, so callers cannot tell them apart
     /// through the query path.

@@ -1,8 +1,8 @@
 //! Store expansion planning with the future-work extensions of the paper:
 //! MaxkRS (open several stores at once) and MinRS (find the least-served spot
 //! inside a district) — asked of one [`PreparedDataset`] as a single
-//! **batch**, so the external x-sort of the customer file is paid once and
-//! the questions sharing the delivery-area size share one sweep pass too.
+//! **batch**, so the customer file is loaded once and the questions sharing
+//! the delivery-area size share one sweep pass too.
 //!
 //! ```text
 //! cargo run --release --example store_expansion
@@ -27,8 +27,8 @@ fn main() {
 
     // One engine answers every variant below; it auto-selects the execution
     // strategy (in-memory vs. external, sequential vs. parallel) per query.
-    // `prepare` runs the transform-independent preprocessing (the external
-    // x-sort) once; the whole batch below reuses it.
+    // `prepare` loads the customers into an external-memory context once;
+    // the whole batch below reuses that file.
     let engine = MaxRsEngine::new();
     let prepared = engine.prepare(&customers.objects).unwrap();
     println!(

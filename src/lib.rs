@@ -9,7 +9,7 @@
 //!   accounting, external sort).
 //! * [`core`] — the algorithms: ExactMaxRS, ApproxMaxCRS, the in-memory plane
 //!   sweep and the exact MaxCRS reference; plus [`PreparedDataset`] for
-//!   sort-once repeated querying, [`DeltaDataset`] for streaming updates
+//!   load-once repeated querying, [`DeltaDataset`] for streaming updates
 //!   over the external path (delta-main + compaction), and
 //!   [`ShardedDataset`] for x-partitioned parallel prepare with
 //!   shard-routed, bit-identical queries.  The zero-alloc [`SweepScratch`]
@@ -81,8 +81,8 @@ pub use maxrs_core::{
     exact_max_rs, exact_max_rs_from_objects, load_objects, max_k_rs_in_memory, max_rs_in_memory,
     min_rs_in_memory, ApproxMaxCrsOptions, CompactionPolicy, CompactionReport, DeltaDataset,
     DeltaOptions, EngineError, EngineOptions, EngineRun, ExactMaxRsOptions, ExecutionStrategy,
-    InputOrder, LiveSet, MaxCrsResult, MaxRsEngine, MaxRsResult, PreparedDataset, Query,
-    QueryAnswer, QueryBatch, QueryRun, ShardLayout, ShardedDataset, SweepPass, SweepScratch,
+    LiveSet, MaxCrsResult, MaxRsEngine, MaxRsResult, PreparedDataset, Query, QueryAnswer,
+    QueryBatch, QueryRun, ShardLayout, ShardedDataset, SweepPass, SweepScratch,
 };
 pub use maxrs_em::{BlockDevice, EmConfig, EmContext, FsDisk, IoSnapshot, SimDisk, StorageBackend};
 pub use maxrs_geometry::{Circle, Interval, Point, Rect, RectSize, WeightedPoint};

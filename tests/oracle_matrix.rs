@@ -12,7 +12,11 @@
 //! be the next arrangement breakpoint after its `x_lo` (see
 //! [`check_region`]).  A second test runs top-k rows built to stress the
 //! splice of later rounds into earlier rounds' slab-files (see
-//! [`top_k_splices_match_the_greedy_reference`]).
+//! [`top_k_splices_match_the_greedy_reference`]).  A third feeds every path
+//! the same objects in three arrival orders: no stage of the sweep reads the
+//! order of its object file, so no path sorts the objects, and the answers
+//! may not depend on it (see
+//! [`every_path_answers_identically_in_any_object_order`]).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,10 +26,10 @@ use maxrs::cluster::{ShardServer, Transport};
 use maxrs::core::{rect_objective, Event};
 use maxrs::datagen::{Dataset, DatasetKind};
 use maxrs::{
-    approx_max_crs_in_memory, max_k_rs_in_memory, max_rs_in_memory, min_rs_in_memory, DeltaDataset,
-    DeltaOptions, EmConfig, EngineOptions, ExactMaxRsOptions, ExecutionStrategy, Interval,
-    MaxRsEngine, MaxRsResult, Query, QueryAnswer, QueryRun, Rect, RectSize, ShardLayout,
-    StorageBackend, WeightedPoint,
+    approx_max_crs_in_memory, exact_max_rs, load_objects, max_k_rs_in_memory, max_rs_in_memory,
+    min_rs_in_memory, DeltaDataset, DeltaOptions, EmConfig, EmContext, EngineOptions,
+    ExactMaxRsOptions, ExecutionStrategy, Interval, MaxRsEngine, MaxRsResult, Query, QueryAnswer,
+    QueryRun, Rect, RectSize, ShardLayout, StorageBackend, WeightedPoint,
 };
 
 const EXTENT: f64 = 1e6;
@@ -420,5 +424,184 @@ fn top_k_splices_match_the_greedy_reference() {
             }
         }
     }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// The three arrival orders: as generated, reversed, and a seeded
+/// Fisher–Yates shuffle.
+fn orders(objects: &[WeightedPoint]) -> [(&'static str, Vec<WeightedPoint>); 3] {
+    let mut reversed = objects.to_vec();
+    reversed.reverse();
+    let mut shuffled = objects.to_vec();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..shuffled.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    [
+        ("as generated", objects.to_vec()),
+        ("reversed", reversed),
+        ("shuffled", shuffled),
+    ]
+}
+
+/// A delta dataset over `objects` whose inserts span two compactions: the
+/// first third compacted, then the second, and the last third still pending
+/// in the delta, beside tombstones of decoys inserted with the first third.
+fn delta_in_thirds(engine: &MaxRsEngine, objects: &[WeightedPoint]) -> DeltaDataset {
+    let mut delta = DeltaDataset::new(engine, DeltaOptions::default()).unwrap();
+    let n = objects.len();
+    let insert = |ids: std::ops::Range<usize>| -> Vec<Event> {
+        ids.map(|i| Event::Insert {
+            id: i as u64,
+            object: objects[i],
+            at: 0.0,
+        })
+        .collect()
+    };
+    let decoys: Vec<Event> = (0..n)
+        .step_by(9)
+        .map(|i| Event::Insert {
+            id: (n + i) as u64,
+            object: WeightedPoint::at(objects[i].point.y, objects[i].point.x, 5.0),
+            at: 0.0,
+        })
+        .collect();
+    delta.apply(&insert(0..n / 3)).unwrap();
+    delta.apply(&decoys).unwrap();
+    delta.compact().unwrap();
+    delta.apply(&insert(n / 3..2 * n / 3)).unwrap();
+    delta.compact().unwrap();
+    delta.apply(&insert(2 * n / 3..n)).unwrap();
+    let deletes: Vec<Event> = (0..n)
+        .step_by(9)
+        .map(|i| Event::Delete {
+            id: (n + i) as u64,
+            at: 1.0,
+        })
+        .collect();
+    delta.apply(&deletes).unwrap();
+    assert_eq!(delta.len(), n as u64);
+    assert!(delta.base_len() > 0 && delta.delta_len() > 0);
+    delta
+}
+
+/// Runs every path over every order of `objects` and returns one line per
+/// answer that differs from the reference over the objects as generated.
+fn check_every_order(name: &str, objects: &[WeightedPoint], queries: &[Query]) -> Vec<String> {
+    let seq = engine(8, 1, ExecutionStrategy::ExternalSequential);
+    let fs = MaxRsEngine::with_options(EngineOptions {
+        em_config: seq.options().em_config.with_backend(StorageBackend::Fs),
+        ..*seq.options()
+    });
+    let expected: Vec<QueryAnswer> = queries.iter().map(|q| reference(objects, q)).collect();
+    let mut wrong = Vec::new();
+    for (order, ordered) in orders(objects) {
+        let paths: [(&str, Vec<QueryRun>); 5] = [
+            (
+                "prepared sim",
+                seq.prepare(&ordered).unwrap().run_batch(queries).unwrap(),
+            ),
+            (
+                "prepared fs",
+                fs.prepare(&ordered).unwrap().run_batch(queries).unwrap(),
+            ),
+            (
+                "delta",
+                delta_in_thirds(&seq, &ordered).run_batch(queries).unwrap(),
+            ),
+            (
+                "sharded K=3",
+                seq.prepare_sharded(&ordered, &ShardLayout::new(3))
+                    .unwrap()
+                    .run_batch(queries)
+                    .unwrap(),
+            ),
+            (
+                "cluster",
+                cluster(*seq.options(), &ordered)
+                    .run_batch(queries)
+                    .unwrap(),
+            ),
+        ];
+        let ctx = EmContext::new(seq.options().em_config);
+        let file = load_objects(&ctx, &ordered).unwrap();
+        for (i, (query, want)) in queries.iter().zip(&expected).enumerate() {
+            let mut answers: Vec<(&str, QueryAnswer)> = paths
+                .iter()
+                .map(|(path, runs)| (*path, runs[i].answer.clone()))
+                .collect();
+            if let Query::MaxRs { size } = *query {
+                let one_shot = exact_max_rs(&ctx, &file, size, &ExactMaxRsOptions::sequential());
+                answers.push(("exact_max_rs", QueryAnswer::MaxRs(one_shot.unwrap())));
+            }
+            for (path, answer) in answers {
+                if answer != *want {
+                    wrong.push(format!(
+                        "{name} {order} {path} {query:?}: {answer:?} != {want:?}"
+                    ));
+                }
+            }
+        }
+        ctx.delete_file(file).unwrap();
+    }
+    wrong
+}
+
+/// All four variants over one object set in three arrival orders, on the
+/// one-shot `exact_max_rs` (MaxRS), prepared on both storage backends, a
+/// delta whose inserts span two compactions (tombstones and pending inserts
+/// at query time), sharded K=3 and the in-process cluster.  Uniform points
+/// and an integer lattice with ties, both with integer weights, so every sum
+/// is exact in any grouping and every answer must equal the reference.
+#[test]
+fn every_path_answers_identically_in_any_object_order() {
+    let uniform: Vec<WeightedPoint> = Dataset::generate(DatasetKind::Uniform, 1_500, 3)
+        .objects
+        .iter()
+        .enumerate()
+        .map(|(i, o)| WeightedPoint::at(o.point.x, o.point.y, (1 + i % 4) as f64))
+        .collect();
+    let size = RectSize::square(40_000.0);
+    let mut wrong = check_every_order(
+        "uniform",
+        &uniform,
+        &[
+            Query::max_rs(size),
+            Query::top_k(size, 3),
+            Query::min_rs(
+                size,
+                Rect::new(0.2 * EXTENT, 0.6 * EXTENT, 0.3 * EXTENT, 0.7 * EXTENT),
+            ),
+            Query::approx_max_crs(40_000.0),
+        ],
+    );
+
+    // A 30 × 30 lattice of spacing 10, every point twice over the 1,800
+    // objects, with rectangle sides a multiple of the spacing: edges fall on
+    // lattice lines and many placements tie.
+    let lattice: Vec<WeightedPoint> = (0..1_800)
+        .map(|i| {
+            let j = i % 900;
+            WeightedPoint::at(
+                10.0 * (j % 30) as f64,
+                10.0 * (j / 30) as f64,
+                (1 + i % 3) as f64,
+            )
+        })
+        .collect();
+    let size = RectSize::square(20.0);
+    wrong.extend(check_every_order(
+        "lattice",
+        &lattice,
+        &[
+            Query::max_rs(size),
+            Query::top_k(size, 3),
+            Query::min_rs(size, Rect::new(50.0, 200.0, 40.0, 250.0)),
+            Query::approx_max_crs(20.0),
+        ],
+    ));
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
