@@ -17,26 +17,23 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use maxrs_bench::config::{ExperimentScale, PAPER_BUFFER_SYNTHETIC, PAPER_RANGE};
+use maxrs_bench::config::ExperimentScale;
 use maxrs_bench::figures::{
     fig12_cardinality, fig13_buffer, fig14_range, fig15_buffer_real, fig16_range_real,
     fig17_quality, FigureOptions,
 };
 use maxrs_bench::json::Value;
 use maxrs_bench::report::FigureReport;
-use maxrs_bench::shard_run::{run_shard_curve, ShardRun};
 use maxrs_bench::stream_run::{run_stream, StreamRun};
 use maxrs_bench::tables::{table2, table3};
-use maxrs_core::Query;
-use maxrs_datagen::{Dataset, DatasetKind, EventStreamConfig};
-use maxrs_geometry::{Rect, RectSize};
+use maxrs_datagen::EventStreamConfig;
+use maxrs_geometry::RectSize;
 use maxrs_stream::StreamConfig;
 
 /// Every command the binary accepts; anything else prints the usage and
 /// exits with status 1.
-const COMMANDS: [&str; 11] = [
+const COMMANDS: [&str; 10] = [
     "all", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "table2", "table3", "stream",
-    "shard",
 ];
 
 struct Args {
@@ -124,71 +121,6 @@ fn stream_runs(opts: &FigureOptions) -> Vec<StreamRun> {
             run
         })
         .collect()
-}
-
-/// Sharded-prepare scaling: the **same** fixed input is partitioned and
-/// prepared through a [`maxrs_core::ShardedDataset`] at K ∈ {1, 2, 4, 8},
-/// so prepare wall-clock vs shard count is one curve (the K shard loads run
-/// concurrently) and query latency vs the shards each query touches the
-/// other.  The input is deliberately larger than the figure sweeps —
-/// per-shard work has to dwarf the pool's spawn cost for the speedup to mean
-/// anything — and the query set
-/// mixes whole-domain MaxRS/top-k with narrow- and wide-domain MinRS so the
-/// samples cover the shards-touched spectrum.  Every sampled answer of
-/// every row is verified bit-identical to an unsharded prepare.
-fn shard_runs(opts: &FigureOptions) -> Vec<ShardRun> {
-    let n = opts.scale.cardinality(12_000_000).max(20_000);
-    let config = opts.scale.em_config(PAPER_BUFFER_SYNTHETIC);
-    let ds = Dataset::generate(DatasetKind::Uniform, n, opts.seed);
-    let size = RectSize::square(PAPER_RANGE);
-    let queries = vec![
-        Query::max_rs(size),
-        Query::top_k(size, 3),
-        Query::min_rs(size, Rect::new(450_000.0, 470_000.0, 0.0, 1_000_000.0)),
-        Query::min_rs(size, Rect::new(100_000.0, 900_000.0, 100_000.0, 900_000.0)),
-    ];
-    let rows = run_shard_curve(config, &ds.objects, &[1, 2, 4, 8], &queries)
-        .expect("shard scaling measurement failed");
-    for row in &rows {
-        assert!(
-            row.verified,
-            "K={} sharded answers diverged from the unsharded prepare",
-            row.shards_requested
-        );
-    }
-    rows
-}
-
-fn print_shard_rows(rows: &[ShardRun]) {
-    for row in rows {
-        let lens: Vec<String> = row.shard_lens.iter().map(|l| l.to_string()).collect();
-        let samples: Vec<String> = row
-            .samples
-            .iter()
-            .map(|s| {
-                format!(
-                    "{}:{}sh {:.1?}/{}",
-                    s.query,
-                    s.shards_touched,
-                    std::time::Duration::from_nanos(s.query_ns as u64),
-                    s.query_io
-                )
-            })
-            .collect();
-        println!(
-            "  backend={:<4} n={} K={}({} built) prepare={:.1?}/{} blk \
-             speedup={:.2}x lens=[{}] queries=[{}]",
-            row.backend,
-            row.n,
-            row.shards_requested,
-            row.shards,
-            std::time::Duration::from_nanos(row.prepare_ns as u64),
-            row.prepare_io.total(),
-            row.speedup_vs_one,
-            lens.join(", "),
-            samples.join(", "),
-        );
-    }
 }
 
 /// Writes `rows` as the JSON array `path`, reporting the outcome.
@@ -297,17 +229,9 @@ fn main() -> ExitCode {
         }
         println!("[stream took {:.1?}]", t.elapsed());
     }
-    let mut shard_rows: Vec<ShardRun> = Vec::new();
-    if matches!(command, "shard" | "all") {
-        let t = Instant::now();
-        shard_rows = shard_runs(&opts);
-        println!("\nshard (parallel x-partitioned prepare vs. shard count, verified):");
-        print_shard_rows(&shard_rows);
-        println!("[shard took {:.1?}]", t.elapsed());
-    }
 
-    // Fixed-scale regression artifacts: every `stream` / `shard` (or `all`)
-    // invocation rewrites its BENCH_<command>.json at smoke scale with a
+    // Fixed-scale regression artifact: every `stream` (or `all`)
+    // invocation rewrites BENCH_stream.json at smoke scale with a
     // fixed seed, so consecutive runs produce comparable rows no matter what
     // --scale / --seed the interactive run above used.  When that run already
     // was the smoke setting, its rows are written as they are.
@@ -324,20 +248,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if matches!(command, "shard" | "all") {
-        let rerun = (!at_smoke).then(|| shard_runs(&smoke));
-        let rows = rerun.as_ref().unwrap_or(&shard_rows);
-        if !write_bench("BENCH_shard.json", rows.iter().map(ShardRun::to_value)) {
-            return ExitCode::FAILURE;
-        }
-    }
 
     if let Some(path) = args.json_path {
         let values: Vec<Value> = reports
             .iter()
             .map(FigureReport::to_value)
             .chain(stream_rows.iter().map(StreamRun::to_value))
-            .chain(shard_rows.iter().map(ShardRun::to_value))
             .collect();
         let count = values.len();
         let json = Value::Array(values).to_pretty_string();

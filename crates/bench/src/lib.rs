@@ -17,17 +17,13 @@
 //! prints the same rows/series the paper reports; `cargo bench` runs reduced
 //! Criterion configurations for wall-clock regression tracking.
 //!
-//! Beyond the paper's own evaluation, the binary also measures two
-//! extensions that no `BENCHMARK.json` workload runs: `stream` (incremental
+//! Beyond the paper's own evaluation, the binary also measures one
+//! extension that no `BENCHMARK.json` workload runs: `stream` (incremental
 //! MaxRS over event streams, see [`stream_run::run_stream`] — ingest
 //! events/sec, incremental answer latency and the speedup over full
-//! recomputes) and `shard` (the same fixed input prepared through a
-//! [`maxrs_core::ShardedDataset`] at increasing shard counts, see
-//! [`shard_run::run_shard_curve`] — prepare wall-clock vs shard count,
-//! per-shard I/O and query latency vs shards-touched, every answer verified
-//! against an unsharded prepare).  The prepared, batched, serving, delta and
-//! cluster paths are measured end to end by the `benchmark/` package, whose
-//! workloads `BENCHMARK.json` declares.
+//! recomputes).  The prepared, batched, serving, delta and cluster paths are
+//! measured end to end by the `benchmark/` package, whose workloads
+//! `BENCHMARK.json` declares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,12 +33,10 @@ pub mod figures;
 pub mod json;
 pub mod report;
 pub mod runner;
-pub mod shard_run;
 pub mod stream_run;
 pub mod tables;
 
 pub use config::{ExperimentScale, PAPER_BLOCK_SIZE};
 pub use report::{FigureReport, Series, SeriesPoint};
 pub use runner::{run_algorithm, AlgorithmRun};
-pub use shard_run::{run_shard, run_shard_curve, ShardQuerySample, ShardRun};
 pub use stream_run::{run_stream, StreamRun};

@@ -1,12 +1,12 @@
 //! The cluster coordinator: shard routing, concurrent sub-query fan-out,
 //! canonical merging, and failure handling.
 //!
-//! [`ClusterCoordinator`] is the multi-node twin of the single-machine
-//! [`ShardedDataset`](maxrs_core::ShardedDataset): the same shard routing
-//! ([`ShardRoute`]), the same crop + span-event decomposition, the same
-//! canonical [`merge_sweep`] and min-next-breakpoint canonicalization — with
-//! the per-shard work pushed to [`ShardServer`](crate::ShardServer)s behind
-//! a pluggable [`Transport`].  Those operations make the cluster a
+//! [`ClusterCoordinator`] runs the sharded distribution sweep of
+//! [`maxrs_core::shard`]: shard routing ([`ShardRoute`]), the crop +
+//! span-event decomposition, the canonical [`merge_sweep`] and
+//! min-next-breakpoint canonicalization — with the per-shard work pushed to
+//! [`ShardServer`](crate::ShardServer)s behind a pluggable [`Transport`].
+//! Those operations make the cluster a
 //! [`SweepHost`], and the one query driver of `maxrs-core`
 //! ([`run_on_host`]) answers every [`Query`] variant on it, batches sharing
 //! sweep groups exactly as on a prepared dataset.  Every accumulation that
@@ -107,7 +107,7 @@ pub struct ClusterCoordinator {
     members: Vec<Member>,
     boundaries: Vec<f64>,
     shards: Vec<ShardRef>,
-    merge_ctx: EmContext,
+    merge_ctx: Box<EmContext>,
     backend: String,
     len: u64,
 }
@@ -137,7 +137,7 @@ impl ClusterCoordinator {
                 detail: "a cluster needs at least one server".to_string(),
             });
         }
-        let merge_ctx = EmContext::new(opts.em_config);
+        let merge_ctx = Box::new(EmContext::new(opts.em_config));
         let mut coordinator = ClusterCoordinator {
             opts,
             config,
@@ -277,9 +277,11 @@ impl ClusterCoordinator {
         &self.backend
     }
 
-    /// How many shards `query` routes to — same inflated-slab rule as the
-    /// single-machine
-    /// [`ShardedDataset::shards_touched`](maxrs_core::ShardedDataset::shards_touched).
+    /// How many shards `query` routes to: the shards whose objects'
+    /// rectangles can reach the query's root slab once it is inflated by
+    /// half the rectangle width ([`ShardRoute::engaged_by`]) — every shard
+    /// for the unbounded-root variants (MaxRS, top-k, ApproxMaxCRS),
+    /// possibly fewer for MinRS over a narrow center domain.
     pub fn shards_touched(&self, query: &Query) -> usize {
         ShardRoute::engaged_by(&self.boundaries, query).len()
     }
@@ -477,8 +479,7 @@ impl ClusterCoordinator {
     /// to the unsuppressed rectangles meeting `band`: the two-round
     /// distribute/solve protocol (see [`crate::protocol`]) plus the
     /// canonical [`merge_sweep`] on the coordinator's merge device.  Returns
-    /// the merged root slab-file, exactly the file the single-machine
-    /// `ShardedDataset` sweep produces.
+    /// the merged root slab-file.
     fn cluster_slab_file(
         &self,
         size: RectSize,
@@ -612,7 +613,7 @@ impl ClusterCoordinator {
     /// The per-server halves of min-next-breakpoint canonicalization: every
     /// server hosting an engaged shard reports the minimum over its hosted
     /// engaged shards, the coordinator takes the minimum across servers and
-    /// `root.hi` — together exactly the minimum of the single-machine
+    /// `root.hi` — together exactly the one-file scan of the unsharded
     /// dataset.
     fn min_breakpoint(
         &self,
@@ -646,8 +647,7 @@ impl ClusterCoordinator {
     }
 
     /// ApproxMaxCRS refinement: the candidates' per-shard weight sums,
-    /// accumulated in shard order (the order the single-machine dataset
-    /// uses).
+    /// accumulated in shard (= x) order.
     fn candidate_sums(
         &self,
         candidates: &[Point],

@@ -1,9 +1,11 @@
 //! Multi-node shard serving for external-memory MaxRS.
 //!
-//! `maxrs-cluster` distributes a
-//! [`ShardedDataset`](maxrs_core::ShardedDataset)-style x-partition
-//! across **servers**: each
-//! [`ShardServer`] hosts one or more shards as ordinary prepared datasets,
+//! `maxrs-cluster` runs the sharded distribution sweep of
+//! [`maxrs_core::shard`] across **servers**: the x-domain splits into
+//! balanced shards ([`partition_objects`]), each
+//! [`ShardServer`] hosts one or more shards as ordinary prepared datasets
+//! (on the simulated backend, or on a filesystem device in a directory of
+//! its choice, [`ShardServer::host_in`]),
 //! and a [`ClusterCoordinator`] answers all four [`Query`](maxrs_core::Query)
 //! variants by routing per-shard sub-queries over a pluggable [`Transport`]
 //! and merging the partial results through the canonical `MergeSweep`.
@@ -81,7 +83,10 @@
 //!
 //! For real multi-process deployments replace the in-process transports
 //! with [`serve_tcp`] on each server host and a [`TcpTransport`] per
-//! server on the coordinator — the protocol bytes are the same.
+//! server on the coordinator — the protocol bytes are the same.  A single
+//! machine needs no cluster: a
+//! [`PreparedDataset`](maxrs_core::PreparedDataset)'s parallel slab stage
+//! already solves its top-level slabs concurrently.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -104,16 +109,14 @@ pub use transport::{
 use maxrs_core::select_shard_boundaries;
 use maxrs_geometry::WeightedPoint;
 
-/// Splits `objects` into `shards` x-ranges using the same deterministic
-/// quantile boundaries as the single-machine
-/// [`ShardedDataset`](maxrs_core::ShardedDataset) (sampled above
-/// `boundary_sample` objects),
-/// returning the interior boundaries plus one object vector per shard.
+/// Splits `objects` into `shards` x-ranges at the deterministic quantile
+/// boundaries of [`select_shard_boundaries`] (sampled above
+/// `boundary_sample` objects), returning the interior boundaries plus one
+/// object vector per shard.
 ///
 /// Ties route right (an `x` exactly on a boundary belongs to the shard on
-/// the right), matching the sweep's own `SlabPartition::locate`, so a
-/// cluster built from these parts partitions exactly like a local
-/// `prepare_sharded` over the same objects.
+/// the right), matching the sweep's own `SlabPartition::locate` and
+/// [`shard_slab`](maxrs_core::shard_slab).
 pub fn partition_objects(
     objects: &[WeightedPoint],
     shards: usize,

@@ -2,8 +2,7 @@
 //! binary encoding.
 //!
 //! A cluster query is answered by a **two-round stateless protocol** that
-//! mirrors the phases of the single-machine sharded sweep
-//! ([`maxrs_core::shard`]):
+//! runs the phases of the sharded sweep ([`maxrs_core::shard`]):
 //!
 //! 1. [`Request::Distribute`] — every engaged server crops its hosted source
 //!    shards' rectangles against the global slab partition of the pass and

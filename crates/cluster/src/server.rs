@@ -6,14 +6,13 @@
 //! calls it directly; the TCP transport calls it from connection threads
 //! (all request state is per-call, so `handle` is freely concurrent).
 //!
-//! The handlers run the single-machine
-//! [`ShardedDataset`](maxrs_core::ShardedDataset)'s phases on the shards
-//! this server hosts, with the same shared pieces of `maxrs-core`: the crop
-//! scan ([`crop_scan`]: suppression and the y-band, transform and
-//! [`SlabPartition::crop`]),
-//! the per-slab recursion and the breakpoint scan.
-//! Pieces concatenate in the same global source order, which is what makes
-//! the coordinator's merged answers bit-identical to the unsharded sweep.
+//! The handlers run the phases of the sharded pass
+//! ([`maxrs_core::shard`]) on the shards this server hosts, with the shared
+//! pieces of `maxrs-core`: the crop scan ([`crop_scan`]: suppression and the
+//! y-band, transform and [`SlabPartition::crop`]), the per-slab recursion
+//! and the breakpoint scan.  Pieces concatenate in global source order,
+//! which is what makes the coordinator's merged answers bit-identical to
+//! the unsharded sweep.
 //! Every sweep pass is validated before any scan, so a malformed
 //! [`PassSpec`] becomes a [`Response::Error`], never a panic.
 
@@ -47,9 +46,9 @@ impl HostedShard {
 
 /// Hosts shards' prepared datasets and answers cluster sub-queries.
 ///
-/// Shards are installed with [`host`](ShardServer::host) (each getting its
-/// own external-memory context, like the single-machine sharded dataset
-/// gives every shard its own device) and served read-only afterwards.
+/// Shards are installed with [`host`](ShardServer::host) or
+/// [`host_in`](ShardServer::host_in), each on its own external-memory
+/// context and block device, and served read-only afterwards.
 pub struct ShardServer {
     opts: EngineOptions,
     boundaries: Vec<f64>,
@@ -80,7 +79,9 @@ impl ShardServer {
     }
 
     /// Prepares and hosts shard `id` with its block device rooted in
-    /// `directory` (filesystem backend).
+    /// `directory` (filesystem backend).  Every shard gets its own device
+    /// with a unique file prefix, so shards can share a directory; a device
+    /// deletes its block files when its shard drops.
     pub fn host_in(
         &mut self,
         id: usize,
@@ -251,9 +252,8 @@ impl ShardServer {
             .filter(|h| engaged.contains(&(h.id as u32)))
     }
 
-    /// Round 1: the cropping scan of
-    /// [`ShardedDataset`](maxrs_core::ShardedDataset)'s phase 1, run for
-    /// every hosted engaged source.  Pieces whose owner slab is hosted
+    /// Round 1: the cropping scan ([`crop_scan`]), run for every hosted
+    /// engaged source.  Pieces whose owner slab is hosted
     /// elsewhere are exported; span events always travel to the coordinator
     /// (they merge on the coordinator's device).  Pieces whose owner slab is
     /// hosted *here* are dropped — round 2 re-derives them with the same
@@ -299,8 +299,7 @@ impl ShardServer {
 
     /// Round 2: re-derive the locally hosted sources' pieces for the global
     /// slabs owned here, interleave them with the imported pieces in global
-    /// source order (the exact concatenation order of the single-machine
-    /// sweep's per-slab solve), and run the ordinary per-slab recursion.
+    /// source order, and run the ordinary per-slab recursion.
     fn solve(&self, pass: &PassSpec, imported: &[PieceSet]) -> CoreResult<Response> {
         let partition = self.check_pass(pass)?;
         let m = partition.num_slabs();
@@ -381,7 +380,8 @@ impl ShardServer {
     /// The per-server half of min-next-breakpoint canonicalization: the
     /// minimum of [`next_breakpoint_after`] over every hosted engaged shard
     /// (the coordinator takes the minimum across servers, which together is
-    /// exactly the engaged-shards minimum of the single-machine dataset).
+    /// exactly the one-file scan of the unsharded dataset: a shard no pass
+    /// engages has no rectangle reaching the root).
     fn breakpoint(
         &self,
         size: maxrs_geometry::RectSize,

@@ -5,12 +5,14 @@
 //! shard (so answers cross server boundaries through the exported-piece and
 //! span-event decomposition) and tie-heavy data whose x-coordinates sit
 //! exactly on shard boundaries.  Degenerate shapes are pinned too: K = 1
-//! equals the single prepared dataset, one server hosting every shard
-//! equals the single-machine [`ShardedDataset`], empty datasets and
-//! tie-collapsed (empty) shards answer like the unsharded pipeline.  The
-//! aggregated `IoSnapshot` of a cluster query is invariant across server
-//! topologies, transports and storage backends, and a batch shares its
-//! sweep passes on the cluster as on a prepared dataset.
+//! equals the single prepared dataset, and so does one server hosting every
+//! shard (no piece is exported, round 2 re-derives every piece); empty
+//! datasets and tie-collapsed (empty) shards answer like the unsharded
+//! pipeline.  Shards hosted in one directory run on filesystem devices and
+//! leave no block file behind, and preparing moves each shard block at most
+//! once.  The aggregated `IoSnapshot` of a cluster query is invariant across
+//! server topologies, transports and storage backends, and a batch shares
+//! its sweep passes on the cluster as on a prepared dataset.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -21,7 +23,7 @@ use maxrs_cluster::{
     Response, ShardServer, TcpServerHandle, TcpTransport, Transport, TransportError,
 };
 use maxrs_core::{
-    EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query, ShardLayout, ShardRoute,
+    EngineOptions, ExactMaxRsOptions, MaxRsEngine, ObjectRecord, PreparedDataset, Query, ShardRoute,
 };
 use maxrs_em::{EmConfig, IoSnapshot, StorageBackend};
 use maxrs_geometry::{Rect, RectSize, WeightedPoint};
@@ -109,13 +111,9 @@ fn build_servers(
     servers
 }
 
-fn in_process_cluster(
-    opts: EngineOptions,
-    objects: &[WeightedPoint],
-    k: usize,
-    num_servers: usize,
-) -> ClusterCoordinator {
-    let transports: Vec<Box<dyn Transport>> = build_servers(opts, objects, k, num_servers)
+/// Connects `servers` in process; server `i` is named `srv{i}`.
+fn connect(opts: EngineOptions, servers: Vec<ShardServer>) -> ClusterCoordinator {
+    let transports: Vec<Box<dyn Transport>> = servers
         .into_iter()
         .enumerate()
         .map(|(i, s)| {
@@ -123,6 +121,15 @@ fn in_process_cluster(
         })
         .collect();
     ClusterCoordinator::connect(opts, test_config(), transports).unwrap()
+}
+
+fn in_process_cluster(
+    opts: EngineOptions,
+    objects: &[WeightedPoint],
+    k: usize,
+    num_servers: usize,
+) -> ClusterCoordinator {
+    connect(opts, build_servers(opts, objects, k, num_servers))
 }
 
 fn tcp_cluster(
@@ -252,33 +259,91 @@ fn cluster_is_bit_identical_on_tie_heavy_data() {
     }
 }
 
+/// One server hosting every shard exports no piece: round 2 re-derives
+/// every piece from the server's own shards, and every pass fans out to
+/// that one server.
 #[test]
-fn one_server_hosting_every_shard_matches_the_sharded_dataset() {
+fn one_server_hosting_every_shard_matches_the_prepared_dataset() {
     let extent = 1000.0;
     let objects = pseudo_random_objects(1500, 31, extent);
     let opts = options_with(StorageBackend::Sim);
-    let engine = MaxRsEngine::with_options(opts);
-    let sharded = engine
-        .prepare_sharded(&objects, &ShardLayout::new(4))
-        .unwrap();
+    let prepared = MaxRsEngine::with_options(opts).prepare(&objects).unwrap();
     let cluster = in_process_cluster(opts, &objects, 4, 1);
     assert_eq!(cluster.num_servers(), 1);
-    assert_eq!(cluster.num_shards(), sharded.num_shards());
-    assert_eq!(cluster.len(), sharded.len());
-    for query in variant_queries(extent) {
-        assert_eq!(
-            cluster.run(&query).unwrap().answer,
-            sharded.run(&query).unwrap().answer,
-            "single-server cluster {} diverged from ShardedDataset",
-            query.name()
-        );
-        assert_eq!(
-            cluster.shards_touched(&query),
-            sharded.shards_touched(&query),
-            "{}: routing diverged",
-            query.name()
+    assert_eq!(cluster.num_shards(), 4);
+    assert_eq!(cluster.len(), prepared.len());
+    let queries = variant_queries(extent);
+    for query in &queries {
+        assert_eq!(cluster.fan_out(query), 1, "{}", query.name());
+    }
+    assert_cluster_matches(&cluster, &prepared, &queries, "one server, K=4");
+}
+
+/// Shards hosted with `host_in` in one existing directory share it on
+/// filesystem devices of their own, answer like the prepared dataset, and
+/// delete every block file when the cluster drops.
+#[test]
+fn shards_hosted_in_one_directory_run_on_fs_devices() {
+    let dir = std::env::temp_dir().join(format!(
+        "maxrs-host-in-test-{}-{}",
+        std::process::id(),
+        line!()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let block_files = || std::fs::read_dir(&dir).unwrap().count();
+    let extent = 1000.0;
+    let objects = pseudo_random_objects(1200, 37, extent);
+    let opts = options_with(StorageBackend::Sim);
+    let (boundaries, parts) = partition_objects(&objects, 3, 8192);
+    let mut servers: Vec<ShardServer> = (0..2)
+        .map(|_| ShardServer::new(opts, boundaries.clone()))
+        .collect();
+    for (i, part) in parts.iter().enumerate() {
+        servers[i % 2].host_in(i, &dir, part).unwrap();
+    }
+    assert!(block_files() >= parts.len(), "a shard wrote no block file");
+    let cluster = connect(opts, servers);
+    assert_eq!(cluster.backend_name(), "fs");
+    let prepared = MaxRsEngine::with_options(opts).prepare(&objects).unwrap();
+    assert_cluster_matches(&cluster, &prepared, &variant_queries(extent), "host_in");
+    drop(cluster);
+    assert_eq!(block_files(), 0, "block files left behind");
+    std::fs::remove_dir(&dir).unwrap();
+}
+
+/// Preparing a shard is one load and one flush: each hosted shard reads and
+/// writes each of its blocks at most once, and the coordinator's
+/// `prepare_io` is the sum of its shards'.
+#[test]
+fn prepare_reads_and_writes_each_shard_block_at_most_once() {
+    // 6,000 objects over a 32-block buffer: each of four shards spans
+    // several buffer loads, so a per-shard external sort would read and
+    // write its blocks more than once.
+    let opts = options_with(StorageBackend::Sim);
+    let objects = pseudo_random_objects(6000, 17, 10_000.0);
+    let servers = build_servers(opts, &objects, 4, 2);
+    let mut shards = Vec::new();
+    for server in &servers {
+        let Response::Described { shards: hosted, .. } = server.handle(&Request::Describe) else {
+            panic!("a server answered Describe with the wrong reply");
+        };
+        shards.extend(hosted);
+    }
+    assert_eq!(shards.len(), 4);
+    for info in &shards {
+        let blocks = opts.em_config.blocks_for::<ObjectRecord>(info.len);
+        let io = info.prepare_io;
+        assert!(io.total() > 0, "shard {} prepared at no I/O", info.shard);
+        assert!(
+            io.reads <= blocks && io.writes <= blocks,
+            "shard {} moved {io} over {blocks} object blocks",
+            info.shard
         );
     }
+    let summed = shards
+        .iter()
+        .fold(IoSnapshot::default(), |acc, info| acc + info.prepare_io);
+    assert_eq!(connect(opts, servers).prepare_io(), summed);
 }
 
 #[test]

@@ -30,9 +30,8 @@
 //! the objects strictly inside an already chosen rectangle — so no host
 //! materializes per-round copies of its data.  A single object file
 //! ([`PreparedDataset`](crate::PreparedDataset),
-//! [`DeltaDataset`](crate::DeltaDataset)), the local
-//! [`ShardedDataset`](crate::ShardedDataset) and the remote shards behind
-//! `maxrs-cluster`'s coordinator all implement it, and [`run_on_host`]
+//! [`DeltaDataset`](crate::DeltaDataset)) and the shards behind
+//! `maxrs-cluster`'s coordinator both implement it, and [`run_on_host`]
 //! answers every variant on each of them with the same code, so the paths
 //! cannot drift apart.
 //!
@@ -212,8 +211,8 @@ impl QueryBatch {
 /// [module docs](crate::batch)).
 ///
 /// Implemented for a single object file (the prepared and delta
-/// datasets), for [`ShardedDataset`](crate::ShardedDataset) and for
-/// `maxrs-cluster`'s coordinator; [`run_on_host`] drives any of them.
+/// datasets) and for `maxrs-cluster`'s coordinator; [`run_on_host`] drives
+/// either.
 pub trait SweepHost {
     /// The host's error type; core errors convert into it, host-specific
     /// ones (say, an unavailable server) pass through the driver unchanged.

@@ -322,7 +322,7 @@ impl DeltaDataset {
         let net_file = if self.delta_len() == 0 {
             None
         } else {
-            Some(self.build_net()?)
+            Some(self.build_net(&self.ctx)?)
         };
         let file = match &net_file {
             Some(f) => f,
@@ -362,7 +362,7 @@ impl DeltaDataset {
             });
         }
         let before = self.ctx.stats();
-        let net = self.build_net()?;
+        let net = self.build_net(&self.ctx)?;
         // Materialize the new run: its dirty blocks belong to the
         // compaction, not to whichever query happens to evict them first
         // (mirrors `prepare`).
@@ -392,9 +392,10 @@ impl DeltaDataset {
     }
 
     /// An immutable [`PreparedDataset`] of the current net dataset: the net
-    /// file (module docs) is copied into a fresh context of the same
-    /// configuration.  Serving layers swap such snapshots atomically so
-    /// readers are never torn by updates or compaction.
+    /// file (module docs) is written straight into a fresh context of the
+    /// same configuration and flushed there.  Serving layers swap such
+    /// snapshots atomically so readers are never torn by updates or
+    /// compaction.
     pub fn snapshot(&self) -> Result<PreparedDataset<'static>> {
         let engine = MaxRsEngine::with_options(self.opts);
         let net = self.len();
@@ -403,45 +404,25 @@ impl DeltaDataset {
             engine.guard_in_memory_capacity(net, self.ctx.config())?;
             return Ok(PreparedDataset::from_memory(self.opts, self.survivors()));
         }
-        let net_file = if self.delta_len() == 0 {
-            None
-        } else {
-            Some(self.build_net()?)
-        };
-        let source = match &net_file {
-            Some(f) => f,
-            None => self.base.as_ref().expect("base present until drop"),
-        };
         let ctx = Box::new(EmContext::new(self.ctx.config()));
-        let copied = (|| {
-            let before = ctx.stats();
-            let mut reader = self.ctx.open_reader(source);
-            let mut writer = ctx.create_writer::<ObjectRecord>()?;
-            while let Some(rec) = reader.next_record()? {
-                writer.push(&rec)?;
-            }
-            let file = writer.finish()?;
-            ctx.flush_file(&file)?;
-            Ok::<_, CoreError>((file, ctx.stats().since(&before)))
-        })();
-        if let Some(f) = net_file {
-            let deleted = self.ctx.delete_file(f);
-            let (file, io) = copied?;
-            deleted?;
-            return Ok(PreparedDataset::from_owned(self.opts, ctx, file, io));
+        let before = ctx.stats();
+        let file = self.build_net(&ctx)?;
+        if let Err(e) = ctx.flush_file(&file) {
+            let _ = ctx.delete_file(file);
+            return Err(e.into());
         }
-        let (file, io) = copied?;
+        let io = ctx.stats().since(&before);
         Ok(PreparedDataset::from_owned(self.opts, ctx, file, io))
     }
 
-    /// Writes the net file: the base minus its tombstones, then the delta
-    /// inserts in arrival order — one sequential read of the base and one
-    /// sequential write.
-    fn build_net(&self) -> Result<TupleFile<ObjectRecord>> {
+    /// Writes the net file onto `ctx`: the base minus its tombstones, then
+    /// the delta inserts in arrival order — one sequential read of the base
+    /// and one sequential write.
+    fn build_net(&self, ctx: &EmContext) -> Result<TupleFile<ObjectRecord>> {
         let base = self.base.as_ref().expect("base present until drop");
         let mut tombs = self.tombstones.clone();
         let mut reader = self.ctx.open_reader(base);
-        let mut writer = self.ctx.create_writer::<ObjectRecord>()?;
+        let mut writer = ctx.create_writer::<ObjectRecord>()?;
         while let Some(rec) = reader.next_record()? {
             let key = record_key(&rec.0);
             match tombs.get_mut(&key) {

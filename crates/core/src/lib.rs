@@ -27,13 +27,14 @@
 //!   execution: M queries answered in shared sweep passes, grouped by
 //!   rectangle size, by the one query driver every dataset layout runs
 //!   through its [`SweepHost`] operations ([`crate::batch`]),
-//! * [`ShardedDataset`] / [`MaxRsEngine::prepare_sharded`] — the x-domain
-//!   split into balanced shards prepared **concurrently** (each on its own
-//!   block device), queries routed to the shards they touch and merged
-//!   exactly through the span-event decomposition ([`crate::shard`]).
+//! * [`ShardRoute`], [`shard::crop_scan`] and [`prepare_shard`] — the
+//!   x-domain split into balanced shards, each query routed to the shards it
+//!   touches and merged exactly through the span-event decomposition: the
+//!   pieces `maxrs-cluster`'s servers and coordinator run on
+//!   ([`crate::shard`]).
 //!
 //! No stage reads the order of an object file, so no path sorts the objects:
-//! a prepared, sharded or delta dataset keeps them in arrival order (see
+//! a prepared, delta or shard dataset keeps them in arrival order (see
 //! [`crate::sweep`]).
 //!
 //! The external-memory algorithms run against a [`maxrs_em::EmContext`], which
@@ -152,9 +153,7 @@ pub use records::{ObjectRecord, RectRecord, SlabTuple, SpanEvent};
 pub use reference::{brute_force_max_crs, brute_force_max_rs, circle_objective, rect_objective};
 pub use result::{MaxCrsResult, MaxRsResult};
 pub use segment_tree::SegmentTree;
-pub use shard::{
-    prepare_shard, select_shard_boundaries, shard_slab, ShardLayout, ShardRoute, ShardedDataset,
-};
+pub use shard::{prepare_shard, select_shard_boundaries, shard_slab, ShardRoute};
 pub use slab::{compute_partition, distribute, BoundarySource, Crop, Distribution, SlabPartition};
 pub use sweep::{
     extract_best, is_suppressed, next_breakpoint_after, solve_rects, transform_to_rect_file,

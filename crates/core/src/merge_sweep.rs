@@ -61,39 +61,21 @@ pub fn merge_sweep(
     slabs: &[Interval],
     span_events: &TupleFile<SpanEvent>,
 ) -> Result<TupleFile<SlabTuple>> {
-    let readers: Vec<TupleReader<'_, SlabTuple>> =
-        slab_files.iter().map(|f| ctx.open_reader(f)).collect();
-    let span_reader: TupleReader<'_, SpanEvent> = ctx.open_reader(span_events);
-    merge_sweep_readers(ctx, readers, slabs, span_reader)
-}
-
-/// Reader-level core of [`merge_sweep`]: merges `m` y-sorted slab-tuple
-/// streams plus a y-sorted spanning-event stream into the slab-file of the
-/// union slab, written on `out_ctx`.
-///
-/// The readers may come from **different contexts** (each borrows only the
-/// context its file lives on) — this is what lets the sharded dataset layer
-/// ([`crate::shard`]) combine per-shard slab-files that live on per-shard
-/// block devices into one answer without first copying them to a common
-/// device.
-pub(crate) fn merge_sweep_readers(
-    out_ctx: &EmContext,
-    mut readers: Vec<TupleReader<'_, SlabTuple>>,
-    slabs: &[Interval],
-    mut span_reader: TupleReader<'_, SpanEvent>,
-) -> Result<TupleFile<SlabTuple>> {
-    if readers.len() != slabs.len() {
+    if slab_files.len() != slabs.len() {
         return Err(CoreError::Internal(format!(
-            "merge_sweep got {} slab readers but {} slabs",
-            readers.len(),
+            "merge_sweep got {} slab files but {} slabs",
+            slab_files.len(),
             slabs.len()
         )));
     }
     if slabs.is_empty() {
         return Err(CoreError::Internal("merge_sweep got no slabs".into()));
     }
-    let m = readers.len();
-    let mut writer = out_ctx.create_writer::<SlabTuple>()?;
+    let m = slabs.len();
+    let mut readers: Vec<TupleReader<'_, SlabTuple>> =
+        slab_files.iter().map(|f| ctx.open_reader(f)).collect();
+    let mut span_reader = ctx.open_reader(span_events);
+    let mut writer = ctx.create_writer::<SlabTuple>()?;
 
     // Sweep state: every reader's head y (`None` once exhausted), and per
     // sub-slab its latest tuple, its spanning weight and their total.

@@ -189,7 +189,8 @@ impl PreparedDataset<'static> {
     /// Loads `objects` into `ctx`, which the dataset takes ownership of, and
     /// flushes the file — the external body of
     /// [`prepare`](MaxRsEngine::prepare) and of
-    /// [`prepare_shard`](crate::prepare_shard).  Loading is excluded from the
+    /// [`prepare_shard`](crate::prepare_shard), which builds the shards of
+    /// `maxrs-cluster`'s servers.  Loading is excluded from the
     /// reported preparation cost, exactly as single-shot runs exclude it from
     /// theirs; the file's dirty blocks belong to it, not to whichever query
     /// happens to evict them first.
@@ -239,9 +240,10 @@ impl PreparedDataset<'_> {
     }
 
     /// The context and retained object file of an external dataset, or
-    /// `None` for an in-memory one.  The sharded layer ([`crate::shard`])
-    /// drives its per-shard passes through this instead of `run_planned`, so
-    /// that one global sweep can span every shard's file.
+    /// `None` for an in-memory one.  The shard servers of `maxrs-cluster`
+    /// drive their per-shard passes through this instead of `run_planned`,
+    /// so that one global sweep can span every shard's file
+    /// ([`crate::shard`]).
     pub fn external_parts(&self) -> Option<(&EmContext, &TupleFile<ObjectRecord>)> {
         match &self.source {
             Source::Memory(_) => None,

@@ -340,10 +340,10 @@ pub fn next_breakpoint_after(
 /// root ([`BoundarySource::SortedExact`]), `false` one of
 /// `opts.boundary_sample` edges, as for recursion children; the flag keeps
 /// its old name because the benchmark package (`benchmark/src/em.rs`) still
-/// passes it.  This is the per-shard entry point of the sharded dataset
-/// layer ([`crate::shard`]), which runs one such solve per shard and then
-/// combines the shard slab-files through the same span-event MergeSweep the
-/// recursion itself uses.
+/// passes it.  This is the per-shard entry point of the sharded pass
+/// ([`crate::shard`]): `maxrs-cluster`'s shard servers run one such solve
+/// per owned slab, and the coordinator combines the slab-files through the
+/// same span-event MergeSweep the recursion itself uses.
 pub fn solve_rects(
     ctx: &EmContext,
     opts: &ExactMaxRsOptions,

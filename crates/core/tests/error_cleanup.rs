@@ -3,7 +3,8 @@
 //! block read, block write or file delete; k sweeps over every such
 //! operation an unfailed run makes, and after each error the context must
 //! hold exactly the files and blocks it held before — except a file whose
-//! delete the device itself refused.
+//! delete the device itself refused.  A failed write-back loses no cached
+//! block.
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
@@ -284,6 +285,31 @@ fn failed_writes_leave_no_files_behind() {
             prepared.run(&query).map(drop)
         });
     }
+}
+
+/// A dirty block whose eviction write fails stays cached and dirty, so the
+/// file it belongs to still reads back every value.
+#[test]
+fn a_failed_eviction_write_keeps_the_victim() {
+    let (ctx, faults) = faulty_context();
+    let values: Vec<u64> = (0..1_000).collect();
+    // 16 blocks of 64 values through a 4-block buffer: the last blocks of
+    // `first` are still dirty in the pool when the second file starts.
+    let first = ctx.write_all(&values).unwrap();
+    faults.arm(Fault::Write, 1);
+    assert!(
+        ctx.write_all(&values).is_err(),
+        "the failed eviction write went unreported"
+    );
+    faults.arm(Fault::Write, 0);
+    let read = ctx.read_all(&first).unwrap();
+    let wrong = read.iter().zip(&values).filter(|(a, b)| a != b).count();
+    assert_eq!(
+        wrong,
+        0,
+        "{wrong} of {} values read back wrong",
+        values.len()
+    );
 }
 
 /// A delta dataset on a faulty context, one compaction in, with inserts and

@@ -89,6 +89,12 @@ fn prepare_file_reads_and_writes_each_block_at_most_once() {
         prepare_io.reads > 0 && prepare_io.writes > 0,
         "{prepare_io}"
     );
+    // `prepare` keeps the file it loads: the flush is its whole cost.
+    let loaded = engine.prepare(&objects).unwrap();
+    assert!(loaded.is_external());
+    assert_each_block_moved_at_most_once("prepare", loaded.prepare_io(), blocks);
+    assert!(loaded.prepare_io().writes > 0, "{}", loaded.prepare_io());
+
     let first = prepared.run(&query).unwrap();
     let second = prepared.run(&query).unwrap();
 

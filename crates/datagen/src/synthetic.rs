@@ -44,9 +44,9 @@ pub fn gaussian(n: usize, extent: f64, seed: u64) -> Vec<WeightedPoint> {
 /// of the space, y uniform, all of weight 1.
 ///
 /// Equal-*width* x-splits starve two of three partitions on this input;
-/// quantile-based boundary selection (used by sharded datasets and the slab
-/// partitioner) keeps per-partition counts balanced — which is exactly what
-/// the balanced-split tests assert.
+/// quantile-based boundary selection (used by the cluster's shard split and
+/// the slab partitioner) keeps per-partition counts balanced — which is
+/// exactly what the balanced-split tests assert.
 pub fn clustered(n: usize, extent: f64, seed: u64) -> Vec<WeightedPoint> {
     assert!(extent > 0.0, "extent must be positive");
     let mut rng = StdRng::seed_from_u64(seed);

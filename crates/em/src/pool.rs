@@ -207,9 +207,9 @@ impl BufferPool {
                 frame.referenced = false;
                 continue;
             }
-            // Evict this frame.
-            let (fid, block) = frame.key.take().unwrap();
-            self.map.remove(&(fid, block));
+            // Evict this frame.  A dirty victim is written back before it is
+            // unmapped, so a failed write leaves it cached and dirty.
+            let (fid, block) = frame.key.expect("occupied frame has a key");
             if frame.dirty {
                 // The file may have been deleted while its blocks were cached;
                 // in that case the pending write is simply discarded.
@@ -218,6 +218,8 @@ impl BufferPool {
                 }
                 frame.dirty = false;
             }
+            frame.key = None;
+            self.map.remove(&(fid, block));
             return Ok(slot);
         }
     }

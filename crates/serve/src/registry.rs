@@ -15,15 +15,12 @@
 //! The RAII drop of [`PreparedDataset`] then deletes the retained blocks, so
 //! a registry churning through datasets never leaks disk space.
 //!
-//! Entries come in three serving shapes (see [`ServedDataset`]): plain
-//! prepared datasets ([`DatasetRegistry::insert`]), sharded ones
-//! ([`DatasetRegistry::insert_sharded`]), whose preparation runs
-//! shard-parallel and whose shards can live on dedicated
-//! directories/devices, and **cluster** entries
+//! Entries come in two serving shapes (see [`ServedDataset`]): prepared
+//! datasets ([`DatasetRegistry::insert`]) and **cluster** entries
 //! ([`DatasetRegistry::insert_cluster`]) fronting a
-//! [`ClusterCoordinator`] whose shards live on remote servers.  Cluster
+//! [`ClusterCoordinator`] whose shards live on shard servers.  Cluster
 //! entries charge nothing against the memory budget — their data is
-//! resident on the remote servers, not in this process.
+//! resident on the servers, not in this process.
 //!
 //! # Dynamic datasets
 //!
@@ -42,7 +39,6 @@ use std::sync::Arc;
 use maxrs_cluster::ClusterCoordinator;
 use maxrs_core::{
     DeltaDataset, DeltaOptions, Event, MaxRsEngine, PreparedDataset, Query, QueryBatch, QueryRun,
-    ShardLayout, ShardedDataset,
 };
 use maxrs_em::IoSnapshot;
 use maxrs_geometry::WeightedPoint;
@@ -54,18 +50,14 @@ use crate::error::{Result, ServeError};
 /// (and its retained object files) lives until the last handle drops.
 pub type DatasetHandle = Arc<ServedDataset>;
 
-/// What a registry entry serves: an unsharded [`PreparedDataset`], a
-/// [`ShardedDataset`] whose shards were prepared concurrently (and may live
-/// on dedicated devices), or a [`ClusterCoordinator`] whose shards live on
-/// remote servers behind a transport.  All three answer every [`Query`]
-/// variant bit-identically through the same interface, so the batching
-/// executor treats them uniformly.
+/// What a registry entry serves: an unsharded [`PreparedDataset`] or a
+/// [`ClusterCoordinator`] whose shards live on shard servers behind a
+/// transport.  Both answer every [`Query`] variant bit-identically through
+/// the same interface, so the batching executor treats them uniformly.
 #[derive(Debug)]
 pub enum ServedDataset {
     /// A single prepared dataset (one object file, one device).
     Prepared(PreparedDataset<'static>),
-    /// An x-sharded dataset ([`MaxRsEngine::prepare_sharded`]).
-    Sharded(ShardedDataset),
     /// A multi-node cluster of shard servers
     /// ([`maxrs_cluster::ClusterCoordinator`]).
     Cluster(ClusterCoordinator),
@@ -76,7 +68,6 @@ impl ServedDataset {
     pub fn run(&self, query: &Query) -> Result<QueryRun> {
         match self {
             ServedDataset::Prepared(d) => Ok(d.run(query)?),
-            ServedDataset::Sharded(d) => Ok(d.run(query)?),
             ServedDataset::Cluster(d) => Ok(d.run(query)?),
         }
     }
@@ -85,7 +76,6 @@ impl ServedDataset {
     pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<QueryRun>> {
         match self {
             ServedDataset::Prepared(d) => Ok(d.run_batch(queries)?),
-            ServedDataset::Sharded(d) => Ok(d.run_batch(queries)?),
             ServedDataset::Cluster(d) => Ok(d.run_batch(queries)?),
         }
     }
@@ -94,7 +84,6 @@ impl ServedDataset {
     pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
         match self {
             ServedDataset::Prepared(d) => Ok(d.run_planned(batch)?),
-            ServedDataset::Sharded(d) => Ok(d.run_planned(batch)?),
             ServedDataset::Cluster(d) => Ok(d.run_planned(batch)?),
         }
     }
@@ -103,7 +92,6 @@ impl ServedDataset {
     pub fn len(&self) -> u64 {
         match self {
             ServedDataset::Prepared(d) => d.len(),
-            ServedDataset::Sharded(d) => d.len(),
             ServedDataset::Cluster(d) => d.len(),
         }
     }
@@ -113,35 +101,33 @@ impl ServedDataset {
         self.len() == 0
     }
 
-    /// Estimated retained bytes **in this process** (summed over shards when
-    /// sharded) — the quantity the registry's memory budget bounds.  Cluster
-    /// entries report 0: their shard data is resident on the remote servers,
-    /// so caching the coordinator costs this process nothing the budget
-    /// should account for.
+    /// Estimated retained bytes **in this process** — the quantity the
+    /// registry's memory budget bounds.  Cluster entries report 0: their
+    /// shard data is resident on the remote servers, so caching the
+    /// coordinator costs this process nothing the budget should account
+    /// for.
     pub fn resident_bytes(&self) -> u64 {
         match self {
             ServedDataset::Prepared(d) => d.resident_bytes(),
-            ServedDataset::Sharded(d) => d.resident_bytes(),
             ServedDataset::Cluster(_) => 0,
         }
     }
 
     /// Blocks transferred by the one-time preparation (summed over shards
-    /// when sharded or clustered).
+    /// when clustered).
     pub fn prepare_io(&self) -> IoSnapshot {
         match self {
             ServedDataset::Prepared(d) => d.prepare_io(),
-            ServedDataset::Sharded(d) => d.prepare_io(),
             ServedDataset::Cluster(d) => d.prepare_io(),
         }
     }
 
-    /// `true` when the dataset is stored externally (sharded and cluster
-    /// datasets always are; a prepared dataset may have stayed in memory).
+    /// `true` when the dataset is stored externally (cluster datasets
+    /// always are; a prepared dataset may have stayed in memory).
     pub fn is_external(&self) -> bool {
         match self {
             ServedDataset::Prepared(d) => d.is_external(),
-            ServedDataset::Sharded(_) | ServedDataset::Cluster(_) => true,
+            ServedDataset::Cluster(_) => true,
         }
     }
 
@@ -152,7 +138,6 @@ impl ServedDataset {
     pub fn backend_name(&self) -> Option<&'static str> {
         match self {
             ServedDataset::Prepared(d) => d.backend_name(),
-            ServedDataset::Sharded(d) => Some(d.backend_name()),
             ServedDataset::Cluster(d) => match d.backend_name() {
                 "sim" => Some("sim"),
                 "fs" => Some("fs"),
@@ -161,11 +146,10 @@ impl ServedDataset {
         }
     }
 
-    /// Number of shards serving this dataset: 1 unless sharded or clustered.
+    /// Number of shards serving this dataset: 1 unless clustered.
     pub fn num_shards(&self) -> usize {
         match self {
             ServedDataset::Prepared(_) => 1,
-            ServedDataset::Sharded(d) => d.num_shards(),
             ServedDataset::Cluster(d) => d.num_shards(),
         }
     }
@@ -263,24 +247,6 @@ impl DatasetRegistry {
         let prepared: DatasetHandle =
             Arc::new(ServedDataset::Prepared(self.engine.prepare(objects)?));
         self.install(id, prepared, None)
-    }
-
-    /// Prepares `objects` as a [`ShardedDataset`] under `layout` — the
-    /// shards load `layout.shards`-way parallel and can live on dedicated
-    /// directories — and caches it under `id`, exactly like
-    /// [`insert`](DatasetRegistry::insert) otherwise.  Sharded entries answer
-    /// bit-identically to unsharded ones, so callers cannot tell them apart
-    /// through the query path.
-    pub fn insert_sharded(
-        &self,
-        id: &str,
-        objects: &[WeightedPoint],
-        layout: &ShardLayout,
-    ) -> Result<DatasetHandle> {
-        let sharded: DatasetHandle = Arc::new(ServedDataset::Sharded(
-            self.engine.prepare_sharded(objects, layout)?,
-        ));
-        self.install(id, sharded, None)
     }
 
     /// Caches an already-connected [`ClusterCoordinator`] under `id`, so a
@@ -564,71 +530,6 @@ mod tests {
         assert!(!registry.contains("b"), "LRU entry evicted");
         assert!(registry.contains("c"), "new entry never self-evicts");
         assert!(registry.resident_bytes() <= 2 * per_dataset);
-    }
-
-    #[test]
-    fn sharded_entries_serve_bit_identically_to_unsharded_ones() {
-        let registry = DatasetRegistry::new(external_engine());
-        let data = objects(1200, 7);
-        registry.insert("flat", &data).unwrap();
-        registry
-            .insert_sharded("sharded", &data, &maxrs_core::ShardLayout::new(3))
-            .unwrap();
-        let flat = registry.get("flat").unwrap();
-        let sharded = registry.get("sharded").unwrap();
-        assert_eq!(flat.num_shards(), 1);
-        assert_eq!(sharded.num_shards(), 3);
-        assert_eq!(flat.len(), sharded.len());
-        assert!(sharded.resident_bytes() > 0);
-        assert!(sharded.prepare_io().total() > 0);
-        let queries = vec![
-            Query::max_rs(RectSize::square(120.0)),
-            Query::top_k(RectSize::square(120.0), 2),
-            Query::approx_max_crs(120.0),
-        ];
-        let flat_runs = flat.run_batch(&queries).unwrap();
-        let sharded_runs = sharded.run_batch(&queries).unwrap();
-        for ((q, f), s) in queries.iter().zip(&flat_runs).zip(&sharded_runs) {
-            assert_eq!(f.answer, s.answer, "{} diverged", q.name());
-        }
-        // Sharded entries are static: no update path.
-        assert!(!registry.is_dynamic("sharded"));
-    }
-
-    #[test]
-    fn sharded_entries_are_accounted_as_the_sum_of_their_shards() {
-        let engine = external_engine();
-        let data = objects(1200, 11);
-        let sharded = engine
-            .prepare_sharded(&data, &maxrs_core::ShardLayout::new(4))
-            .unwrap();
-        let per_shard = sharded.resident_bytes_per_shard();
-        assert_eq!(per_shard.len(), 4);
-        assert!(per_shard.iter().all(|&b| b > 0), "every shard retains data");
-        let expected: u64 = per_shard.iter().sum();
-        assert_eq!(sharded.resident_bytes(), expected);
-
-        // The registry charges exactly that sum against its budget…
-        let registry = DatasetRegistry::new(external_engine());
-        registry
-            .insert_sharded("s", &data, &maxrs_core::ShardLayout::new(4))
-            .unwrap();
-        assert_eq!(registry.resident_bytes(), expected);
-        // …and releases exactly it on eviction.
-        assert!(registry.evict("s"));
-        assert_eq!(registry.resident_bytes(), 0);
-
-        // A budget below the summed footprint treats the sharded entry as
-        // oversized (kept while newest, evicted by the next insert), proving
-        // eviction decisions see the whole dataset, not one shard.
-        let registry = DatasetRegistry::with_budget(external_engine(), expected - 1);
-        registry
-            .insert_sharded("s", &data, &maxrs_core::ShardLayout::new(4))
-            .unwrap();
-        assert!(registry.contains("s"));
-        registry.insert("tiny", &objects(50, 12)).unwrap();
-        assert!(!registry.contains("s"), "oversized sharded entry evicted");
-        assert!(registry.contains("tiny"));
     }
 
     #[test]

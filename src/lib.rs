@@ -9,11 +9,9 @@
 //!   accounting, external sort).
 //! * [`core`] — the algorithms: ExactMaxRS, ApproxMaxCRS, the in-memory plane
 //!   sweep and the exact MaxCRS reference; plus [`PreparedDataset`] for
-//!   load-once repeated querying, [`DeltaDataset`] for streaming updates
-//!   over the external path (delta-main + compaction), and
-//!   [`ShardedDataset`] for x-partitioned parallel prepare with
-//!   shard-routed, bit-identical queries.  The zero-alloc [`SweepScratch`]
-//!   arena the slab sweeps run on is re-exported here too.
+//!   load-once repeated querying and [`DeltaDataset`] for streaming updates
+//!   over the external path (delta-main + compaction).  The zero-alloc
+//!   [`SweepScratch`] arena the slab sweeps run on is re-exported here too.
 //! * [`stream`] — incremental MaxRS over dynamic data: the sliding-window
 //!   event engine ([`StreamEngine`]) maintaining answers under inserts,
 //!   deletes and window expiry.
@@ -22,11 +20,11 @@
 //! * [`serve`] — the concurrent serving layer: [`DatasetRegistry`] caching
 //!   prepared datasets under a memory budget, and [`MaxRsServer`] micro-
 //!   batching concurrent clients' queries into shared sweep passes.
-//! * [`cluster`] — multi-node shard serving: [`ShardServer`]s hosting the
-//!   shards of one x-partition behind a pluggable transport (in-process or
-//!   real TCP), and a [`ClusterCoordinator`] fanning sub-queries out and
-//!   merging partial results bit-identically, with timeouts, retries and
-//!   per-server health tracking.
+//! * [`cluster`] — x-partitioned shard serving: [`ShardServer`]s hosting
+//!   the shards of one x-partition behind a pluggable transport (in-process
+//!   or real TCP), and a [`ClusterCoordinator`] fanning shard-routed
+//!   sub-queries out and merging partial results bit-identically, with
+//!   timeouts, retries and per-server health tracking.
 //! * [`baselines`] — the externalized plane-sweep baselines (Naïve and
 //!   aSB-tree) the paper compares against.
 //!
@@ -82,7 +80,7 @@ pub use maxrs_core::{
     min_rs_in_memory, ApproxMaxCrsOptions, CompactionPolicy, CompactionReport, DeltaDataset,
     DeltaOptions, EngineError, EngineOptions, EngineRun, ExactMaxRsOptions, ExecutionStrategy,
     LiveSet, MaxCrsResult, MaxRsEngine, MaxRsResult, PreparedDataset, Query, QueryAnswer,
-    QueryBatch, QueryRun, ShardLayout, ShardedDataset, SweepPass, SweepScratch,
+    QueryBatch, QueryRun, SweepPass, SweepScratch,
 };
 pub use maxrs_em::{BlockDevice, EmConfig, EmContext, FsDisk, IoSnapshot, SimDisk, StorageBackend};
 pub use maxrs_geometry::{Circle, Interval, Point, Rect, RectSize, WeightedPoint};

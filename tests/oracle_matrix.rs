@@ -2,8 +2,9 @@
 //! for all four query variants.
 //!
 //! Paths: one-shot external runs (sequential, and parallel with a buffer
-//! that really admits two workers), a prepared batch, a sharded dataset
-//! (K = 3), a delta dataset after compaction, and an in-process cluster.
+//! that really admits two workers), a prepared batch, a delta dataset after
+//! compaction, and an in-process cluster of three shards, hosted on one
+//! server and on three.
 //! The data is Gaussian, so the MinRS domains' corners fall in sparse
 //! regions where whole sub-slabs are empty — where a sweep's slab sentinel
 //! can win and a max-region must still end at the next arrangement
@@ -29,7 +30,7 @@ use maxrs::{
     approx_max_crs_in_memory, exact_max_rs, load_objects, max_k_rs_in_memory, max_rs_in_memory,
     min_rs_in_memory, DeltaDataset, DeltaOptions, EmConfig, EmContext, EngineOptions,
     ExactMaxRsOptions, ExecutionStrategy, Interval, MaxRsEngine, MaxRsResult, Query, QueryAnswer,
-    QueryRun, Rect, RectSize, ShardLayout, StorageBackend, WeightedPoint,
+    QueryRun, Rect, RectSize, StorageBackend, WeightedPoint,
 };
 
 const EXTENT: f64 = 1e6;
@@ -136,14 +137,21 @@ fn check(objects: &[WeightedPoint], query: &Query, answer: &QueryAnswer) -> Resu
     }
 }
 
-fn cluster(opts: EngineOptions, objects: &[WeightedPoint]) -> ClusterCoordinator {
+/// An in-process cluster of `objects` split into three shards, hosted
+/// round-robin on `servers` servers.  On one server no piece is exported:
+/// round 2 re-derives every piece from the server's own shards.
+fn cluster(opts: EngineOptions, objects: &[WeightedPoint], servers: usize) -> ClusterCoordinator {
     let (boundaries, parts) = partition_objects(objects, 3, 8192);
-    let transports: Vec<Box<dyn Transport>> = parts
-        .iter()
+    let mut hosts: Vec<ShardServer> = (0..servers)
+        .map(|_| ShardServer::new(opts, boundaries.clone()))
+        .collect();
+    for (i, part) in parts.iter().enumerate() {
+        hosts[i % servers].host(i, part).unwrap();
+    }
+    let transports: Vec<Box<dyn Transport>> = hosts
+        .into_iter()
         .enumerate()
-        .map(|(i, part)| {
-            let mut server = ShardServer::new(opts, boundaries.clone());
-            server.host(i, part).unwrap();
+        .map(|(i, server)| {
             Box::new(InProcessTransport::new(format!("srv{i}"), Arc::new(server)))
                 as Box<dyn Transport>
         })
@@ -223,9 +231,8 @@ fn every_path_matches_the_in_memory_references() {
                 seq.prepare(&objects).unwrap().run_batch(&queries).unwrap(),
             ));
             paths.push((
-                "sharded K=3",
-                seq.prepare_sharded(&objects, &ShardLayout::new(3))
-                    .unwrap()
+                "one-server cluster",
+                cluster(*seq.options(), &objects, 1)
                     .run_batch(&queries)
                     .unwrap(),
             ));
@@ -235,7 +242,7 @@ fn every_path_matches_the_in_memory_references() {
             ));
             paths.push((
                 "cluster",
-                cluster(*seq.options(), &objects)
+                cluster(*seq.options(), &objects, 3)
                     .run_batch(&queries)
                     .unwrap(),
             ));
@@ -292,8 +299,8 @@ fn bands(objects: &[WeightedPoint], size: RectSize, picks: &[MaxRsResult]) -> Ba
 /// Top-k over data built so the later rounds' bands overlap, cover every
 /// strip, tie on an integer lattice, or hold only suppressed objects (an
 /// empty band sweep), on every path that splices — prepared on both storage
-/// backends, parallel, delta after compaction, sharded and clustered —
-/// against the in-memory greedy.  Each row first asserts, on the
+/// backends, parallel, delta after compaction, and clustered on one server
+/// and on three — against the in-memory greedy.  Each row first asserts, on the
 /// reference's picks, that it really exercises its case.
 #[test]
 fn top_k_splices_match_the_greedy_reference() {
@@ -407,15 +414,12 @@ fn top_k_splices_match_the_greedy_reference() {
                 compacted_delta(&seq, &objects).run(&query).unwrap(),
             ),
             (
-                "sharded K=3",
-                seq.prepare_sharded(&objects, &ShardLayout::new(3))
-                    .unwrap()
-                    .run(&query)
-                    .unwrap(),
+                "one-server cluster",
+                cluster(*seq.options(), &objects, 1).run(&query).unwrap(),
             ),
             (
                 "cluster",
-                cluster(*seq.options(), &objects).run(&query).unwrap(),
+                cluster(*seq.options(), &objects, 3).run(&query).unwrap(),
             ),
         ];
         for (path, run) in runs {
@@ -513,15 +517,14 @@ fn check_every_order(name: &str, objects: &[WeightedPoint], queries: &[Query]) -
                 delta_in_thirds(&seq, &ordered).run_batch(queries).unwrap(),
             ),
             (
-                "sharded K=3",
-                seq.prepare_sharded(&ordered, &ShardLayout::new(3))
-                    .unwrap()
+                "one-server cluster",
+                cluster(*seq.options(), &ordered, 1)
                     .run_batch(queries)
                     .unwrap(),
             ),
             (
                 "cluster",
-                cluster(*seq.options(), &ordered)
+                cluster(*seq.options(), &ordered, 3)
                     .run_batch(queries)
                     .unwrap(),
             ),
@@ -553,9 +556,10 @@ fn check_every_order(name: &str, objects: &[WeightedPoint], queries: &[Query]) -
 /// All four variants over one object set in three arrival orders, on the
 /// one-shot `exact_max_rs` (MaxRS), prepared on both storage backends, a
 /// delta whose inserts span two compactions (tombstones and pending inserts
-/// at query time), sharded K=3 and the in-process cluster.  Uniform points
-/// and an integer lattice with ties, both with integer weights, so every sum
-/// is exact in any grouping and every answer must equal the reference.
+/// at query time), and the in-process cluster on one server and on three.
+/// Uniform points and an integer lattice with ties, both with integer
+/// weights, so every sum is exact in any grouping and every answer must
+/// equal the reference.
 #[test]
 fn every_path_answers_identically_in_any_object_order() {
     let uniform: Vec<WeightedPoint> = Dataset::generate(DatasetKind::Uniform, 1_500, 3)
