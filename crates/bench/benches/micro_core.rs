@@ -3,7 +3,7 @@
 //! support the design choices rather than a figure of the paper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use maxrs_bench::runner::{run_engine, run_query};
+use maxrs_bench::runner::run_query;
 use maxrs_core::{
     load_objects, max_rs_in_memory, EngineOptions, ExactMaxRsOptions, MaxRsEngine, Query,
     QueryBatch, QueryRun, SegmentTree,
@@ -90,7 +90,7 @@ fn bench_engine_parallelism(c: &mut Criterion) {
         let ctx = EmContext::new(config);
         let file = load_objects(&ctx, &ds.objects).unwrap();
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
-            b.iter(|| engine.solve_file(&ctx, &file, size).unwrap());
+            b.iter(|| engine.run_file(&ctx, &file, &Query::max_rs(size)).unwrap());
         });
     }
     group.finish();
@@ -98,7 +98,7 @@ fn bench_engine_parallelism(c: &mut Criterion) {
     // Print what each variant actually did (strategy, workers, I/O) so the
     // bench output documents the comparison, not just the wall-clock.
     for workers in [1usize, 8] {
-        let run = run_engine(config, &ds.objects, size, workers).unwrap();
+        let run = run_query(config, &ds.objects, &Query::max_rs(size), workers).unwrap();
         println!(
             "engine_exact_maxrs workers={workers}: strategy={} effective_workers={} io={}",
             run.strategy.name(),

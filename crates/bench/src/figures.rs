@@ -1,9 +1,8 @@
 //! Runners regenerating every figure of the paper's evaluation.
 
 use maxrs_baselines::Algorithm;
-use maxrs_core::{approx_max_crs_from_objects, exact_max_crs_in_memory, ApproxMaxCrsOptions};
+use maxrs_core::{exact_max_crs_in_memory, MaxRsEngine, Query};
 use maxrs_datagen::{Dataset, DatasetKind};
-use maxrs_em::EmContext;
 use maxrs_geometry::RectSize;
 
 use crate::config::{
@@ -255,18 +254,16 @@ pub fn fig17_quality(opts: &FigureOptions) -> FigureReport {
         });
         let dataset = Dataset::generate(kind, n, opts.seed);
         let mut series = Series::new(kind.name());
+        let engine = MaxRsEngine::with_em_config(opts.scale.em_config(PAPER_BUFFER_SYNTHETIC));
         for &diameter in &PAPER_DIAMETERS {
-            let ctx = EmContext::new(opts.scale.em_config(PAPER_BUFFER_SYNTHETIC));
-            let approx = approx_max_crs_from_objects(
-                &ctx,
-                &dataset.objects,
-                diameter,
-                &ApproxMaxCrsOptions::default(),
-            )
-            .expect("ApproxMaxCRS failed");
+            let approx = engine
+                .run(&dataset.objects, &Query::approx_max_crs(diameter))
+                .expect("ApproxMaxCRS failed")
+                .answer
+                .best_weight();
             let exact = exact_max_crs_in_memory(&dataset.objects, diameter);
             let ratio = if exact.total_weight > 0.0 {
-                approx.total_weight / exact.total_weight
+                approx / exact.total_weight
             } else {
                 1.0
             };

@@ -1,8 +1,8 @@
-//! A minimal JSON document model with a pretty printer and parser.
+//! A minimal JSON document model with a pretty printer.
 //!
 //! The build environment has no crates.io access, so report serialization
 //! cannot use `serde_json`.  This module implements the small subset the
-//! harness needs: numbers, strings, booleans, null, arrays and objects, with
+//! harness writes: numbers, strings, booleans, null, arrays and objects, with
 //! insertion-ordered object keys so emitted reports are stable and diffable.
 
 use std::fmt::Write as _;
@@ -56,14 +56,6 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
             _ => None,
         }
     }
@@ -123,21 +115,6 @@ impl Value {
             }
         }
     }
-
-    /// Parses a JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.at));
-        }
-        Ok(v)
-    }
 }
 
 fn write_number(out: &mut String, n: f64) {
@@ -170,205 +147,12 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.at,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.at..].starts_with(kw.as_bytes()) {
-            self.at += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.at)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Value::Object(members));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let code = self.hex4(self.at + 1)?;
-                            self.at += 4;
-                            let scalar = if (0xD800..=0xDBFF).contains(&code) {
-                                // High surrogate: a low surrogate escape must
-                                // follow (how serializers encode non-BMP
-                                // characters such as emoji).
-                                if self.bytes.get(self.at + 1..self.at + 3) != Some(b"\\u") {
-                                    return Err("lone high surrogate in \\u escape".into());
-                                }
-                                let low = self.hex4(self.at + 3)?;
-                                self.at += 6;
-                                if !(0xDC00..=0xDFFF).contains(&low) {
-                                    return Err("invalid low surrogate in \\u escape".into());
-                                }
-                                0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                code
-                            };
-                            out.push(char::from_u32(scalar).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences are copied
-                    // byte-for-byte; the input is a valid &str).
-                    let start = self.at;
-                    self.at += 1;
-                    while self.bytes.get(self.at).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.at += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.at]).unwrap());
-                }
-            }
-        }
-    }
-
-    /// Reads four hex digits starting at byte offset `from`.
-    fn hex4(&self, from: usize) -> Result<u32, String> {
-        let hex = self
-            .bytes
-            .get(from..from + 4)
-            .ok_or("truncated \\u escape")?;
-        u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
-            .map_err(|e| e.to_string())
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.at += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Value::Number)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_nested_document() {
+    fn pretty_prints_nested_document() {
         let doc = Value::object(vec![
             ("id", Value::String("fig12a".into())),
             ("n", Value::Number(250000.0)),
@@ -383,27 +167,32 @@ mod tests {
                 ])]),
             ),
         ]);
-        let text = doc.to_pretty_string();
-        let back = Value::parse(&text).unwrap();
-        assert_eq!(back, doc);
+        let expected = r#"{
+  "id": "fig12a",
+  "n": 250000,
+  "ratio": 0.9125,
+  "ok": true,
+  "missing": null,
+  "series": [
+    {
+      "name": "Exact\"MaxRS\"\n",
+      "points": []
+    }
+  ]
+}"#;
+        assert_eq!(doc.to_pretty_string(), expected);
     }
 
     #[test]
     fn accessors() {
-        let v = Value::parse(r#"{"a": [1, 2.5], "b": "x"}"#).unwrap();
+        let v = Value::object(vec![
+            ("a", Value::Number(2.5)),
+            ("b", Value::String("x".into())),
+        ]);
         assert_eq!(v.get("b").and_then(Value::as_str), Some("x"));
-        let arr = v.get("a").and_then(Value::as_array).unwrap();
-        assert_eq!(arr[0].as_f64(), Some(1.0));
-        assert_eq!(arr[1].as_f64(), Some(2.5));
+        assert_eq!(v.get("a").and_then(Value::as_f64), Some(2.5));
+        assert!(v.get("a").and_then(Value::as_str).is_none());
         assert!(v.get("c").is_none());
-    }
-
-    #[test]
-    fn parse_errors_are_reported() {
-        assert!(Value::parse("{").is_err());
-        assert!(Value::parse("[1, ]").is_err());
-        assert!(Value::parse("[1] trailing").is_err());
-        assert!(Value::parse("nope").is_err());
     }
 
     #[test]
@@ -413,29 +202,22 @@ mod tests {
             Value::Number(f64::INFINITY),
             Value::Number(1.5),
         ]);
-        let text = doc.to_pretty_string();
-        let back = Value::parse(&text).expect("output must stay valid JSON");
-        assert_eq!(
-            back,
-            Value::Array(vec![Value::Null, Value::Null, Value::Number(1.5)])
-        );
+        assert_eq!(doc.to_pretty_string(), "[\n  null,\n  null,\n  1.5\n]");
     }
 
     #[test]
     fn unicode_and_escapes() {
-        let v = Value::parse(r#""café → ok""#).unwrap();
-        assert_eq!(v.as_str(), Some("café → ok"));
+        // Quotes, backslashes and control characters are escaped; other
+        // characters, non-ASCII included, print as themselves.
+        let v = Value::String("café → \"ok\" \\ \t\r\u{1}".into());
+        assert_eq!(v.to_pretty_string(), r#""café → \"ok\" \\ \t\r\u0001""#);
     }
 
     #[test]
-    fn surrogate_pairs_combine() {
-        // How ensure-ascii serializers encode non-BMP characters (U+1F600 as
-        // a \\u surrogate pair) and BMP ones (U+00E9 as a single escape).
-        let v = Value::parse(r#""\ud83d\ude00 ok \u00e9""#).unwrap();
-        assert_eq!(v.as_str(), Some("\u{1F600} ok \u{00e9}"));
-        // Lone or malformed surrogates are rejected, not silently mangled.
-        assert!(Value::parse(r#""\ud83d""#).is_err());
-        assert!(Value::parse(r#""\ud83dA""#).is_err());
-        assert!(Value::parse(r#""\ud83d\u0041""#).is_err());
+    fn non_bmp_characters_print_unescaped() {
+        // Characters an ensure-ascii serializer would write as a surrogate
+        // pair (U+1F600) print as one UTF-8 character, which is valid JSON.
+        let v = Value::String("\u{1F600} ok \u{e9}".into());
+        assert_eq!(v.to_pretty_string(), "\"\u{1F600} ok \u{e9}\"");
     }
 }

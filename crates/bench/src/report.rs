@@ -193,55 +193,6 @@ impl FigureReport {
             ),
         ])
     }
-
-    /// Parses a report from the JSON produced by [`FigureReport::to_json`].
-    pub fn from_json(text: &str) -> Result<FigureReport, String> {
-        let value = Value::parse(text)?;
-        FigureReport::from_value(&value)
-    }
-
-    /// Converts a JSON document back into a report.
-    pub fn from_value(value: &Value) -> Result<FigureReport, String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field '{key}'"))
-        };
-        let mut report = FigureReport {
-            id: field("id")?,
-            title: field("title")?,
-            x_label: field("x_label")?,
-            y_label: field("y_label")?,
-            series: Vec::new(),
-        };
-        for s in value
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or("missing 'series' array")?
-        {
-            let mut series = Series::new(
-                s.get("name")
-                    .and_then(Value::as_str)
-                    .ok_or("series without 'name'")?,
-            );
-            for p in s
-                .get("points")
-                .and_then(Value::as_array)
-                .ok_or("series without 'points'")?
-            {
-                let coord = |key: &str| {
-                    p.get(key)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("point without '{key}'"))
-                };
-                series.push(coord("x")?, coord("y")?);
-            }
-            report.add_series(series);
-        }
-        Ok(report)
-    }
 }
 
 fn format_number(v: f64) -> String {
@@ -286,9 +237,41 @@ mod tests {
         let csv = r.to_csv();
         assert!(csv.starts_with("N,Naive,ExactMaxRS"));
         assert_eq!(csv.lines().count(), 3);
-        let json = r.to_json();
-        let back = FigureReport::from_json(&json).unwrap();
-        assert_eq!(back, r);
+        let expected = r#"{
+  "id": "fig12a",
+  "title": "I/O vs cardinality",
+  "x_label": "N",
+  "y_label": "I/O",
+  "series": [
+    {
+      "name": "Naive",
+      "points": [
+        {
+          "x": 100,
+          "y": 50000
+        },
+        {
+          "x": 200,
+          "y": 200000
+        }
+      ]
+    },
+    {
+      "name": "ExactMaxRS",
+      "points": [
+        {
+          "x": 100,
+          "y": 500
+        },
+        {
+          "x": 200,
+          "y": 900
+        }
+      ]
+    }
+  ]
+}"#;
+        assert_eq!(r.to_json(), expected);
     }
 
     #[test]

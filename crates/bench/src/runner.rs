@@ -2,8 +2,8 @@
 
 use maxrs_baselines::{asb_tree_sweep, naive_sweep, Algorithm};
 use maxrs_core::{
-    exact_max_rs, load_objects, EngineOptions, EngineRun, ExactMaxRsOptions, MaxRsEngine,
-    MaxRsResult, Query, QueryRun,
+    exact_max_rs, load_objects, EngineOptions, ExactMaxRsOptions, MaxRsEngine, MaxRsResult, Query,
+    QueryRun,
 };
 use maxrs_em::{EmConfig, EmContext, IoSnapshot};
 use maxrs_geometry::{RectSize, WeightedPoint};
@@ -37,7 +37,7 @@ pub fn run_algorithm(
         Algorithm::AsbTree => asb_tree_sweep(&ctx, &file, size)?,
         // The figures reproduce the *paper's* sequential sweep, so the
         // parallel slab stage is pinned off here regardless of the host's
-        // core count; `run_engine` below measures the parallel variant.
+        // core count; `run_query` below measures the parallel variant.
         Algorithm::ExactMaxRs => exact_max_rs(&ctx, &file, size, &ExactMaxRsOptions::sequential())?,
     };
     let io = ctx.stats();
@@ -48,39 +48,13 @@ pub fn run_algorithm(
     })
 }
 
-/// Runs a MaxRS query through the [`MaxRsEngine`] facade under a fresh EM
-/// context, measuring only the solving phase (dataset loading excluded).
+/// Runs any [`Query`] variant through the [`MaxRsEngine`] under a fresh EM
+/// context, measuring only the query phase (dataset loading excluded).
 ///
 /// `parallelism` caps the worker threads of the parallel slab stage; `1`
 /// forces the engine's external-sequential path for datasets that exceed the
-/// memory budget, making `run_engine(cfg, objs, size, 1)` vs.
-/// `run_engine(cfg, objs, size, n)` a direct sequential-vs-parallel
-/// comparison.
-pub fn run_engine(
-    config: EmConfig,
-    objects: &[WeightedPoint],
-    size: RectSize,
-    parallelism: usize,
-) -> maxrs_core::Result<EngineRun> {
-    let engine = MaxRsEngine::with_options(EngineOptions {
-        em_config: config,
-        exact: ExactMaxRsOptions {
-            parallelism,
-            ..Default::default()
-        },
-        force_strategy: None,
-    });
-    let ctx = EmContext::new(config);
-    let file = load_objects(&ctx, objects)?;
-    // The engine reports I/O as a delta across the solve, so the load above
-    // is already excluded from the returned EngineRun.
-    engine.solve_file(&ctx, &file, size)
-}
-
-/// Runs any [`Query`] variant through the [`MaxRsEngine`] under a fresh EM
-/// context, measuring only the query phase (dataset loading excluded) — the
-/// variant-polymorphic sibling of [`run_engine`] behind the `engine_variants`
-/// bench rows.
+/// memory budget, making `run_query(cfg, objs, q, 1)` vs.
+/// `run_query(cfg, objs, q, n)` a direct sequential-vs-parallel comparison.
 pub fn run_query(
     config: EmConfig,
     objects: &[WeightedPoint],
@@ -97,8 +71,8 @@ pub fn run_query(
     });
     let ctx = EmContext::new(config);
     let file = load_objects(&ctx, objects)?;
-    // As in `run_engine`, the engine reports I/O as a delta across the query,
-    // which already excludes the load above.
+    // The engine reports I/O as a delta across the query, which already
+    // excludes the load above.
     engine.run_file(&ctx, &file, query)
 }
 

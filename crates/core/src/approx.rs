@@ -3,14 +3,21 @@
 //! Algorithm 3 of the paper:
 //!
 //! 1. Replace every circle by its minimum bounding rectangle (a `d × d`
-//!    square) and solve the resulting MaxRS instance exactly with
-//!    [`exact_max_rs`](crate::exact::exact_max_rs()).
+//!    square) and solve the resulting MaxRS instance exactly.
 //! 2. Take the centroid `p0` of the returned max-region and generate four
 //!    *shifted points* `p1..p4` at distance `σ` from `p0` along the four
 //!    diagonal directions, with `(√2 − 1)·d/2 < σ < d/2` so that the four
 //!    shifted circles together cover the MBR of the circle at `p0` (Lemma 5).
 //! 3. Evaluate the circular range sum of the five candidates with one
 //!    sequential scan of the object file and return the best.
+//!
+//! [`Query::ApproxMaxCrs`](crate::Query::ApproxMaxCrs) runs it through the
+//! query driver: the MBR pass *is* the MaxRS pass of a `d × d` square, so the
+//! driver's shared group of that size ([`crate::batch`]) answers step 1 for
+//! every MaxRS, top-k and ApproxMaxCRS query of the size at once, and steps
+//! 2–3 are [`candidate_points`] and [`evaluate_candidates`] over its `p0`.
+//! The query's `epsilon` places σ inside Lemma 5's interval
+//! ([`Query::sigma_fraction`](crate::Query::sigma_fraction)).
 //!
 //! The whole procedure adds only `O(N/B)` I/Os on top of ExactMaxRS and is a
 //! `1/4`-approximation in the worst case (Theorems 3 and 4); the experiments
@@ -19,12 +26,10 @@
 use maxrs_em::{EmContext, TupleFile};
 use maxrs_geometry::{Point, RectSize, WeightedPoint};
 
-use crate::error::{CoreError, Result};
-use crate::exact::{load_objects, ExactMaxRsOptions};
+use crate::error::Result;
 use crate::plane_sweep::max_rs_in_memory;
 use crate::records::ObjectRecord;
 use crate::result::MaxCrsResult;
-use crate::sweep::SweepPass;
 
 /// Lower bound of the admissible sigma-fraction interval, `(√2 − 1)/2` ≈
 /// 0.2071.  A valid shifting distance satisfies
@@ -32,68 +37,15 @@ use crate::sweep::SweepPass;
 /// [`candidate_points`] for why both bounds matter.
 pub const SIGMA_FRACTION_LO: f64 = (std::f64::consts::SQRT_2 - 1.0) / 2.0;
 
-/// Tuning knobs of [`approx_max_crs`].
-#[derive(Debug, Clone, Copy)]
-pub struct ApproxMaxCrsOptions {
-    /// The shifting distance σ as a fraction of the diameter; must lie in
-    /// `((√2 − 1)/2, 1/2)` ≈ `(0.2071, 0.5)` for the approximation bound to
-    /// hold.  The default 0.35 sits comfortably inside the interval.
-    pub sigma_fraction: f64,
-    /// Options forwarded to the underlying ExactMaxRS run.
-    pub exact: ExactMaxRsOptions,
-}
-
-impl Default for ApproxMaxCrsOptions {
-    fn default() -> Self {
-        ApproxMaxCrsOptions {
-            sigma_fraction: 0.35,
-            exact: ExactMaxRsOptions::default(),
-        }
-    }
-}
-
-/// Runs ApproxMaxCRS over an object file stored in the EM context.
-pub fn approx_max_crs(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
-    diameter: f64,
-    opts: &ApproxMaxCrsOptions,
-) -> Result<MaxCrsResult> {
-    if diameter <= 0.0 || !diameter.is_finite() {
-        return Err(CoreError::InvalidParameter(format!(
-            "circle diameter must be positive and finite, got {diameter}"
-        )));
-    }
-    if !(opts.sigma_fraction > SIGMA_FRACTION_LO && opts.sigma_fraction < 0.5) {
-        return Err(CoreError::InvalidParameter(format!(
-            "sigma fraction {} outside the admissible interval ({SIGMA_FRACTION_LO:.4}, 0.5)",
-            opts.sigma_fraction
-        )));
-    }
-    if objects.is_empty() {
-        return Ok(MaxCrsResult::empty());
-    }
-
-    // 1. Solve MaxRS on the MBRs of the circles (d x d squares): one sweep
-    // kernel pass.
-    let p0 = SweepPass::new(ctx, &opts.exact)
-        .max_rs(objects, RectSize::square(diameter))?
-        .center;
-
-    // 2 + 3. Shift, evaluate with one scan of the object file, pick.
-    let candidates = candidate_points(p0, diameter, opts.sigma_fraction);
-    let weights = evaluate_candidates(ctx, objects, &candidates, diameter)?;
-    Ok(best_candidate(&candidates, &weights))
-}
-
-/// The in-memory counterpart of [`approx_max_crs`]: the same Algorithm 3 with
-/// the MaxRS step solved by the in-memory plane sweep and the candidate
-/// evaluation done by a direct pass over the slice.
+/// Algorithm 3 in memory: the MaxRS step solved by the in-memory plane sweep
+/// and the candidate evaluation done by a direct pass over the slice — the
+/// answer of the engine's in-memory strategy to
+/// [`Query::ApproxMaxCrs`](crate::Query::ApproxMaxCrs).
 ///
 /// Because the external pipeline reports canonical max-regions (see
 /// [`crate::sweep`], "Canonical max-regions"), this returns the identical
-/// answer to [`approx_max_crs`] on the same data — the engine's determinism
-/// tests rely on that.
+/// answer to the external strategies on the same data — the engine's
+/// determinism tests rely on that.
 ///
 /// # Panics
 ///
@@ -140,19 +92,6 @@ pub fn best_candidate(candidates: &[Point], weights: &[f64]) -> MaxCrsResult {
     }
 }
 
-/// Convenience wrapper over a slice of objects.
-pub fn approx_max_crs_from_objects(
-    ctx: &EmContext,
-    objects: &[WeightedPoint],
-    diameter: f64,
-    opts: &ApproxMaxCrsOptions,
-) -> Result<MaxCrsResult> {
-    let file = load_objects(ctx, objects)?;
-    let result = approx_max_crs(ctx, &file, diameter, opts);
-    ctx.delete_file(file)?;
-    result
-}
-
 /// The five candidate points of Algorithm 3: the max-region centroid `p0` and
 /// the four points shifted by `σ = sigma_fraction · diameter` along the
 /// diagonal directions (Figure 9).
@@ -172,9 +111,10 @@ pub fn approx_max_crs_from_objects(
 /// Panics when `diameter` is non-positive, infinite or NaN, or when
 /// `sigma_fraction` lies outside the open interval above (NaN included).
 /// Callers that prefer checked errors should go through
-/// [`approx_max_crs`] / [`MaxRsEngine::run`](crate::engine::MaxRsEngine::run),
-/// which validate the same conditions up front and return
-/// [`CoreError::InvalidParameter`](crate::error::CoreError) instead.
+/// [`MaxRsEngine::run`](crate::engine::MaxRsEngine::run), which validates
+/// the same conditions up front ([`Query::validate`](crate::Query::validate))
+/// and returns [`CoreError::InvalidParameter`](crate::error::CoreError)
+/// instead.
 pub fn candidate_points(p0: Point, diameter: f64, sigma_fraction: f64) -> [Point; 5] {
     assert!(
         diameter > 0.0 && diameter.is_finite(),
@@ -221,11 +161,40 @@ pub fn evaluate_candidates(
 mod tests {
     use super::*;
     use crate::crs_exact::exact_max_crs_in_memory;
+    use crate::engine::{EngineOptions, ExecutionStrategy, MaxRsEngine};
+    use crate::exact::ExactMaxRsOptions;
+    use crate::query::Query;
     use crate::reference::circle_objective;
     use maxrs_em::EmConfig;
 
-    fn ctx() -> EmContext {
-        EmContext::new(EmConfig::new(4096, 64 * 1024).unwrap())
+    /// Both ends of the strategy ladder: a small-buffer engine forced onto
+    /// the in-memory strategy and onto the external pipeline, which recurses
+    /// on these inputs.
+    const STRATEGIES: [ExecutionStrategy; 2] = [
+        ExecutionStrategy::InMemory,
+        ExecutionStrategy::ExternalSequential,
+    ];
+
+    /// `Query::approx_max_crs(diameter)` through `MaxRsEngine::run` under
+    /// `strategy`.
+    fn approx(
+        strategy: ExecutionStrategy,
+        objects: &[WeightedPoint],
+        diameter: f64,
+    ) -> MaxCrsResult {
+        let engine = MaxRsEngine::with_options(EngineOptions {
+            em_config: EmConfig::new(512, 16 * 512).unwrap(),
+            exact: ExactMaxRsOptions {
+                memory_rects: Some(64),
+                ..Default::default()
+            },
+            force_strategy: Some(strategy),
+        });
+        let run = engine
+            .run(objects, &Query::approx_max_crs(diameter))
+            .unwrap();
+        assert_eq!(run.strategy, strategy);
+        *run.answer.as_max_crs().unwrap()
     }
 
     fn pseudo_random_objects(n: usize, seed: u64, extent: f64) -> Vec<WeightedPoint> {
@@ -239,25 +208,6 @@ mod tests {
         (0..n)
             .map(|_| WeightedPoint::at(next() * extent, next() * extent, 1.0))
             .collect()
-    }
-
-    #[test]
-    fn rejects_bad_parameters() {
-        let ctx = ctx();
-        let objects = vec![WeightedPoint::unit(0.0, 0.0)];
-        let file = load_objects(&ctx, &objects).unwrap();
-        assert!(approx_max_crs(&ctx, &file, 0.0, &Default::default()).is_err());
-        assert!(approx_max_crs(&ctx, &file, f64::NAN, &Default::default()).is_err());
-        let bad_sigma = ApproxMaxCrsOptions {
-            sigma_fraction: 0.6,
-            ..Default::default()
-        };
-        assert!(approx_max_crs(&ctx, &file, 2.0, &bad_sigma).is_err());
-        let bad_sigma_low = ApproxMaxCrsOptions {
-            sigma_fraction: 0.1,
-            ..Default::default()
-        };
-        assert!(approx_max_crs(&ctx, &file, 2.0, &bad_sigma_low).is_err());
     }
 
     #[test]
@@ -296,31 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_approx_matches_external_pipeline() {
-        let ctx = ctx();
-        for seed in [5u64, 29] {
-            let objects = pseudo_random_objects(200, seed, 150.0);
-            for diameter in [10.0, 25.0] {
-                let external =
-                    approx_max_crs_from_objects(&ctx, &objects, diameter, &Default::default())
-                        .unwrap();
-                let internal = approx_max_crs_in_memory(&objects, diameter, 0.35);
-                assert_eq!(external, internal, "seed={seed} d={diameter}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_and_single_object() {
-        let ctx = ctx();
-        let r = approx_max_crs_from_objects(&ctx, &[], 5.0, &Default::default()).unwrap();
-        assert_eq!(r.total_weight, 0.0);
-        let objects = vec![WeightedPoint::at(10.0, 10.0, 3.0)];
-        let r = approx_max_crs_from_objects(&ctx, &objects, 5.0, &Default::default()).unwrap();
-        assert_eq!(r.total_weight, 3.0);
-    }
-
-    #[test]
     fn candidate_geometry_matches_lemma5() {
         // With (sqrt(2)-1)/2 < sigma/d < 1/2 the four shifted circles must
         // cover the MBR of the circle at p0 (Lemma 5): check by sampling.
@@ -344,40 +269,68 @@ mod tests {
     }
 
     #[test]
-    fn approximation_bound_holds_on_random_data() {
-        let ctx = ctx();
-        for seed in [3u64, 17, 71] {
-            let objects = pseudo_random_objects(150, seed, 100.0);
-            for diameter in [8.0, 15.0, 30.0] {
-                let approx =
-                    approx_max_crs_from_objects(&ctx, &objects, diameter, &Default::default())
-                        .unwrap();
-                let exact = exact_max_crs_in_memory(&objects, diameter);
-                assert!(exact.total_weight > 0.0);
-                let ratio = approx.total_weight / exact.total_weight;
-                assert!(
-                    ratio >= 0.25 - 1e-9,
-                    "seed={seed} d={diameter}: ratio {ratio} below the proven bound"
-                );
-                assert!(ratio <= 1.0 + 1e-9, "approximation cannot beat the optimum");
-                // Reported weight must match a direct evaluation at the center.
+    fn in_memory_approx_matches_external_pipeline() {
+        for seed in [5u64, 29] {
+            let objects = pseudo_random_objects(200, seed, 150.0);
+            for diameter in [10.0, 25.0] {
+                let [internal, external] = STRATEGIES.map(|s| approx(s, &objects, diameter));
+                assert_eq!(external, internal, "seed={seed} d={diameter}");
+                let sigma = Query::approx_max_crs(diameter).sigma_fraction().unwrap();
                 assert_eq!(
-                    circle_objective(&objects, approx.center, diameter),
-                    approx.total_weight
+                    internal,
+                    approx_max_crs_in_memory(&objects, diameter, sigma)
                 );
             }
         }
     }
 
     #[test]
+    fn empty_and_single_object() {
+        for strategy in STRATEGIES {
+            assert_eq!(approx(strategy, &[], 5.0).total_weight, 0.0);
+            let objects = vec![WeightedPoint::at(10.0, 10.0, 3.0)];
+            assert_eq!(approx(strategy, &objects, 5.0).total_weight, 3.0);
+        }
+    }
+
+    #[test]
+    fn approximation_bound_holds_on_random_data() {
+        for strategy in STRATEGIES {
+            for seed in [3u64, 17, 71] {
+                let objects = pseudo_random_objects(150, seed, 100.0);
+                for diameter in [8.0, 15.0, 30.0] {
+                    let approx = approx(strategy, &objects, diameter);
+                    let exact = exact_max_crs_in_memory(&objects, diameter);
+                    assert!(exact.total_weight > 0.0);
+                    let ratio = approx.total_weight / exact.total_weight;
+                    assert!(
+                        ratio >= 0.25 - 1e-9,
+                        "{strategy:?} seed={seed} d={diameter}: ratio {ratio} below the proven bound"
+                    );
+                    assert!(ratio <= 1.0 + 1e-9, "approximation cannot beat the optimum");
+                    // Reported weight must match a direct evaluation at the center.
+                    assert_eq!(
+                        circle_objective(&objects, approx.center, diameter),
+                        approx.total_weight
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn dense_cluster_is_found_exactly() {
-        let ctx = ctx();
         // A tight cluster of 10 points within a 1-unit ball plus far noise.
         let mut objects: Vec<WeightedPoint> = (0..10)
             .map(|i| WeightedPoint::unit(50.0 + (i as f64) * 0.1, 50.0 - (i as f64) * 0.05))
             .collect();
         objects.push(WeightedPoint::unit(500.0, 500.0));
-        let r = approx_max_crs_from_objects(&ctx, &objects, 10.0, &Default::default()).unwrap();
-        assert_eq!(r.total_weight, 10.0, "the cluster fits in one circle");
+        for strategy in STRATEGIES {
+            let r = approx(strategy, &objects, 10.0);
+            assert_eq!(
+                r.total_weight, 10.0,
+                "{strategy:?}: the cluster fits in one circle"
+            );
+        }
     }
 }

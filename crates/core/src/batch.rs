@@ -356,58 +356,44 @@ pub fn run_on_host<H: SweepHost>(
 /// file of a [`PreparedDataset`](crate::PreparedDataset), the net file of a
 /// [`DeltaDataset`](crate::DeltaDataset)): one
 /// kernel pass per sweep group, groups concurrent on the `parallel_map` pool
-/// when more than one group and more than one worker exist.  Reports I/O per
-/// query under the leader-attribution rule (module docs).
+/// when more than one group and more than one worker exist.  `strategy` is
+/// the external strategy and worker count
+/// [`MaxRsEngine::select_strategy`](crate::MaxRsEngine::select_strategy)
+/// picked for the file, reported on every run.  Reports I/O per query under
+/// the leader-attribution rule (module docs).
 pub(crate) fn run_batch_external(
     ctx: &EmContext,
     objects: &TupleFile<ObjectRecord>,
     batch: &QueryBatch,
-    strategy: ExecutionStrategy,
-    workers: usize,
+    strategy: (ExecutionStrategy, usize),
     base: &ExactMaxRsOptions,
 ) -> Result<Vec<QueryRun>> {
-    let exact_opts = ExactMaxRsOptions {
-        parallelism: if strategy == ExecutionStrategy::ExternalParallel {
-            workers
-        } else {
-            1
-        },
-        ..*base
-    };
-    // Report the batch-level execution: even a forced ExternalParallel
-    // degrades to sequential when the buffer-size cap leaves one worker (see
-    // `ExactMaxRsOptions::effective_parallelism`), and the runs must say so
-    // rather than echo the request.  With several groups, `actual_workers`
-    // is the pool the *groups* ran on — each group's inner sweep is then
-    // sequential (see below), and every run of the batch reports the shared
-    // batch-level strategy/worker count, not its group's inner sweep shape.
-    let actual_workers = exact_opts.effective_parallelism(ctx.config());
-    let actual_strategy = if actual_workers > 1 {
-        ExecutionStrategy::ExternalParallel
-    } else {
-        ExecutionStrategy::ExternalSequential
-    };
-
+    let (strategy, workers) = strategy;
     // With several groups and workers to spare, the groups — independent by
     // construction — run concurrently, each group's sweep sequential inside
     // its worker (the groups are the coarsest unit of parallel work, exactly
-    // like the slab stage's children).  A single group keeps the full
-    // parallel slab stage instead.
-    if actual_workers > 1 && batch.groups.len() > 1 {
+    // like the slab stage's children), and every run reports the batch's
+    // pool, not its group's inner sweep shape.  A single group keeps the
+    // full parallel slab stage instead.
+    if workers > 1 && batch.groups.len() > 1 {
         let group_opts = ExactMaxRsOptions {
             parallelism: 1,
-            ..exact_opts
+            ..*base
         };
         let host = FileHost::new(SweepPass::new(ctx, &group_opts), objects);
         let outcomes = parallel_map(
-            actual_workers.min(batch.groups.len()),
+            workers.min(batch.groups.len()),
             batch.groups.iter().collect(),
             |_, group| run_group(&host, group, &batch.queries, Meter::Thread),
         );
-        collect_runs(batch, outcomes, actual_strategy, actual_workers)
+        collect_runs(batch, outcomes, strategy, workers)
     } else {
+        let exact_opts = ExactMaxRsOptions {
+            parallelism: workers,
+            ..*base
+        };
         let host = FileHost::new(SweepPass::new(ctx, &exact_opts), objects);
-        run_on_host(&host, batch, actual_strategy, actual_workers)
+        run_on_host(&host, batch, strategy, workers)
     }
 }
 

@@ -310,13 +310,11 @@ impl DeltaDataset {
     /// [`run_batch`](DeltaDataset::run_batch) for a pre-planned
     /// [`QueryBatch`].
     pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
-        let engine = MaxRsEngine::with_options(self.opts);
-        let net = self.len();
-        let (strategy, workers) = engine.select_for(net, self.ctx.config());
-        if strategy == ExecutionStrategy::InMemory {
+        let strategy =
+            MaxRsEngine::with_options(self.opts).select_strategy(self.len(), self.ctx.config())?;
+        if strategy.0 == ExecutionStrategy::InMemory {
             // Mirror `prepare`: small nets are answered in memory at zero
             // I/O (bit-identical either way, by canonicalization).
-            engine.guard_in_memory_capacity(net, self.ctx.config())?;
             return Ok(runs_in_memory(&self.survivors(), batch));
         }
         let net_file = if self.delta_len() == 0 {
@@ -328,7 +326,7 @@ impl DeltaDataset {
             Some(f) => f,
             None => self.base.as_ref().expect("base present until drop"),
         };
-        let runs = run_batch_external(&self.ctx, file, batch, strategy, workers, &self.opts.exact);
+        let runs = run_batch_external(&self.ctx, file, batch, strategy, &self.opts.exact);
         if let Some(f) = net_file {
             // Delete the per-query net file before propagating any run
             // error, so failed queries leave no orphans.
@@ -397,11 +395,9 @@ impl DeltaDataset {
     /// snapshots atomically so readers are never torn by updates or
     /// compaction.
     pub fn snapshot(&self) -> Result<PreparedDataset<'static>> {
-        let engine = MaxRsEngine::with_options(self.opts);
-        let net = self.len();
-        let (strategy, _) = engine.select_for(net, self.ctx.config());
-        if strategy == ExecutionStrategy::InMemory {
-            engine.guard_in_memory_capacity(net, self.ctx.config())?;
+        let strategy =
+            MaxRsEngine::with_options(self.opts).select_strategy(self.len(), self.ctx.config())?;
+        if strategy.0 == ExecutionStrategy::InMemory {
             return Ok(PreparedDataset::from_memory(self.opts, self.survivors()));
         }
         let ctx = Box::new(EmContext::new(self.ctx.config()));
@@ -412,7 +408,9 @@ impl DeltaDataset {
             return Err(e.into());
         }
         let io = ctx.stats().since(&before);
-        Ok(PreparedDataset::from_owned(self.opts, ctx, file, io))
+        Ok(PreparedDataset::from_owned(
+            self.opts, ctx, file, io, strategy,
+        ))
     }
 
     /// Writes the net file onto `ctx`: the base minus its tombstones, then

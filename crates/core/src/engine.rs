@@ -12,10 +12,9 @@
 //!   stage.
 //!
 //! Callers that do not want to reason about `N`, `M` and core counts construct
-//! an engine and call [`MaxRsEngine::run`] (any [`Query`] variant) or
-//! [`MaxRsEngine::solve`] (plain MaxRS); callers that do can inspect the
-//! decision via [`MaxRsEngine::select_strategy`] or force one via
-//! [`EngineOptions`].
+//! an engine and call [`MaxRsEngine::run`] with any [`Query`] variant;
+//! callers that do can inspect the decision via
+//! [`MaxRsEngine::select_strategy`] or force one via [`EngineOptions`].
 //!
 //! The same strategy ladder serves every query variant — top-k, MinRS and
 //! ApproxMaxCRS all reduce to (rounds of) the rectangle distribution sweep,
@@ -27,7 +26,7 @@
 //! [`MaxRsEngine::run_batch`] (see [`crate::batch`]).
 
 use maxrs_em::{EmConfig, EmContext, IoSnapshot, TupleFile};
-use maxrs_geometry::{RectSize, WeightedPoint};
+use maxrs_geometry::WeightedPoint;
 
 use crate::approx::approx_max_crs_in_memory;
 use crate::batch::QueryBatch;
@@ -35,9 +34,9 @@ use crate::error::{EngineError, Result};
 use crate::exact::ExactMaxRsOptions;
 use crate::extensions::{max_k_rs_in_memory, min_rs_in_memory};
 use crate::plane_sweep::max_rs_in_memory;
+use crate::prepared::PreparedDataset;
 use crate::query::{Query, QueryAnswer, QueryRun};
 use crate::records::{ObjectRecord, RectRecord};
-use crate::result::MaxRsResult;
 
 /// How a MaxRS query was (or would be) executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,7 +75,7 @@ pub struct EngineOptions {
     ///
     /// Forcing [`ExecutionStrategy::ExternalParallel`] still respects the
     /// buffer-size worker cap: if the cap leaves a single worker, the run
-    /// executes — and its [`EngineRun`] truthfully reports —
+    /// executes — and its [`QueryRun`] truthfully reports —
     /// [`ExecutionStrategy::ExternalSequential`].
     pub force_strategy: Option<ExecutionStrategy>,
 }
@@ -91,29 +90,13 @@ impl Default for EngineOptions {
     }
 }
 
-/// The outcome of one engine query: the MaxRS answer plus how it was computed
-/// and what it cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineRun {
-    /// The MaxRS answer.
-    pub result: MaxRsResult,
-    /// The strategy the engine selected (or was forced to use).
-    pub strategy: ExecutionStrategy,
-    /// Worker threads used by the solve (1 unless `strategy` is
-    /// [`ExecutionStrategy::ExternalParallel`]).
-    pub workers: usize,
-    /// Blocks transferred while solving.  Zero for the in-memory strategy
-    /// under [`MaxRsEngine::solve`]; under [`MaxRsEngine::solve_file`] the
-    /// in-memory strategy counts the input file's scan.
-    pub io: IoSnapshot,
-}
-
-/// A facade that answers MaxRS queries, auto-selecting between the in-memory
-/// sweep, the sequential external distribution sweep and the parallel slab
-/// stage from the dataset size `N`, the memory budget `M` and the core count.
+/// A facade that answers every [`Query`] variant, auto-selecting between the
+/// in-memory sweep, the sequential external distribution sweep and the
+/// parallel slab stage from the dataset size `N`, the memory budget `M` and
+/// the core count.
 ///
 /// ```
-/// use maxrs_core::{ExecutionStrategy, MaxRsEngine};
+/// use maxrs_core::{ExecutionStrategy, MaxRsEngine, Query};
 /// use maxrs_geometry::{RectSize, WeightedPoint};
 ///
 /// let engine = MaxRsEngine::new();
@@ -122,8 +105,8 @@ pub struct EngineRun {
 ///     WeightedPoint::unit(1.5, 1.2),
 ///     WeightedPoint::unit(9.0, 9.0),
 /// ];
-/// let run = engine.solve(&stores, RectSize::square(2.0)).unwrap();
-/// assert_eq!(run.result.total_weight, 2.0);
+/// let run = engine.run(&stores, &Query::max_rs(RectSize::square(2.0))).unwrap();
+/// assert_eq!(run.answer.best_weight(), 2.0);
 /// // Three objects fit in any buffer: the engine picked the plane sweep.
 /// assert_eq!(run.strategy, ExecutionStrategy::InMemory);
 /// ```
@@ -159,15 +142,17 @@ impl MaxRsEngine {
         &self.opts
     }
 
-    /// Picks the execution strategy for a dataset of `n` objects and returns
-    /// it together with the worker count an external run would use.
+    /// Picks the execution strategy for a dataset of `n` objects under the
+    /// EM configuration `config` and returns it together with the worker
+    /// count the run uses.  Every path that answers queries — one-shot,
+    /// prepared and delta datasets — decides here, once per dataset or call.
     ///
     /// * `n` rectangles fit in the buffer (`n <= M/sizeof(RectRecord)`, with
     ///   [`ExactMaxRsOptions::memory_rects`] honored as an override) →
     ///   [`ExecutionStrategy::InMemory`];
     /// * otherwise, if more than one worker survives the buffer-size cap
     ///   (see [`ExactMaxRsOptions::effective_parallelism`]) →
-    ///   [`ExecutionStrategy::ExternalParallel`];
+    ///   [`ExecutionStrategy::ExternalParallel`] with that many workers;
     /// * otherwise → [`ExecutionStrategy::ExternalSequential`].
     ///
     /// The core count enters through the default of
@@ -176,70 +161,51 @@ impl MaxRsEngine {
     /// an explicit `parallelism` override is honored as-is, so callers can
     /// oversubscribe a core-limited machine deliberately.
     ///
-    /// This prediction uses the engine's own [`EngineOptions::em_config`] and
-    /// therefore describes [`solve`](MaxRsEngine::solve);
-    /// [`solve_file`](MaxRsEngine::solve_file) derives the same decision from
-    /// the *passed context's* configuration instead.
-    pub fn select_strategy(&self, n: u64) -> (ExecutionStrategy, usize) {
-        self.select_for(n, self.opts.em_config)
-    }
-
-    /// Strategy selection against an explicit EM configuration (the engine's
-    /// own for [`solve`](MaxRsEngine::solve), the target context's for
-    /// [`solve_file`](MaxRsEngine::solve_file)).
-    pub(crate) fn select_for(&self, n: u64, config: EmConfig) -> (ExecutionStrategy, usize) {
+    /// # Errors
+    ///
+    /// [`EngineError::InMemoryOverCapacity`] when the in-memory strategy is
+    /// *auto-selected* for a dataset that does not fit `config`'s real
+    /// budget — possible only when [`ExactMaxRsOptions::memory_rects`]
+    /// promises more rectangles than `config` provides.  Honoring that
+    /// promise would silently violate the I/O model the engine reports
+    /// against.  An explicit [`EngineOptions::force_strategy`] skips the
+    /// check: forcing is the documented escape hatch for equivalence tests.
+    pub fn select_strategy(&self, n: u64, config: EmConfig) -> Result<(ExecutionStrategy, usize)> {
         let workers = self.opts.exact.effective_parallelism(config);
-        if let Some(forced) = self.opts.force_strategy {
-            return match forced {
-                // A forced parallel run still respects the buffer-size worker
-                // cap; report the strategy that would actually execute so
-                // this prediction always matches the produced `EngineRun`.
-                ExecutionStrategy::ExternalParallel if workers > 1 => (forced, workers),
-                ExecutionStrategy::ExternalParallel => (ExecutionStrategy::ExternalSequential, 1),
-                _ => (forced, 1),
-            };
-        }
-        let mem_rects = self
-            .opts
-            .exact
-            .memory_rects
-            .unwrap_or_else(|| config.mem_records::<RectRecord>()) as u64;
-        if n <= mem_rects {
-            (ExecutionStrategy::InMemory, 1)
-        } else if workers > 1 {
+        let external = if workers > 1 {
             (ExecutionStrategy::ExternalParallel, workers)
         } else {
             (ExecutionStrategy::ExternalSequential, 1)
-        }
-    }
-
-    /// Rejects an *auto-selected* in-memory run whose dataset does not fit
-    /// the EM configuration's real budget — possible only when
-    /// [`ExactMaxRsOptions::memory_rects`] promises more rectangles than
-    /// `config` provides.  Honoring that promise would silently violate the
-    /// I/O model the engine reports against, so `run`/`run_file` (and the
-    /// prepare paths) surface [`EngineError::InMemoryOverCapacity`] instead.
-    /// An explicit [`EngineOptions::force_strategy`] of
-    /// [`ExecutionStrategy::InMemory`] bypasses the check: forcing is the
-    /// documented escape hatch for equivalence tests.
-    pub(crate) fn guard_in_memory_capacity(&self, n: u64, config: EmConfig) -> Result<()> {
-        if self.opts.force_strategy.is_some() {
-            return Ok(());
-        }
-        let capacity = config.mem_records::<RectRecord>() as u64;
-        if n > capacity {
-            return Err(EngineError::InMemoryOverCapacity {
-                objects: n,
-                capacity,
+        };
+        match self.opts.force_strategy {
+            Some(ExecutionStrategy::InMemory) => Ok((ExecutionStrategy::InMemory, 1)),
+            Some(ExecutionStrategy::ExternalSequential) => {
+                Ok((ExecutionStrategy::ExternalSequential, 1))
             }
-            .into());
+            // A forced parallel run still respects the buffer-size worker cap.
+            Some(ExecutionStrategy::ExternalParallel) => Ok(external),
+            None => {
+                let capacity = config.mem_records::<RectRecord>() as u64;
+                let mem_rects = self.opts.exact.memory_rects.map_or(capacity, |m| m as u64);
+                if n > mem_rects {
+                    Ok(external)
+                } else if n > capacity {
+                    Err(EngineError::InMemoryOverCapacity {
+                        objects: n,
+                        capacity,
+                    }
+                    .into())
+                } else {
+                    Ok((ExecutionStrategy::InMemory, 1))
+                }
+            }
         }
-        Ok(())
     }
 
     /// Answers any [`Query`] variant over an in-memory object slice,
-    /// auto-selecting the execution strategy exactly like
-    /// [`solve`](MaxRsEngine::solve).
+    /// auto-selecting the execution strategy with
+    /// [`select_strategy`](MaxRsEngine::select_strategy) under the engine's
+    /// own [`EngineOptions::em_config`].
     ///
     /// External strategies run against a fresh [`EmContext`] with the engine's
     /// configuration; the reported I/O covers the query only (loading the
@@ -249,6 +215,9 @@ impl MaxRsEngine {
     /// the same MergeSweep and agree bit for bit for any weights; the
     /// in-memory sweep adds arbitrary float weights in a different order, so
     /// there only integer-valued weights are guaranteed to match exactly.
+    ///
+    /// A single run is exactly a [`run_batch`](MaxRsEngine::run_batch) of one
+    /// query.
     ///
     /// # Query cookbook
     ///
@@ -287,36 +256,12 @@ impl MaxRsEngine {
     /// assert_eq!(run.answer.as_max_crs().unwrap().total_weight, 3.0);
     /// ```
     pub fn run(&self, objects: &[WeightedPoint], query: &Query) -> Result<QueryRun> {
-        query.validate()?;
-        let (strategy, _) = self.select_strategy(objects.len() as u64);
-        if strategy == ExecutionStrategy::InMemory {
-            self.guard_in_memory_capacity(objects.len() as u64, self.opts.em_config)?;
-            // Answer directly from the borrowed slice: building a throwaway
-            // prepared dataset here would copy the whole dataset per query
-            // for no benefit.
-            return Ok(QueryRun {
-                answer: answer_in_memory(objects, query),
-                strategy,
-                workers: 1,
-                io: IoSnapshot::default(),
-            });
-        }
-        // External single-shot queries route through the prepared-dataset
-        // machinery: `prepare` loads and flushes the object file, the
-        // prepared run answers the query over it.  The reported I/O is the
-        // sum of both phases (loading the objects stays excluded, as in the
-        // paper's measurements), and answers are bit-identical to a
-        // repeated-query [`PreparedDataset`] by construction.
-        let prepared = self.prepare(objects)?;
-        let run = prepared.run(query)?;
-        Ok(QueryRun {
-            io: run.io + prepared.prepare_io(),
-            ..run
-        })
+        let mut runs = self.run_batch(objects, std::slice::from_ref(query))?;
+        Ok(runs.pop().expect("one run per query"))
     }
 
     /// Answers any [`Query`] variant over an object file already stored in
-    /// `ctx`.
+    /// `ctx`, selecting the strategy under `ctx`'s configuration.
     ///
     /// Unlike [`run`](MaxRsEngine::run), the in-memory strategy here still
     /// reads the file (and counts that scan's I/O); the reported I/O is the
@@ -333,7 +278,7 @@ impl MaxRsEngine {
         // strategies) inside `ctx`, the prepared run answers the query, and
         // dropping the prepared dataset removes its copy again.  The
         // reported I/O is the delta of `ctx`'s counters across the whole
-        // call, preserving the previous single-shot semantics.
+        // call.
         let before = ctx.stats();
         let prepared = self.prepare_file(ctx, objects)?;
         let run = prepared.run(query)?;
@@ -352,69 +297,34 @@ impl MaxRsEngine {
     /// domain x-slab share a negated one — and independent groups execute
     /// concurrently on the worker pool.  Answers are bit-identical to
     /// per-query [`run`](MaxRsEngine::run) calls on the same data for any
-    /// weights (both go through a
-    /// [`PreparedDataset`](crate::PreparedDataset)); runs come back in query
-    /// order.  The one-time preparation I/O (the object file's flush) and each
-    /// group's shared pass are attributed to the first query they serve, so
-    /// the runs' I/O sums to the true total (see [`crate::batch`], "I/O
-    /// attribution").
+    /// weights; runs come back in query order.
+    ///
+    /// The in-memory strategy answers straight from the borrowed slice.  The
+    /// external strategies load the objects into a fresh context and answer
+    /// through a [`PreparedDataset`]; its one-time preparation I/O (the
+    /// object file's flush) and each group's shared pass are attributed to
+    /// the first query they serve, so the runs' I/O sums to the true total
+    /// (see [`crate::batch`], "I/O attribution").
     pub fn run_batch(&self, objects: &[WeightedPoint], queries: &[Query]) -> Result<Vec<QueryRun>> {
         let batch = QueryBatch::new(queries)?;
         if batch.is_empty() {
             // Nothing to answer: don't prepare for no one.
             return Ok(Vec::new());
         }
-        let (strategy, _) = self.select_strategy(objects.len() as u64);
-        if strategy == ExecutionStrategy::InMemory {
-            self.guard_in_memory_capacity(objects.len() as u64, self.opts.em_config)?;
+        let strategy = self.select_strategy(objects.len() as u64, self.opts.em_config)?;
+        if strategy.0 == ExecutionStrategy::InMemory {
+            // Answer directly from the borrowed slice: building a throwaway
+            // prepared dataset here would copy the whole dataset per call
+            // for no benefit.
             return Ok(runs_in_memory(objects, &batch));
         }
-        let prepared = self.prepare(objects)?;
+        let ctx = Box::new(EmContext::new(self.opts.em_config));
+        let prepared = PreparedDataset::load_owned(self.opts, ctx, objects, strategy)?;
         let mut runs = prepared.run_planned(&batch)?;
         if let Some(first) = runs.first_mut() {
             first.io = first.io + prepared.prepare_io();
         }
         Ok(runs)
-    }
-
-    /// Solves a MaxRS query over an in-memory object slice: shorthand for
-    /// [`run`](MaxRsEngine::run) with [`Query::MaxRs`].
-    ///
-    /// External strategies run against a fresh [`EmContext`] with the engine's
-    /// configuration; the reported I/O covers the solve only (loading the
-    /// objects into the context is excluded, as in the paper's measurements).
-    pub fn solve(&self, objects: &[WeightedPoint], size: RectSize) -> Result<EngineRun> {
-        self.run(objects, &Query::MaxRs { size }).map(engine_run_of)
-    }
-
-    /// Solves a MaxRS query over an object file already stored in `ctx`:
-    /// shorthand for [`run_file`](MaxRsEngine::run_file) with
-    /// [`Query::MaxRs`].
-    ///
-    /// Unlike [`solve`](MaxRsEngine::solve), the in-memory strategy here still
-    /// reads the file (and counts that scan's I/O); the reported I/O is the
-    /// delta of `ctx`'s counters across the call.
-    pub fn solve_file(
-        &self,
-        ctx: &EmContext,
-        objects: &TupleFile<ObjectRecord>,
-        size: RectSize,
-    ) -> Result<EngineRun> {
-        self.run_file(ctx, objects, &Query::MaxRs { size })
-            .map(engine_run_of)
-    }
-}
-
-/// Converts a MaxRS-variant [`QueryRun`] into the narrower [`EngineRun`].
-fn engine_run_of(run: QueryRun) -> EngineRun {
-    match run.answer {
-        QueryAnswer::MaxRs(result) => EngineRun {
-            result,
-            strategy: run.strategy,
-            workers: run.workers,
-            io: run.io,
-        },
-        _ => unreachable!("solve paths only issue MaxRs queries"),
     }
 }
 
@@ -434,7 +344,7 @@ pub(crate) fn runs_in_memory(objects: &[WeightedPoint], batch: &QueryBatch) -> V
 }
 
 /// Answers a (validated) query with the in-memory reference algorithms.
-pub(crate) fn answer_in_memory(objects: &[WeightedPoint], query: &Query) -> QueryAnswer {
+fn answer_in_memory(objects: &[WeightedPoint], query: &Query) -> QueryAnswer {
     match *query {
         Query::MaxRs { size } => QueryAnswer::MaxRs(max_rs_in_memory(objects, size)),
         Query::TopK { size, k } => QueryAnswer::TopK(max_k_rs_in_memory(objects, size, k)),
@@ -454,7 +364,7 @@ mod tests {
     use super::*;
     use crate::exact::load_objects;
     use crate::reference::rect_objective;
-    use maxrs_geometry::Rect;
+    use maxrs_geometry::{Rect, RectSize};
 
     fn pseudo_random_objects(n: usize, seed: u64, extent: f64) -> Vec<WeightedPoint> {
         let mut state = seed.max(1);
@@ -478,15 +388,19 @@ mod tests {
     #[test]
     fn small_dataset_selects_in_memory() {
         let engine = MaxRsEngine::new();
-        let (strategy, _) = engine.select_strategy(100);
-        assert_eq!(strategy, ExecutionStrategy::InMemory);
+        let (strategy, workers) = engine
+            .select_strategy(100, engine.options().em_config)
+            .unwrap();
+        assert_eq!((strategy, workers), (ExecutionStrategy::InMemory, 1));
     }
 
     #[test]
     fn large_dataset_selects_an_external_strategy() {
         let engine = MaxRsEngine::new();
         let mem_rects = engine.options().em_config.mem_records::<RectRecord>() as u64;
-        let (strategy, workers) = engine.select_strategy(mem_rects + 1);
+        let (strategy, workers) = engine
+            .select_strategy(mem_rects + 1, engine.options().em_config)
+            .unwrap();
         assert_ne!(
             strategy,
             ExecutionStrategy::InMemory,
@@ -506,8 +420,9 @@ mod tests {
 
         // A `memory_rects` override promising more rectangles than the EM
         // configuration fits: auto-selection would answer in memory in
-        // violation of the I/O model, so run/run_file refuse with the typed
-        // engine error instead of a panic (or a silent model violation).
+        // violation of the I/O model, so the selection itself, run and
+        // run_file refuse with the typed engine error instead of a panic (or
+        // a silent model violation).
         let em_config = EmConfig::new(512, 16 * 512).unwrap();
         let engine = MaxRsEngine::with_options(EngineOptions {
             em_config,
@@ -520,6 +435,14 @@ mod tests {
         let objects = pseudo_random_objects(2000, 9, 1000.0);
         let query = Query::max_rs(RectSize::square(10.0));
 
+        let err = engine.select_strategy(2000, em_config).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Engine(EngineError::InMemoryOverCapacity { objects: 2000, .. })
+            ),
+            "{err:?}"
+        );
         let err = engine.run(&objects, &query).unwrap_err();
         assert!(
             matches!(
@@ -561,8 +484,10 @@ mod tests {
         };
         let engine = MaxRsEngine::with_options(opts);
         assert_eq!(
-            engine.select_strategy(3).0,
-            ExecutionStrategy::ExternalSequential
+            engine
+                .select_strategy(3, engine.options().em_config)
+                .unwrap(),
+            (ExecutionStrategy::ExternalSequential, 1)
         );
     }
 
@@ -579,7 +504,9 @@ mod tests {
             force_strategy: Some(ExecutionStrategy::ExternalParallel),
         });
         let objects = pseudo_random_objects(400, 3, 1000.0);
-        let run = engine.solve(&objects, RectSize::square(80.0)).unwrap();
+        let run = engine
+            .run(&objects, &Query::max_rs(RectSize::square(80.0)))
+            .unwrap();
         assert_eq!(run.strategy, ExecutionStrategy::ExternalSequential);
         assert_eq!(run.workers, 1);
     }
@@ -608,14 +535,12 @@ mod tests {
                 },
                 force_strategy: forced,
             });
-            let run = engine.solve(&objects, size).unwrap();
+            let run = engine.run(&objects, &Query::max_rs(size)).unwrap();
+            let result = run.answer.as_max_rs().unwrap();
+            assert_eq!(result.total_weight, reference.total_weight, "{forced:?}");
             assert_eq!(
-                run.result.total_weight, reference.total_weight,
-                "{forced:?}"
-            );
-            assert_eq!(
-                rect_objective(&objects, run.result.center, size),
-                run.result.total_weight,
+                rect_objective(&objects, result.center, size),
+                result.total_weight,
                 "{forced:?}"
             );
             runs.push(run);
@@ -628,19 +553,19 @@ mod tests {
     }
 
     #[test]
-    fn solve_file_reports_io_delta() {
+    fn run_file_reports_io_delta() {
         let objects = pseudo_random_objects(500, 5, 1000.0);
         let em_config = EmConfig::new(512, 16 * 512).unwrap();
         let engine = MaxRsEngine::with_em_config(em_config);
         let ctx = EmContext::new(em_config);
         let file = load_objects(&ctx, &objects).unwrap();
-        let run = engine
-            .solve_file(&ctx, &file, RectSize::square(100.0))
-            .unwrap();
+        let size = RectSize::square(100.0);
+        let run = engine.run_file(&ctx, &file, &Query::max_rs(size)).unwrap();
         assert!(run.io.total() > 0);
+        let result = run.answer.as_max_rs().unwrap();
         assert_eq!(
-            rect_objective(&objects, run.result.center, RectSize::square(100.0)),
-            run.result.total_weight
+            rect_objective(&objects, result.center, size),
+            result.total_weight
         );
         ctx.delete_file(file).unwrap();
     }
@@ -648,8 +573,10 @@ mod tests {
     #[test]
     fn empty_dataset() {
         let engine = MaxRsEngine::new();
-        let run = engine.solve(&[], RectSize::square(10.0)).unwrap();
-        assert_eq!(run.result.total_weight, 0.0);
+        let run = engine
+            .run(&[], &Query::max_rs(RectSize::square(10.0)))
+            .unwrap();
+        assert_eq!(run.answer.best_weight(), 0.0);
         assert_eq!(run.strategy, ExecutionStrategy::InMemory);
     }
 
@@ -669,8 +596,21 @@ mod tests {
                 epsilon: 0.5,
             },
             Query::ApproxMaxCrs {
+                diameter: f64::NAN,
+                epsilon: 0.5,
+            },
+            Query::ApproxMaxCrs {
                 diameter: 5.0,
                 epsilon: 1.0,
+            },
+            // σ above d/2 and below (√2 − 1)·d/2, outside Lemma 5's interval.
+            Query::ApproxMaxCrs {
+                diameter: 2.0,
+                epsilon: 1.5,
+            },
+            Query::ApproxMaxCrs {
+                diameter: 2.0,
+                epsilon: -0.5,
             },
             // Inverted domain: must come back as an error, not a clamp panic.
             Query::MinRs {

@@ -59,11 +59,6 @@ pub struct ExactMaxRsOptions {
     /// `EmConfig::mem_records::<RectRecord>()`).  It moves only the leaf
     /// threshold; the fan-out cap counts the configuration's `M`.
     pub memory_rects: Option<usize>,
-    /// Reservoir size of the rectangle-edge sample that slab boundaries are
-    /// drawn from, except at the root of a sweep pass, which samples
-    /// [`BoundarySource::SortedExact`](crate::slab::BoundarySource)'s
-    /// default of 8,192.
-    pub boundary_sample: usize,
     /// Maximum number of worker threads for the parallel slab stage
     /// (default: the available core count; `1` runs the paper's sequential
     /// distribution sweep).
@@ -91,7 +86,6 @@ impl Default for ExactMaxRsOptions {
         ExactMaxRsOptions {
             fanout: None,
             memory_rects: None,
-            boundary_sample: crate::slab::DEFAULT_BOUNDARY_SAMPLE,
             parallelism: available_parallelism(),
         }
     }

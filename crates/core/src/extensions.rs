@@ -261,11 +261,6 @@ fn min_rs_on_segment(
     }
 }
 
-/// Convenience: the minimum range sum value over the domain only.
-pub fn min_range_sum(objects: &[WeightedPoint], size: RectSize, domain: Rect) -> f64 {
-    min_rs_in_memory(objects, size, domain).total_weight
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +328,6 @@ mod tests {
             0.0
         );
         assert!(domain.contains_closed(&r.center));
-        assert_eq!(min_range_sum(&objects, RectSize::square(1.0), domain), 0.0);
     }
 
     #[test]

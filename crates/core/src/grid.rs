@@ -84,11 +84,6 @@ impl UniformGrid {
         (grid_cell(p.x, cell), grid_cell(p.y, cell))
     }
 
-    /// Cell size of the grid.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Number of indexed points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -221,7 +216,6 @@ mod tests {
         assert_eq!(grid.occupied_cells(), 2);
         let n = grid.neighbors_within(Point::new(0.0, 0.0), 0.5);
         assert_eq!(n.len(), 2);
-        assert_eq!(grid.cell_size(), 1.0);
         assert_eq!(grid.len(), 2);
     }
 }

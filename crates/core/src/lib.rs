@@ -7,17 +7,20 @@
 //! * [`exact_max_rs`] — **ExactMaxRS**, the external-memory distribution-sweep
 //!   algorithm that solves the MaxRS problem in the optimal
 //!   `O((N/B) log_{M/B}(N/B))` I/Os,
-//! * [`approx_max_crs`] — **ApproxMaxCRS**, the `(1/4)`-approximation for the
-//!   circular variant (MaxCRS),
+//! * [`Query::ApproxMaxCrs`] — **ApproxMaxCRS**, the `(1/4)`-approximation
+//!   for the circular variant (MaxCRS), with its building blocks in
+//!   [`crate::approx`],
 //! * [`max_rs_in_memory`] — the classic in-memory plane sweep, used both as
 //!   the recursion base case and as a convenience API for small datasets,
 //! * [`exact_max_crs_in_memory`] — the exact MaxCRS reference used to measure
 //!   approximation quality (Figure 17 of the paper),
 //! * the building blocks (slab partitioning, slab-files, MergeSweep, segment
 //!   tree, uniform grid) as documented public modules,
-//! * [`MaxRsEngine`] — a facade that auto-selects between the in-memory
-//!   sweep, the sequential external sweep and the **parallel slab stage**
-//!   from the dataset size, the memory budget and the core count,
+//! * [`MaxRsEngine`] — the one query surface: every [`Query`] variant goes
+//!   through [`MaxRsEngine::run`], [`run_file`](MaxRsEngine::run_file) or
+//!   [`run_batch`](MaxRsEngine::run_batch), which auto-select between the
+//!   in-memory sweep, the sequential external sweep and the **parallel slab
+//!   stage** from the dataset size, the memory budget and the core count,
 //! * [`PreparedDataset`] — load-once repeated querying: the object file
 //!   written at [`MaxRsEngine::prepare`] time serves every subsequent
 //!   [`Query`] variant ([`crate::prepared`]),
@@ -46,7 +49,7 @@
 //! Most callers only need [`MaxRsEngine`]:
 //!
 //! ```
-//! use maxrs_core::{EngineOptions, ExactMaxRsOptions, ExecutionStrategy, MaxRsEngine};
+//! use maxrs_core::{EngineOptions, ExactMaxRsOptions, ExecutionStrategy, MaxRsEngine, Query};
 //! use maxrs_em::EmConfig;
 //! use maxrs_geometry::{RectSize, WeightedPoint};
 //!
@@ -60,14 +63,14 @@
 //! let objects: Vec<WeightedPoint> = (0..500)
 //!     .map(|i| WeightedPoint::unit((i % 50) as f64 * 10.0, (i / 50) as f64 * 10.0))
 //!     .collect();
-//! let run = engine.solve(&objects, RectSize::square(25.0)).unwrap();
+//! let run = engine.run(&objects, &Query::max_rs(RectSize::square(25.0))).unwrap();
 //!
 //! // 500 rectangles exceed M here, so the engine picked an external strategy
 //! // and did real (simulated) I/O; the answer matches the in-memory sweep.
 //! assert_ne!(run.strategy, ExecutionStrategy::InMemory);
 //! assert!(run.io.total() > 0);
 //! let reference = maxrs_core::max_rs_in_memory(&objects, RectSize::square(25.0));
-//! assert_eq!(run.result.total_weight, reference.total_weight);
+//! assert_eq!(run.answer.best_weight(), reference.total_weight);
 //! ```
 //!
 //! ## Quick start
@@ -125,22 +128,20 @@ pub mod slab;
 pub mod sweep;
 
 pub use approx::{
-    approx_max_crs, approx_max_crs_from_objects, approx_max_crs_in_memory, best_candidate,
-    candidate_points, evaluate_candidates, ApproxMaxCrsOptions, SIGMA_FRACTION_LO,
+    approx_max_crs_in_memory, best_candidate, candidate_points, evaluate_candidates,
+    SIGMA_FRACTION_LO,
 };
 pub use batch::{run_on_host, QueryBatch, SweepHost};
 pub use crs_exact::{closed_disk_weight, exact_max_crs_in_memory};
 pub use delta::{CompactionPolicy, CompactionReport, DeltaDataset, DeltaOptions};
-pub use engine::{EngineOptions, EngineRun, ExecutionStrategy, MaxRsEngine};
+pub use engine::{EngineOptions, ExecutionStrategy, MaxRsEngine};
 pub use error::{CoreError, EngineError, Result};
 pub use events::{
     total_order_bits, validate_object, Event, EventError, EventOutcome, EventReport, LiveRecord,
     LiveSet,
 };
 pub use exact::{exact_max_rs, exact_max_rs_from_objects, load_objects, ExactMaxRsOptions};
-pub use extensions::{
-    max_k_rs_in_memory, min_range_sum, min_rs_in_memory, min_strip_scan, MinStrip,
-};
+pub use extensions::{max_k_rs_in_memory, min_rs_in_memory, min_strip_scan, MinStrip};
 pub use grid::{grid_cell, UniformGrid, GRID_CELL_LIMIT};
 pub use merge_sweep::merge_sweep;
 pub use parallel::{available_parallelism, parallel_map};

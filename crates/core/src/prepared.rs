@@ -53,10 +53,13 @@ enum Source<'a> {
     /// are answered by the in-memory reference algorithms at zero I/O.
     Memory(Vec<WeightedPoint>),
     /// External dataset: the object file, retained across queries.  `file`
-    /// is `Some` until `Drop` takes it.
+    /// is `Some` until `Drop` takes it.  `strategy` is the external strategy
+    /// and worker count every query over it runs with, decided once by
+    /// [`MaxRsEngine::select_strategy`] when the dataset was built.
     External {
         ctx: CtxHandle<'a>,
         file: Option<TupleFile<ObjectRecord>>,
+        strategy: (ExecutionStrategy, usize),
     },
 }
 
@@ -110,18 +113,12 @@ impl MaxRsEngine {
     /// ```
     pub fn prepare(&self, objects: &[WeightedPoint]) -> Result<PreparedDataset<'static>> {
         let opts = *self.options();
-        let (strategy, _) = self.select_strategy(objects.len() as u64);
-        if strategy == ExecutionStrategy::InMemory {
-            self.guard_in_memory_capacity(objects.len() as u64, opts.em_config)?;
-            return Ok(PreparedDataset {
-                opts,
-                source: Source::Memory(objects.to_vec()),
-                len: objects.len() as u64,
-                prepare_io: IoSnapshot::default(),
-            });
+        let strategy = self.select_strategy(objects.len() as u64, opts.em_config)?;
+        if strategy.0 == ExecutionStrategy::InMemory {
+            return Ok(PreparedDataset::from_memory(opts, objects.to_vec()));
         }
         let ctx = Box::new(EmContext::new(opts.em_config));
-        PreparedDataset::load_owned(opts, ctx, objects)
+        PreparedDataset::load_owned(opts, ctx, objects, strategy)
     }
 
     /// [`prepare`](MaxRsEngine::prepare) for an object file already stored in
@@ -138,10 +135,9 @@ impl MaxRsEngine {
         objects: &TupleFile<ObjectRecord>,
     ) -> Result<PreparedDataset<'a>> {
         let opts = *self.options();
-        let (strategy, _) = self.select_for(objects.len(), ctx.config());
+        let strategy = self.select_strategy(objects.len(), ctx.config())?;
         let before = ctx.stats();
-        if strategy == ExecutionStrategy::InMemory {
-            self.guard_in_memory_capacity(objects.len(), ctx.config())?;
+        if strategy.0 == ExecutionStrategy::InMemory {
             let records = ctx.read_all(objects)?;
             let points: Vec<WeightedPoint> = records.iter().map(|r| r.0).collect();
             return Ok(PreparedDataset {
@@ -166,6 +162,7 @@ impl MaxRsEngine {
             source: Source::External {
                 ctx: CtxHandle::Borrowed(ctx),
                 file: Some(file),
+                strategy,
             },
             prepare_io: ctx.stats().since(&before),
         })
@@ -173,9 +170,10 @@ impl MaxRsEngine {
 }
 
 impl PreparedDataset<'static> {
-    /// Builds a prepared dataset from an in-memory object vector — the
-    /// snapshot path of [`DeltaDataset`](crate::DeltaDataset) for nets under
-    /// the memory budget.  Callers are responsible for the capacity guard.
+    /// Builds a prepared dataset from an in-memory object vector, for which
+    /// [`MaxRsEngine::select_strategy`] picked the in-memory strategy — the
+    /// in-memory body of [`prepare`](MaxRsEngine::prepare) and the snapshot
+    /// path of [`DeltaDataset`](crate::DeltaDataset) for small nets.
     pub(crate) fn from_memory(opts: EngineOptions, objects: Vec<WeightedPoint>) -> Self {
         let len = objects.len() as u64;
         PreparedDataset {
@@ -188,9 +186,11 @@ impl PreparedDataset<'static> {
 
     /// Loads `objects` into `ctx`, which the dataset takes ownership of, and
     /// flushes the file — the external body of
-    /// [`prepare`](MaxRsEngine::prepare) and of
+    /// [`prepare`](MaxRsEngine::prepare) and
+    /// [`run_batch`](MaxRsEngine::run_batch), and of
     /// [`prepare_shard`](crate::prepare_shard), which builds the shards of
-    /// `maxrs-cluster`'s servers.  Loading is excluded from the
+    /// `maxrs-cluster`'s servers.  Queries run with the external `strategy`
+    /// and worker count the caller selected.  Loading is excluded from the
     /// reported preparation cost, exactly as single-shot runs exclude it from
     /// theirs; the file's dirty blocks belong to it, not to whichever query
     /// happens to evict them first.
@@ -198,22 +198,27 @@ impl PreparedDataset<'static> {
         opts: EngineOptions,
         ctx: Box<EmContext>,
         objects: &[WeightedPoint],
+        strategy: (ExecutionStrategy, usize),
     ) -> Result<Self> {
         let file = load_objects(&ctx, objects)?;
         let before = ctx.stats();
         ctx.flush_file(&file)?;
         let prepare_io = ctx.stats().since(&before);
-        Ok(PreparedDataset::from_owned(opts, ctx, file, prepare_io))
+        Ok(PreparedDataset::from_owned(
+            opts, ctx, file, prepare_io, strategy,
+        ))
     }
 
     /// Builds a prepared dataset around an object file in a context it takes
-    /// ownership of — the snapshot path of
+    /// ownership of, queried with the external `strategy` and worker count
+    /// the caller selected — the snapshot path of
     /// [`DeltaDataset`](crate::DeltaDataset).
     pub(crate) fn from_owned(
         opts: EngineOptions,
         ctx: Box<EmContext>,
         file: TupleFile<ObjectRecord>,
         prepare_io: IoSnapshot,
+        strategy: (ExecutionStrategy, usize),
     ) -> Self {
         let len = file.len();
         PreparedDataset {
@@ -222,6 +227,7 @@ impl PreparedDataset<'static> {
             source: Source::External {
                 ctx: CtxHandle::Owned(ctx),
                 file: Some(file),
+                strategy,
             },
             prepare_io,
         }
@@ -247,7 +253,7 @@ impl PreparedDataset<'_> {
     pub fn external_parts(&self) -> Option<(&EmContext, &TupleFile<ObjectRecord>)> {
         match &self.source {
             Source::Memory(_) => None,
-            Source::External { ctx, file } => {
+            Source::External { ctx, file, .. } => {
                 Some((ctx.get(), file.as_ref().expect("object file taken")))
             }
         }
@@ -355,21 +361,13 @@ impl PreparedDataset<'_> {
     pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
         match &self.source {
             Source::Memory(objects) => Ok(runs_in_memory(objects, batch)),
-            Source::External { ctx, file } => {
-                let ctx = ctx.get();
+            Source::External {
+                ctx,
+                file,
+                strategy,
+            } => {
                 let file = file.as_ref().expect("object file present until drop");
-                let engine = MaxRsEngine::with_options(self.opts);
-                let (strategy, workers) = engine.select_for(file.len(), ctx.config());
-                // An external source always selects an external strategy
-                // (same n, same config as at prepare time); the guard keeps
-                // the run well-defined even if options were somehow forced
-                // inconsistently.
-                let strategy = if strategy == ExecutionStrategy::InMemory {
-                    ExecutionStrategy::ExternalSequential
-                } else {
-                    strategy
-                };
-                run_batch_external(ctx, file, batch, strategy, workers, &self.opts.exact)
+                run_batch_external(ctx.get(), file, batch, *strategy, &self.opts.exact)
             }
         }
     }
@@ -377,7 +375,7 @@ impl PreparedDataset<'_> {
 
 impl Drop for PreparedDataset<'_> {
     fn drop(&mut self) {
-        if let Source::External { ctx, file } = &mut self.source {
+        if let Source::External { ctx, file, .. } = &mut self.source {
             if let Some(file) = file.take() {
                 // Deleting can only fail if the file is already gone; either
                 // way its blocks are no longer allocated.

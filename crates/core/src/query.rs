@@ -257,9 +257,7 @@ impl QueryAnswer {
 }
 
 /// The outcome of one [`MaxRsEngine::run`](crate::engine::MaxRsEngine::run):
-/// the per-variant answer plus how it was computed and what it cost —
-/// the [`Query`]-polymorphic counterpart of
-/// [`EngineRun`](crate::engine::EngineRun).
+/// the per-variant answer plus how it was computed and what it cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRun {
     /// The answer, shaped per query variant.
@@ -377,6 +375,17 @@ mod tests {
         }
         .validate()
         .is_err());
+        // σ above d/2 (σ = 0.6·d) and below (√2 − 1)·d/2 (σ = 0.1·d): the
+        // epsilons of both lie outside (0, 1).
+        for sigma in [0.6, 0.1] {
+            let epsilon = (sigma - SIGMA_FRACTION_LO) / (0.5 - SIGMA_FRACTION_LO);
+            assert!(Query::ApproxMaxCrs {
+                diameter: 2.0,
+                epsilon
+            }
+            .validate()
+            .is_err());
+        }
         // Positive but so small that sigma rounds onto the interval's lower
         // endpoint: must be a checked error, not a candidate_points panic.
         assert!(Query::ApproxMaxCrs {

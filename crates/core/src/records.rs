@@ -1,7 +1,7 @@
 //! On-disk record formats used by the external-memory algorithms.
 
 use maxrs_em::{codec, Record};
-use maxrs_geometry::{Interval, Point, Rect, WeightedPoint};
+use maxrs_geometry::{Interval, Rect, WeightedPoint};
 
 /// A dataset object stored in an EM file: location plus weight (24 bytes, so
 /// a 4 KB block holds 170 objects, matching the `B` of the paper's setup).
@@ -206,25 +206,10 @@ impl Record for SpanEvent {
     }
 }
 
-/// Converts a slice of weighted points into object records.
-pub fn to_object_records(objects: &[WeightedPoint]) -> Vec<ObjectRecord> {
-    objects.iter().copied().map(ObjectRecord).collect()
-}
-
-/// Converts object records back into weighted points.
-pub fn to_weighted_points(records: &[ObjectRecord]) -> Vec<WeightedPoint> {
-    records.iter().map(|r| r.0).collect()
-}
-
-/// Convenience: a point-like accessor used by the sweep code.
-pub fn record_point(r: &ObjectRecord) -> Point {
-    r.0.point
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maxrs_geometry::RectSize;
+    use maxrs_geometry::{Point, RectSize};
 
     fn roundtrip<T: Record + PartialEq + std::fmt::Debug>(v: T) {
         let mut buf = vec![0u8; T::SIZE];
@@ -239,7 +224,6 @@ mod tests {
         let o = WeightedPoint::at(7.0, 8.0, 9.0);
         let r: ObjectRecord = o.into();
         assert_eq!(r.object(), o);
-        assert_eq!(record_point(&r), Point::new(7.0, 8.0));
     }
 
     #[test]
@@ -269,16 +253,5 @@ mod tests {
         assert_eq!(end.slab_hi, 7);
         assert!(start.is_start);
         assert!(!end.is_start);
-    }
-
-    #[test]
-    fn record_conversions() {
-        let objects = vec![
-            WeightedPoint::at(1.0, 2.0, 3.0),
-            WeightedPoint::at(4.0, 5.0, 6.0),
-        ];
-        let recs = to_object_records(&objects);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(to_weighted_points(&recs), objects);
     }
 }

@@ -32,7 +32,7 @@
 use maxrs_em::{EmContext, FsDisk, IoSnapshot, TupleFile};
 use maxrs_geometry::{Interval, Rect, RectSize, WeightedPoint};
 
-use crate::engine::EngineOptions;
+use crate::engine::{EngineOptions, ExecutionStrategy};
 use crate::error::Result;
 use crate::prepared::PreparedDataset;
 use crate::query::Query;
@@ -154,7 +154,14 @@ pub fn prepare_shard(
             Box::new(EmContext::with_device(opts.em_config, Box::new(disk)))
         }
     };
-    let data = PreparedDataset::load_owned(opts, ctx, objects)?;
+    // The servers sweep a shard slab by slab on one worker each
+    // (`solve_rects`), so the shard's own runs are sequential too.
+    let data = PreparedDataset::load_owned(
+        opts,
+        ctx,
+        objects,
+        (ExecutionStrategy::ExternalSequential, 1),
+    )?;
     let prepare_io = data.prepare_io();
     Ok((data, prepare_io))
 }

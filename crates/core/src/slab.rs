@@ -132,8 +132,8 @@ pub struct Crop {
     pub span: Option<[SpanEvent; 2]>,
 }
 
-/// The reservoir size of [`BoundarySource::SortedExact`], and the default of
-/// [`ExactMaxRsOptions::boundary_sample`](crate::ExactMaxRsOptions::boundary_sample).
+/// The reservoir size of [`BoundarySource::SortedExact`], and of the
+/// [`BoundarySource::Sampled`] reservoir every recursion child draws from.
 pub(crate) const DEFAULT_BOUNDARY_SAMPLE: usize = 8192;
 
 /// How large a reservoir [`compute_partition`] draws its edge sample from.
@@ -141,10 +141,10 @@ pub(crate) const DEFAULT_BOUNDARY_SAMPLE: usize = 8192;
 /// reservoir; neither reads the file's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundarySource {
-    /// The root of a sweep pass: a reservoir of 8,192 edges, the default
-    /// [`ExactMaxRsOptions::boundary_sample`](crate::ExactMaxRsOptions::boundary_sample).
-    /// The name is left from when a pass's root was x-sorted; it stays
-    /// because the benchmark package (`benchmark/src/em.rs`) still passes it.
+    /// The root of a sweep pass: a reservoir of 8,192 edges, the same size
+    /// every recursion child samples.  The name is left from when a pass's
+    /// root was x-sorted; it stays because the benchmark package
+    /// (`benchmark/src/em.rs`) still passes it.
     SortedExact,
     /// A reservoir of at most the given size.
     Sampled(usize),

@@ -58,7 +58,7 @@ use crate::parallel::parallel_map;
 use crate::plane_sweep::with_sweep_scratch;
 use crate::records::{ObjectRecord, RectRecord, SlabTuple};
 use crate::result::MaxRsResult;
-use crate::slab::{compute_partition, distribute, BoundarySource};
+use crate::slab::{compute_partition, distribute, BoundarySource, DEFAULT_BOUNDARY_SAMPLE};
 
 /// One parameterized distribution-sweep pass: the sweep kernel.
 ///
@@ -335,12 +335,12 @@ pub fn next_breakpoint_after(
 /// Runs the distribution-sweep recursion over an **already distributed**
 /// rectangle file: the caller has cropped the rectangles to `slab` (and
 /// routed away anything outside it), so no transform happens here.  The
-/// file's order is never read.  `sorted` only picks the reservoir the first
-/// node's boundaries come from: `true` the default-size one of a pass's
-/// root ([`BoundarySource::SortedExact`]), `false` one of
-/// `opts.boundary_sample` edges, as for recursion children; the flag keeps
-/// its old name because the benchmark package (`benchmark/src/em.rs`) still
-/// passes it.  This is the per-shard entry point of the sharded pass
+/// file's order is never read.  `sorted` names the variant of the first
+/// node's [`BoundarySource`] — [`BoundarySource::SortedExact`] for `true`,
+/// a [`BoundarySource::Sampled`] reservoir for `false` — but both draw from
+/// a reservoir of the same 8,192 edges; the flag stays only because the
+/// benchmark package (`benchmark/src/em.rs`) still passes it.  This is the
+/// per-shard entry point of the sharded pass
 /// ([`crate::shard`]): `maxrs-cluster`'s shard servers run one such solve
 /// per owned slab, and the coordinator combines the slab-files through the
 /// same span-event MergeSweep the recursion itself uses.
@@ -360,7 +360,7 @@ pub fn solve_rects(
     let source = if sorted {
         BoundarySource::SortedExact
     } else {
-        BoundarySource::Sampled(opts.boundary_sample)
+        BoundarySource::Sampled(DEFAULT_BOUNDARY_SAMPLE)
     };
     runner.solve(rects, slab, source)
 }
@@ -491,7 +491,7 @@ impl<'a> Runner<'a> {
         if input.len() as usize >= parent_size && input.len() as usize > self.memory_rects() {
             return self.solve_in_memory(input, slab);
         }
-        let source = BoundarySource::Sampled(self.opts.boundary_sample);
+        let source = BoundarySource::Sampled(DEFAULT_BOUNDARY_SAMPLE);
         self.solve(input, slab, source)
     }
 

@@ -50,7 +50,6 @@ fn engine(force: ExecutionStrategy) -> MaxRsEngine {
             memory_rects: Some(1024),
             fanout: Some(8),
             parallelism: 4,
-            ..Default::default()
         },
         force_strategy: Some(force),
     })

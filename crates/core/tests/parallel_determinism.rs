@@ -94,7 +94,6 @@ fn parallel_results_are_stable_across_repeated_runs() {
         memory_rects: Some(32),
         fanout: Some(6),
         parallelism: 8,
-        ..Default::default()
     };
     let first = run(&objects, size, &opts);
     for round in 0..5 {
@@ -144,7 +143,6 @@ fn parallel_path_cleans_up_temporaries() {
         memory_rects: Some(40),
         fanout: Some(5),
         parallelism: 4,
-        ..Default::default()
     };
     let before_files = ctx.num_files();
     let _ = exact_max_rs_from_objects(&ctx, &objects, RectSize::square(60.0), &opts).unwrap();

@@ -73,11 +73,6 @@ impl EmContext {
         }
     }
 
-    /// Creates a context with the paper's synthetic-dataset defaults.
-    pub fn with_defaults() -> Self {
-        EmContext::new(EmConfig::default())
-    }
-
     /// The short name of the block-device backend ("sim", "fs").
     pub fn backend_name(&self) -> &'static str {
         self.disk.backend_name()

@@ -75,13 +75,15 @@ fn pwrite(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
 ///
 /// Dropping the device removes every backing file, and the directory too when
 /// the device created it (the default temp-directory constructor, or a
-/// [`new_in`](FsDisk::new_in) path that did not exist yet).  A pre-existing
-/// directory passed to `new_in` is left in place with only the device's own
-/// block files removed.
+/// [`new_in`](FsDisk::new_in) path that did not exist yet) and nothing else
+/// is left in it.  A pre-existing directory passed to `new_in` is left in
+/// place with only the device's own block files removed.
 ///
 /// Several devices may share one directory: every device names its files
 /// with a process- and instance-unique prefix, so they never truncate or
-/// unlink each other's data, and each drop removes only its own files.
+/// unlink each other's data, and each drop removes only its own files.  The
+/// device that created a shared directory removes it only if it is empty by
+/// then, so the other devices keep working after it drops.
 #[derive(Debug)]
 pub struct FsDisk {
     block_size: usize,
@@ -108,7 +110,8 @@ impl FsDisk {
     }
 
     /// Creates a device storing its files under `dir` (created if missing;
-    /// removed on drop only if this call created it).
+    /// removed on drop only if this call created it and no other files
+    /// remain in it).
     pub fn new_in(dir: impl AsRef<Path>, block_size: usize) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let owns_dir = !dir.exists();
@@ -278,7 +281,9 @@ impl Drop for FsDisk {
             let _ = std::fs::remove_file(path);
         }
         if self.owns_dir {
-            let _ = std::fs::remove_dir_all(&self.dir);
+            // Not `remove_dir_all`: other devices may still keep their files
+            // in a directory this one created; it goes once it is empty.
+            let _ = std::fs::remove_dir(&self.dir);
         }
     }
 }
@@ -444,5 +449,37 @@ mod tests {
         }
         assert_eq!(block_files_in(&base), 0);
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn the_device_that_created_a_shared_directory_drops_first() {
+        let base = std::env::temp_dir().join(format!(
+            "maxrs-fsdisk-created-{}-{}",
+            std::process::id(),
+            DEVICE_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        assert!(!base.exists());
+        let creator = FsDisk::new_in(&base, 32).unwrap();
+        let fc = creator.create_file().unwrap();
+        creator.write_block(fc, 0, &[1u8; 32]).unwrap();
+        let other = FsDisk::new_in(&base, 32).unwrap();
+        let before = other.create_file().unwrap();
+        other.write_block(before, 0, &[2u8; 32]).unwrap();
+
+        drop(creator);
+        // The other device's files, and the directory holding them, survive
+        // the creator, and it can still create, write and read blocks.
+        let mut out = vec![0u8; 32];
+        other.read_block(before, 0, &mut out).unwrap();
+        assert_eq!(out[0], 2);
+        let after = other.create_file().unwrap();
+        other.write_block(after, 0, &[3u8; 32]).unwrap();
+        other.read_block(after, 0, &mut out).unwrap();
+        assert_eq!(out[0], 3);
+        assert_eq!(block_files_in(&base), 2);
+
+        drop(other);
+        assert_eq!(block_files_in(&base), 0);
+        let _ = std::fs::remove_dir_all(&base);
     }
 }

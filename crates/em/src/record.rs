@@ -47,26 +47,6 @@ pub mod codec {
     pub fn get_u32(buf: &[u8], at: usize) -> u32 {
         u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
     }
-
-    /// Writes an `i32` at byte offset `at`.
-    pub fn put_i32(buf: &mut [u8], at: usize, v: i32) {
-        buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Reads an `i32` from byte offset `at`.
-    pub fn get_i32(buf: &[u8], at: usize) -> i32 {
-        i32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Writes a `u8` at byte offset `at`.
-    pub fn put_u8(buf: &mut [u8], at: usize, v: u8) {
-        buf[at] = v;
-    }
-
-    /// Reads a `u8` from byte offset `at`.
-    pub fn get_u8(buf: &[u8], at: usize) -> u8 {
-        buf[at]
-    }
 }
 
 impl Record for u64 {
@@ -136,13 +116,9 @@ mod tests {
         codec::put_f64(&mut buf, 0, 1.5);
         codec::put_u64(&mut buf, 8, 77);
         codec::put_u32(&mut buf, 16, 5);
-        codec::put_i32(&mut buf, 20, -9);
-        codec::put_u8(&mut buf, 24, 3);
         assert_eq!(codec::get_f64(&buf, 0), 1.5);
         assert_eq!(codec::get_u64(&buf, 8), 77);
         assert_eq!(codec::get_u32(&buf, 16), 5);
-        assert_eq!(codec::get_i32(&buf, 20), -9);
-        assert_eq!(codec::get_u8(&buf, 24), 3);
     }
 
     #[test]

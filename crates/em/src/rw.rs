@@ -170,15 +170,6 @@ impl<'a, T: Record> TupleReader<'a, T> {
         self.fetch()
     }
 
-    /// Reads the rest of the file into a vector.
-    pub fn read_to_vec(mut self) -> Result<Vec<T>> {
-        let mut out = Vec::with_capacity(self.remaining() as usize);
-        while let Some(rec) = self.next_record()? {
-            out.push(rec);
-        }
-        Ok(out)
-    }
-
     fn fetch(&mut self) -> Result<Option<T>> {
         if self.pos >= self.num_records {
             return Ok(None);
@@ -218,9 +209,12 @@ mod tests {
         let file = w.finish().unwrap();
         assert_eq!(file.len(), 1000);
 
-        let r = ctx.open_reader(&file);
+        let mut r = ctx.open_reader(&file);
         assert_eq!(r.len(), 1000);
-        let back = r.read_to_vec().unwrap();
+        let mut back = Vec::new();
+        while let Some(v) = r.next_record().unwrap() {
+            back.push(v);
+        }
         assert_eq!(back, (0..1000u64).collect::<Vec<_>>());
     }
 

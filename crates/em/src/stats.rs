@@ -167,19 +167,6 @@ impl IoSnapshot {
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
         self.delta(earlier)
     }
-
-    /// How many more blocks `self` moved than `baseline` **in total**
-    /// (saturating at zero): `self.total() - baseline.total()`.
-    ///
-    /// This is *not* `delta(baseline).total()` — that saturates per counter
-    /// and can overstate the difference when one counter regresses while the
-    /// other grows.  Use `total_delta` for "did it really cost fewer blocks"
-    /// comparisons (savings reports, cost-floor assertions); use
-    /// [`delta`](IoSnapshot::delta) when both snapshots are readings of the
-    /// same monotonically increasing counters.
-    pub fn total_delta(&self, baseline: &IoSnapshot) -> u64 {
-        self.total().saturating_sub(baseline.total())
-    }
 }
 
 impl std::ops::Add for IoSnapshot {
@@ -269,10 +256,6 @@ mod tests {
             }
         );
         assert_eq!(after.since(&before), after.delta(&before));
-        // total_delta compares grand totals; the per-counter saturation of
-        // `delta` would claim 7 here, overstating the real difference of 5.
-        assert_eq!(after.total_delta(&before), 5);
-        assert_eq!(before.total_delta(&after), 0);
     }
 
     #[test]

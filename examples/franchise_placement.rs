@@ -16,7 +16,7 @@
 
 use maxrs::baselines::{asb_tree_sweep, naive_sweep};
 use maxrs::datagen::{Dataset, DatasetKind};
-use maxrs::{load_objects, EmConfig, EmContext, MaxRsEngine, RectSize};
+use maxrs::{load_objects, EmConfig, EmContext, MaxRsEngine, Query, RectSize};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A city of 20,000 residences in a 1,000 km x 1,000 km space (the paper's
@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let objects = load_objects(&ctx, &city.objects)?;
     ctx.reset_stats();
     let engine = MaxRsEngine::with_em_config(config);
-    let run = engine.solve_file(&ctx, &objects, delivery)?;
-    let best = run.result;
+    let run = engine.run_file(&ctx, &objects, &Query::max_rs(delivery))?;
+    let best = *run.answer.as_max_rs().expect("MaxRS answer");
     let exact_io = run.io.total();
     println!(
         "ExactMaxRS : place the store at {} -> {} residences in range \

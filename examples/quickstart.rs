@@ -1,15 +1,15 @@
-//! Quickstart: solve a MaxRS query through the [`MaxRsEngine`] facade, then
+//! Quickstart: answer a MaxRS query through the [`MaxRsEngine`] facade, then
 //! peek under the hood (in-memory sweep, external-memory pipeline) and finish
-//! with a MaxCRS query via the approximation algorithm.
+//! with a MaxCRS query via the approximation algorithm, again through the
+//! engine.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use maxrs::core::ApproxMaxCrsOptions;
 use maxrs::{
-    approx_max_crs_from_objects, exact_max_rs_from_objects, max_rs_in_memory, EmConfig, EmContext,
-    ExactMaxRsOptions, MaxRsEngine, RectSize, WeightedPoint,
+    exact_max_rs_from_objects, max_rs_in_memory, EmConfig, EmContext, ExactMaxRsOptions,
+    MaxRsEngine, Query, RectSize, WeightedPoint,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,11 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the core count; six objects obviously stay in memory.
     let size = RectSize::square(6.0);
     let engine = MaxRsEngine::new();
-    let run = engine.solve(&objects, size)?;
+    let run = engine.run(&objects, &Query::max_rs(size))?;
+    let best = *run.answer.as_max_rs().expect("MaxRS answer");
     println!(
         "[engine    ] best 6x6 rectangle center: {} covering weight {} (strategy: {})",
-        run.result.center,
-        run.result.total_weight,
+        best.center,
+        best.total_weight,
         run.strategy.name()
     );
 
@@ -44,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "[in-memory ] best 6x6 rectangle center: {} covering weight {}",
         in_memory.center, in_memory.total_weight
     );
-    assert_eq!(run.result.total_weight, in_memory.total_weight);
+    assert_eq!(best.total_weight, in_memory.total_weight);
 
     // --- MaxRS, external memory -------------------------------------------------
     // The same query through ExactMaxRS against a simulated disk: identical
@@ -61,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- MaxCRS (circular range), approximate ---------------------------------
     let diameter = 6.0;
-    let circle =
-        approx_max_crs_from_objects(&ctx, &objects, diameter, &ApproxMaxCrsOptions::default())?;
+    let run = engine.run(&objects, &Query::approx_max_crs(diameter))?;
+    let circle = run.answer.as_max_crs().expect("MaxCRS answer");
     println!(
         "[ApproxMaxCRS] best circle (d={diameter}) center: {} covering weight {}",
         circle.center, circle.total_weight

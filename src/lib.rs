@@ -8,7 +8,8 @@
 //! * [`em`] — the external-memory substrate (simulated disk, buffer pool, I/O
 //!   accounting, external sort).
 //! * [`core`] — the algorithms: ExactMaxRS, ApproxMaxCRS, the in-memory plane
-//!   sweep and the exact MaxCRS reference; plus [`PreparedDataset`] for
+//!   sweep and the exact MaxCRS reference, all asked through one query
+//!   surface ([`MaxRsEngine`] and [`Query`]); plus [`PreparedDataset`] for
 //!   load-once repeated querying and [`DeltaDataset`] for streaming updates
 //!   over the external path (delta-main + compaction).  The zero-alloc
 //!   [`SweepScratch`] arena the slab sweeps run on is re-exported here too.
@@ -29,19 +30,22 @@
 //!   aSB-tree) the paper compares against.
 //!
 //! The most common entry points are re-exported at the crate root.  The
-//! [`MaxRsEngine`] facade picks the execution strategy (in-memory sweep,
-//! sequential external sweep, or the parallel slab stage) per query:
+//! [`MaxRsEngine`] facade answers every [`Query`] variant and picks the
+//! execution strategy (in-memory sweep, sequential external sweep, or the
+//! parallel slab stage) per dataset:
 //!
 //! ```
-//! use maxrs::{MaxRsEngine, RectSize, WeightedPoint};
+//! use maxrs::{MaxRsEngine, Query, RectSize, WeightedPoint};
 //!
 //! let stores = vec![
 //!     WeightedPoint::unit(2.0, 3.0),
 //!     WeightedPoint::unit(2.5, 3.5),
 //!     WeightedPoint::unit(9.0, 9.0),
 //! ];
-//! let run = MaxRsEngine::new().solve(&stores, RectSize::square(2.0)).unwrap();
-//! assert_eq!(run.result.total_weight, 2.0);
+//! let run = MaxRsEngine::new()
+//!     .run(&stores, &Query::max_rs(RectSize::square(2.0)))
+//!     .unwrap();
+//! assert_eq!(run.answer.best_weight(), 2.0);
 //! ```
 //!
 //! The individual algorithms remain directly callable:
@@ -75,14 +79,18 @@ pub use maxrs_cluster::{
     Transport,
 };
 pub use maxrs_core::{
-    approx_max_crs, approx_max_crs_from_objects, approx_max_crs_in_memory, exact_max_crs_in_memory,
-    exact_max_rs, exact_max_rs_from_objects, load_objects, max_k_rs_in_memory, max_rs_in_memory,
-    min_rs_in_memory, ApproxMaxCrsOptions, CompactionPolicy, CompactionReport, DeltaDataset,
-    DeltaOptions, EngineError, EngineOptions, EngineRun, ExactMaxRsOptions, ExecutionStrategy,
-    LiveSet, MaxCrsResult, MaxRsEngine, MaxRsResult, PreparedDataset, Query, QueryAnswer,
-    QueryBatch, QueryRun, SweepPass, SweepScratch,
+    approx_max_crs_in_memory, exact_max_crs_in_memory, exact_max_rs, exact_max_rs_from_objects,
+    load_objects, max_k_rs_in_memory, max_rs_in_memory, min_rs_in_memory, CompactionPolicy,
+    CompactionReport, DeltaDataset, DeltaOptions, EngineError, EngineOptions, ExactMaxRsOptions,
+    ExecutionStrategy, LiveSet, MaxCrsResult, MaxRsEngine, MaxRsResult, PreparedDataset, Query,
+    QueryAnswer, QueryBatch, QueryRun, SweepPass, SweepScratch,
 };
 pub use maxrs_em::{BlockDevice, EmConfig, EmContext, FsDisk, IoSnapshot, SimDisk, StorageBackend};
 pub use maxrs_geometry::{Circle, Interval, Point, Rect, RectSize, WeightedPoint};
 pub use maxrs_serve::{DatasetRegistry, MaxRsServer, OverloadPolicy, ServeConfig, ServeError};
 pub use maxrs_stream::{Event, StreamConfig, StreamEngine};
+
+/// The README's Rust blocks, compiled and run as doc-tests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

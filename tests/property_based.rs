@@ -10,11 +10,11 @@
 
 use maxrs::core::{
     brute_force_max_rs, circle_objective, closed_disk_weight, exact_max_crs_in_memory,
-    rect_objective, ApproxMaxCrsOptions,
+    rect_objective,
 };
 use maxrs::{
-    approx_max_crs_from_objects, exact_max_rs_from_objects, max_rs_in_memory, EmConfig, EmContext,
-    ExactMaxRsOptions, RectSize, WeightedPoint,
+    exact_max_rs_from_objects, max_rs_in_memory, EmConfig, EmContext, EngineOptions,
+    ExactMaxRsOptions, ExecutionStrategy, MaxRsEngine, Query, RectSize, WeightedPoint,
 };
 use maxrs_em::external_sort_by_key;
 use proptest::prelude::*;
@@ -77,14 +77,14 @@ proptest! {
         diameter in 2u32..25,
     ) {
         let diameter = diameter as f64;
-        let ctx = EmContext::new(EmConfig::new(4096, 16 * 4096).unwrap());
-        let approx = approx_max_crs_from_objects(
-            &ctx,
-            &objects,
-            diameter,
-            &ApproxMaxCrsOptions::default(),
-        )
-        .unwrap();
+        // Forced external: these few objects would otherwise stay in memory.
+        let engine = MaxRsEngine::with_options(EngineOptions {
+            em_config: EmConfig::new(4096, 16 * 4096).unwrap(),
+            exact: ExactMaxRsOptions::default(),
+            force_strategy: Some(ExecutionStrategy::ExternalSequential),
+        });
+        let run = engine.run(&objects, &Query::approx_max_crs(diameter)).unwrap();
+        let approx = *run.answer.as_max_crs().unwrap();
         // Reported weight is exactly what its center covers.
         prop_assert_eq!(
             circle_objective(&objects, approx.center, diameter),
