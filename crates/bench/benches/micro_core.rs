@@ -1,45 +1,36 @@
-//! Micro-benchmarks of the core building blocks: segment tree, in-memory
-//! plane sweep and external sort.  These are ablation-style measurements that
-//! support the design choices rather than a figure of the paper.
+//! Micro-benchmarks of the core building blocks: the in-memory plane sweep,
+//! external sort and the engine paths built on them.  These are
+//! ablation-style measurements that support the design choices rather than a
+//! figure of the paper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maxrs_bench::runner::run_query;
 use maxrs_core::{
-    load_objects, max_rs_in_memory, EngineOptions, ExactMaxRsOptions, MaxRsEngine, Query,
-    QueryBatch, QueryRun, SegmentTree,
+    load_objects, max_rs_in_memory, transform_objects, EngineOptions, ExactMaxRsOptions,
+    MaxRsEngine, Query, QueryBatch, QueryRun, SweepScratch,
 };
 use maxrs_datagen::{event_stream, Dataset, DatasetKind, EventStreamConfig};
 use maxrs_em::{external_sort_by_key, EmConfig, EmContext};
-use maxrs_geometry::{Rect, RectSize};
+use maxrs_geometry::{Interval, Rect, RectSize};
 use maxrs_stream::{Event, StreamConfig, StreamEngine};
 
-fn bench_segment_tree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("segment_tree");
-    for &n in &[1_000usize, 10_000] {
-        group.bench_with_input(BenchmarkId::new("range_add_max", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut tree = SegmentTree::new(n);
-                let mut acc = 0.0;
-                for i in 0..n {
-                    let lo = i % (n / 2);
-                    let hi = lo + n / 4;
-                    tree.range_add(lo, hi.min(n), 1.0);
-                    acc += tree.global_max();
-                }
-                acc
-            });
-        });
-    }
-    group.finish();
-}
-
+/// The slab-sweep kernel at the leaf sizes of the benchmark's recursion
+/// (about 1k rectangles per leaf at a 16-block buffer, 10k at 1 MiB): one
+/// reused [`SweepScratch`] over the transformed rectangles, and the whole
+/// in-memory query around it.
 fn bench_plane_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("plane_sweep");
     group.sample_size(10);
-    for &n in &[1_000usize, 5_000] {
+    let size = RectSize::square(5000.0);
+    for &n in &[1_000usize, 10_000] {
         let ds = Dataset::generate(DatasetKind::Uniform, n, 3);
+        let rects = transform_objects(&ds.objects, size);
+        let mut scratch = SweepScratch::new();
+        group.bench_with_input(BenchmarkId::new("sweep", n), &rects, |b, rects| {
+            b.iter(|| scratch.sweep(rects, Interval::UNBOUNDED).len());
+        });
         group.bench_with_input(BenchmarkId::new("max_rs_in_memory", n), &ds, |b, ds| {
-            b.iter(|| max_rs_in_memory(&ds.objects, RectSize::square(5000.0)));
+            b.iter(|| max_rs_in_memory(&ds.objects, size));
         });
     }
     group.finish();
@@ -329,7 +320,6 @@ fn bench_engine_stream(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_segment_tree,
     bench_plane_sweep,
     bench_external_sort,
     bench_engine_parallelism,

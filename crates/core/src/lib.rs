@@ -14,8 +14,8 @@
 //!   the recursion base case and as a convenience API for small datasets,
 //! * [`exact_max_crs_in_memory`] — the exact MaxCRS reference used to measure
 //!   approximation quality (Figure 17 of the paper),
-//! * the building blocks (slab partitioning, slab-files, MergeSweep, segment
-//!   tree, uniform grid) as documented public modules,
+//! * the building blocks (slab partitioning, slab-files, the plane-sweep
+//!   kernel, MergeSweep, uniform grid) as documented public modules,
 //! * [`MaxRsEngine`] — the one query surface: every [`Query`] variant goes
 //!   through [`MaxRsEngine::run`], [`run_file`](MaxRsEngine::run_file) or
 //!   [`run_batch`](MaxRsEngine::run_batch), which auto-select between the
@@ -122,7 +122,6 @@ pub mod query;
 pub mod records;
 pub mod reference;
 mod result;
-pub mod segment_tree;
 pub mod shard;
 pub mod slab;
 pub mod sweep;
@@ -153,7 +152,6 @@ pub use query::{Query, QueryAnswer, QueryRun};
 pub use records::{ObjectRecord, RectRecord, SlabTuple, SpanEvent};
 pub use reference::{brute_force_max_crs, brute_force_max_rs, circle_objective, rect_objective};
 pub use result::{MaxCrsResult, MaxRsResult};
-pub use segment_tree::SegmentTree;
 pub use shard::{prepare_shard, select_shard_boundaries, shard_slab, ShardRoute};
 pub use slab::{compute_partition, distribute, BoundarySource, Crop, Distribution, SlabPartition};
 pub use sweep::{

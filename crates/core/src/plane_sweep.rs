@@ -2,17 +2,48 @@
 //!
 //! This is the classic `O(n log n)` algorithm of Imai & Asano (reviewed in
 //! Section 4 of the paper): sweep a horizontal line bottom-to-top over the
-//! transformed rectangles, maintain the x-intervals of the active rectangles
-//! in a range-add / range-max structure, and record, for every h-line, a
-//! *max-interval* — an x-range of maximum location-weight together with that
-//! weight.  The resulting sequence of [`SlabTuple`]s is exactly the *slab-file*
-//! of the paper, so the same routine serves as
+//! transformed rectangles, keep the location-weight of every elementary
+//! x-interval of the slab, and record, for every h-line, a *max-interval* —
+//! an x-range of maximum location-weight together with that weight.  The
+//! resulting sequence of [`SlabTuple`]s is exactly the *slab-file* of the
+//! paper, so the same routine serves as
 //!
 //! * the base case of the [`ExactMaxRS`](crate::exact) recursion (a slab whose
 //!   rectangles fit in memory),
 //! * the building block of the in-memory convenience API
 //!   [`max_rs_in_memory`](crate::plane_sweep::max_rs_in_memory()), and
 //! * (conceptually) the algorithm the external baselines externalize.
+//!
+//! # The kernel
+//!
+//! [`SweepScratch::sweep_into`] clips the rectangles to the slab and works on
+//! the resulting *pieces* in three steps.
+//!
+//! * **Breakpoints.**  The pieces are sorted once by `(x_lo, x_hi)`, so their
+//!   `x_hi` values arrive sorted or nearly so.  One merge of the two runs
+//!   between the slab's ends yields the deduplicated breakpoints and every
+//!   piece's range `[a, b)` of elementary intervals (leaves), with no
+//!   per-edge binary search.
+//! * **Events.**  The bottom edges are sorted by `y`.  The top edges, listed
+//!   in that order, are already sorted when the pieces share a height, as
+//!   every pass's pieces do, so their sort is linear.  One merge of the two
+//!   runs visits the h-lines bottom to top, and every event of an h-line is
+//!   applied before its tuple is emitted.
+//! * **Prefix-max tree.**  The coverage is kept as its difference array: a
+//!   piece adds `+w` at leaf `a` and `−w` at leaf `b` (nothing when `b` is
+//!   past the last leaf).  Each node of a power-of-two tree over the leaves
+//!   holds `(sum, largest prefix sum)` of its leaves (padding leaves hold
+//!   `−∞`), and an event recomputes the two leaf-to-root paths, together
+//!   until they meet and then as one.
+//!   The root's prefix maximum is the h-line's sum, and descending left
+//!   while the left child's prefix maximum is at least the right child's
+//!   (offset by the left sum) finds the leftmost maximal cell.
+//!
+//! Sorts run on the order-preserving `u64` image of each `f64`
+//! ([`total_order_bits`]); breakpoints and h-lines are grouped with `f64`
+//! `==`, so `-0.0` and `+0.0` share one, represented by `-0.0`.  For integer
+//! weights every prefix sum is exact, so each tuple is the exact coverage;
+//! other weights are summed in the tree's association order.
 //!
 //! # Max-interval selection (deviation from the paper's `GetMaxInterval`)
 //!
@@ -28,40 +59,179 @@
 
 use std::cell::RefCell;
 
-use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, RectSize, WeightedPoint};
 
+use crate::events::total_order_bits;
 use crate::records::{RectRecord, SlabTuple};
 use crate::result::MaxRsResult;
-use crate::segment_tree::SegmentTree;
+use crate::sweep::BestTuple;
 
-/// One sweep event: add `delta` to the elementary intervals `[lo, hi)` when
-/// the h-line reaches `y`.
+/// Inverse of [`total_order_bits`].
+fn from_total_order_bits(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// A piece's leaf range `[lo, hi)` and weight.
 #[derive(Debug, Clone, Copy)]
-struct SweepEvent {
-    y: f64,
+struct Span {
     lo: u32,
     hi: u32,
-    delta: f64,
+    weight: f64,
+}
+
+/// A node of the prefix-max tree: the sum of its leaves and the largest sum
+/// of a nonempty prefix of them.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    sum: f64,
+    pre: f64,
+}
+
+impl Node {
+    fn leaf(d: f64) -> Node {
+        Node { sum: d, pre: d }
+    }
+
+    fn join(l: Node, r: Node) -> Node {
+        let right = l.sum + r.pre;
+        Node {
+            sum: l.sum + r.sum,
+            pre: if l.pre >= right { l.pre } else { right },
+        }
+    }
+}
+
+/// Point-update prefix-max tree over the difference array of the coverage:
+/// leaf `i` holds `coverage[i] − coverage[i − 1]`, so the prefix sums are the
+/// coverage.  Of the `n2 = max(2, next_pow2(leaves))` leaves the padding
+/// ones hold `−∞`: they sit right of every real leaf, so no prefix maximum
+/// ends in one.  Node `v` of `1..n2` joins nodes `2v` and `2v + 1`, where
+/// index `n2 + i` is leaf `i`, so the root is an internal node.
+#[derive(Debug, Default)]
+struct PrefixMaxTree {
+    leaves: usize,
+    n2: usize,
+    /// The internal nodes; index 0 is unused.
+    nodes: Vec<Node>,
+    diff: Vec<f64>,
+}
+
+impl PrefixMaxTree {
+    /// Re-dimensions the tree to `leaves` zero-coverage leaves over the
+    /// existing allocation.
+    fn reset(&mut self, leaves: usize) {
+        let n2 = leaves.next_power_of_two().max(2);
+        self.leaves = leaves;
+        self.n2 = n2;
+        self.diff.clear();
+        self.diff.resize(n2, f64::NEG_INFINITY);
+        self.diff[..leaves].fill(0.0);
+        self.nodes.clear();
+        self.nodes.resize(n2, Node::leaf(0.0));
+        for v in (n2 / 2..n2).rev() {
+            self.pull_leaves(v);
+        }
+        for v in (1..n2 / 2).rev() {
+            self.pull_nodes(v);
+        }
+    }
+
+    /// Adds `w` to the coverage of leaves `[a, b)`, `a < b`.
+    fn add(&mut self, a: usize, b: usize, w: f64) {
+        self.diff[a] += w;
+        let mut u = (a + self.n2) >> 1;
+        // The path from `b`, if `b` is a leaf; it meets `u`'s at their
+        // common ancestor, and at once if there is none.
+        let mut v = u;
+        if b < self.leaves {
+            self.diff[b] -= w;
+            v = (b + self.n2) >> 1;
+            if v != u {
+                self.pull_leaves(v);
+            }
+        }
+        self.pull_leaves(u);
+        (u, v) = (u >> 1, v >> 1);
+        while u != v {
+            self.pull_nodes(u);
+            self.pull_nodes(v);
+            (u, v) = (u >> 1, v >> 1);
+        }
+        while u >= 1 {
+            self.pull_nodes(u);
+            u >>= 1;
+        }
+    }
+
+    /// Recomputes node `v` of the level above the leaves.
+    fn pull_leaves(&mut self, v: usize) {
+        let i = 2 * v - self.n2;
+        let (l, r) = (self.diff[i], self.diff[i + 1]);
+        self.nodes[v] = Node::join(Node::leaf(l), Node::leaf(r));
+    }
+
+    /// Recomputes node `v` of a higher level.
+    fn pull_nodes(&mut self, v: usize) {
+        self.nodes[v] = Node::join(self.nodes[2 * v], self.nodes[2 * v + 1]);
+    }
+
+    /// The largest coverage of any leaf.
+    fn max(&self) -> f64 {
+        self.nodes[1].pre
+    }
+
+    /// The leftmost leaf of largest coverage.  The descent repeats the
+    /// comparison [`Node::join`] made, so it follows the root's value for
+    /// any weights.
+    fn argmax(&self) -> usize {
+        let mut v = 1;
+        while 2 * v < self.n2 {
+            let (l, r) = (self.nodes[2 * v], self.nodes[2 * v + 1]);
+            v = if l.pre >= l.sum + r.pre {
+                2 * v
+            } else {
+                2 * v + 1
+            };
+        }
+        let i = 2 * v - self.n2;
+        let (l, r) = (self.diff[i], self.diff[i + 1]);
+        if l >= l + r {
+            i
+        } else {
+            i + 1
+        }
+    }
 }
 
 /// Reusable buffers for the in-memory plane sweep.
 ///
-/// [`plane_sweep_slab`] historically re-allocated its breakpoint array, event
-/// list and segment tree for *every slab*; a `SweepPass` group or a batched
-/// query runs thousands of slabs, so the allocator showed up in profiles.  A
-/// `SweepScratch` owns all of those buffers and [`SweepScratch::sweep_into`]
-/// reuses them across calls — the kernel allocates nothing once the buffers
-/// have grown to the high-water mark.
+/// A `SweepPass` group or a batched query sweeps thousands of slabs, so the
+/// kernel must not allocate per slab.  A `SweepScratch` owns the clipped
+/// pieces, the breakpoints, the leaf ranges, the two event runs and the
+/// prefix-max tree, and [`SweepScratch::sweep_into`] reuses them across
+/// calls — the kernel allocates nothing once the buffers have grown to the
+/// high-water mark.
 ///
 /// Callers that sweep repeatedly (the stream engine, the `Runner` recursion)
 /// hold one scratch per thread; the free function [`plane_sweep_slab`] keeps
-/// its historical signature by borrowing a thread-local scratch.
+/// its signature by borrowing a thread-local scratch.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
-    clipped: Vec<RectRecord>,
+    /// The rectangles clipped to the slab, sorted by `(x_lo, x_hi)`.
+    pieces: Vec<RectRecord>,
+    /// The deduplicated breakpoints; leaf `i` is `[xs[i], xs[i + 1]]`.
     xs: Vec<f64>,
-    events: Vec<SweepEvent>,
-    tree: SegmentTree,
+    /// Per piece, its leaf range and weight.
+    spans: Vec<Span>,
+    /// `(key, piece)` pairs: the `x_hi` run, then the bottom edges.
+    order: Vec<(u64, u32)>,
+    /// `(key, piece)` pairs of the top edges.
+    tops: Vec<(u64, u32)>,
+    tree: PrefixMaxTree,
     tuples: Vec<SlabTuple>,
 }
 
@@ -76,79 +246,129 @@ impl SweepScratch {
     /// [`plane_sweep_slab`] but reuses this scratch's buffers.
     pub fn sweep_into(&mut self, rects: &[RectRecord], slab: Interval, out: &mut Vec<SlabTuple>) {
         out.clear();
-
-        // Clip to the slab and drop rectangles that fall outside it.
-        self.clipped.clear();
-        self.clipped.extend(rects.iter().filter_map(|r| {
+        self.pieces.clear();
+        self.pieces.extend(rects.iter().filter_map(|r| {
             r.rect
                 .clip_x(&slab)
                 .map(|rect| RectRecord::new(rect, r.weight))
         }));
-        if self.clipped.is_empty() {
+        if self.pieces.is_empty() {
             return;
         }
-
-        // Elementary x-intervals: between consecutive breakpoints.
-        self.xs.clear();
-        self.xs.reserve(2 * self.clipped.len() + 2);
-        self.xs.push(slab.lo);
-        self.xs.push(slab.hi);
-        for r in &self.clipped {
-            self.xs.push(r.rect.x_lo);
-            self.xs.push(r.rect.x_hi);
-        }
-        self.xs.sort_unstable_by(f64::total_cmp);
-        self.xs.dedup();
+        self.pieces.sort_unstable_by_key(|p| {
+            (total_order_bits(p.rect.x_lo), total_order_bits(p.rect.x_hi))
+        });
+        self.breakpoints(slab);
         if self.xs.len() < 2 {
             // Degenerate slab (zero width): nothing can be covered with
             // positive area.
             return;
         }
-        let xs = &self.xs;
-        let leaves = xs.len() - 1;
-        let leaf_of = |x: f64| -> u32 {
-            // Index of the breakpoint equal to x (every rectangle edge is a
-            // breakpoint).
-            xs.partition_point(|&b| b < x) as u32
+        self.tree.reset(self.xs.len() - 1);
+        self.events();
+
+        // Merge the two event runs; past its end a run reads `u64::MAX`,
+        // which is no h-line's key.
+        let (bottoms, tops) = (&self.order, &self.tops);
+        let keys = |i: usize, j: usize| {
+            let bottom = bottoms.get(i).map_or(u64::MAX, |e| e.0);
+            (bottom, tops.get(j).map_or(u64::MAX, |e| e.0))
         };
-
-        // Sweep events: +weight at the bottom edge, -weight at the top edge.
-        self.events.clear();
-        self.events.reserve(2 * self.clipped.len());
-        for r in &self.clipped {
-            let lo = leaf_of(r.rect.x_lo);
-            let hi = leaf_of(r.rect.x_hi);
-            self.events.push(SweepEvent {
-                y: r.rect.y_lo,
-                lo,
-                hi,
-                delta: r.weight,
-            });
-            self.events.push(SweepEvent {
-                y: r.rect.y_hi,
-                lo,
-                hi,
-                delta: -r.weight,
-            });
-        }
-        // Unstable sort is safe: equal-y events are commuting range-adds, and
-        // tuples are emitted only after every event of the h-line is applied.
-        self.events.sort_unstable_by(|a, b| a.y.total_cmp(&b.y));
-
-        self.tree.reset(leaves);
-        out.reserve(self.events.len());
-        let mut i = 0;
-        while i < self.events.len() {
-            let y = self.events[i].y;
-            while i < self.events.len() && self.events[i].y == y {
-                let e = self.events[i];
-                self.tree.range_add(e.lo as usize, e.hi as usize, e.delta);
-                i += 1;
+        let (mut i, mut j) = (0, 0);
+        let (mut bottom_key, mut top_key) = keys(i, j);
+        let mut y = from_total_order_bits(bottom_key.min(top_key));
+        out.reserve(bottoms.len() + tops.len());
+        while bottom_key != u64::MAX || top_key != u64::MAX {
+            // A bottom goes first on a tie; the h-line's events commute.
+            let bottom = bottom_key <= top_key;
+            let piece = if bottom { bottoms[i].1 } else { tops[j].1 };
+            let span = self.spans[piece as usize];
+            let weight = if bottom { span.weight } else { -span.weight };
+            i += usize::from(bottom);
+            j += usize::from(!bottom);
+            if span.lo < span.hi {
+                self.tree.add(span.lo as usize, span.hi as usize, weight);
             }
-            let sum = self.tree.global_max();
-            let lo = self.tree.max_leaf();
-            out.push(SlabTuple::new(y, self.xs[lo], self.xs[lo + 1], sum));
+            (bottom_key, top_key) = keys(i, j);
+            let next = from_total_order_bits(bottom_key.min(top_key));
+            if next != y {
+                // The h-line's last event is applied (past the end `next`
+                // is NaN).
+                let leaf = self.tree.argmax();
+                out.push(SlabTuple::new(
+                    y,
+                    self.xs[leaf],
+                    self.xs[leaf + 1],
+                    self.tree.max(),
+                ));
+                y = next;
+            }
         }
+    }
+
+    /// Merges the sorted `x_lo` run of the pieces and their `x_hi` run
+    /// between the slab's ends into the deduplicated breakpoints `xs`, and
+    /// records every piece's leaf range in `spans`.
+    fn breakpoints(&mut self, slab: Interval) {
+        let pieces = &self.pieces;
+        self.order.clear();
+        self.order.extend(
+            pieces
+                .iter()
+                .enumerate()
+                .map(|(p, r)| (total_order_bits(r.rect.x_hi), p as u32)),
+        );
+        // Linear when the `x_hi` values arrive sorted.
+        self.order.sort_unstable_by_key(|&(key, _)| key);
+        self.spans.clear();
+        self.spans.extend(pieces.iter().map(|r| Span {
+            lo: 0,
+            hi: 0,
+            weight: r.weight,
+        }));
+        self.xs.clear();
+        self.xs.push(slab.lo);
+        // Past its end a run reads `u64::MAX`, which is no edge's key.
+        let lo_key = |i: usize| {
+            pieces
+                .get(i)
+                .map_or(u64::MAX, |r| total_order_bits(r.rect.x_lo))
+        };
+        let hi_key = |j: usize| self.order.get(j).map_or(u64::MAX, |e| e.0);
+        let (mut i, mut j) = (0, 0);
+        for _ in 0..2 * pieces.len() {
+            let (lo, hi) = (lo_key(i), hi_key(j));
+            if lo <= hi {
+                self.spans[i].lo = place(&mut self.xs, from_total_order_bits(lo));
+                i += 1;
+            } else {
+                let piece = self.order[j].1 as usize;
+                self.spans[piece].hi = place(&mut self.xs, from_total_order_bits(hi));
+                j += 1;
+            }
+        }
+        place(&mut self.xs, slab.hi);
+    }
+
+    /// Sorts the bottom edges into `order` and the top edges into `tops`.
+    fn events(&mut self) {
+        let pieces = &self.pieces;
+        self.order.clear();
+        self.order.extend(
+            pieces
+                .iter()
+                .enumerate()
+                .map(|(p, r)| (total_order_bits(r.rect.y_lo), p as u32)),
+        );
+        self.order.sort_unstable_by_key(|&(key, _)| key);
+        self.tops.clear();
+        self.tops.extend(
+            self.order
+                .iter()
+                .map(|&(_, p)| (total_order_bits(pieces[p as usize].rect.y_hi), p)),
+        );
+        // Linear when the pieces share a height.
+        self.tops.sort_unstable_by_key(|&(key, _)| key);
     }
 
     /// Like [`SweepScratch::sweep_into`], but returns a borrow of an
@@ -160,6 +380,19 @@ impl SweepScratch {
         self.tuples = out;
         &self.tuples
     }
+}
+
+/// Appends `x` to the sorted breakpoints unless it equals the last one, and
+/// returns its index.  Of `-0.0` and `+0.0` the first in the total order
+/// stays, as a sort-then-dedup would keep it.
+fn place(xs: &mut Vec<f64>, x: f64) -> u32 {
+    let last = xs.last_mut().expect("the slab's lower end is a breakpoint");
+    if x != *last {
+        xs.push(x);
+    } else if total_order_bits(x) < total_order_bits(*last) {
+        *last = x;
+    }
+    (xs.len() - 1) as u32
 }
 
 thread_local! {
@@ -187,8 +420,8 @@ pub fn with_sweep_scratch<R>(f: impl FnOnce(&mut SweepScratch) -> R) -> R {
 /// slab are ignored.  An empty input produces an empty slab-file.
 ///
 /// Internally this borrows a thread-local [`SweepScratch`], so repeated calls
-/// on one thread reuse the breakpoint / event / segment-tree buffers; only
-/// the returned `Vec` is allocated fresh.
+/// on one thread reuse its buffers; only the returned `Vec` is allocated
+/// fresh.
 pub fn plane_sweep_slab(rects: &[RectRecord], slab: Interval) -> Vec<SlabTuple> {
     let mut out = Vec::new();
     with_sweep_scratch(|scratch| scratch.sweep_into(rects, slab, &mut out));
@@ -203,35 +436,20 @@ pub fn transform_objects(objects: &[WeightedPoint], size: RectSize) -> Vec<RectR
         .collect()
 }
 
-/// Picks the best tuple of a slab-file and converts it into a [`MaxRsResult`].
+/// Picks the best tuple of a slab-file and converts it into a [`MaxRsResult`]
+/// by the extract rule of the external path: the first tuple of the largest
+/// sum wins, and its strip ends at the next tuple's `y`.
 ///
-/// `tuples` must be in ascending y order (as produced by the sweep).  The
-/// max-region spans from the winning tuple's y to the next tuple's y.
+/// `tuples` must be in ascending y order (as produced by the sweep).
 pub fn best_region_from_tuples(tuples: &[SlabTuple]) -> Option<MaxRsResult> {
     if tuples.is_empty() {
         return None;
     }
-    let mut best_idx = 0;
-    for (i, t) in tuples.iter().enumerate() {
-        if t.sum > tuples[best_idx].sum {
-            best_idx = i;
-        }
+    let mut best = BestTuple::default();
+    for &t in tuples {
+        best.push(t);
     }
-    let best = &tuples[best_idx];
-    let y_lo = best.y;
-    let y_hi = tuples
-        .get(best_idx + 1)
-        .map(|t| t.y)
-        .filter(|&y| y > y_lo)
-        .unwrap_or(y_lo + 1.0);
-    let x = best.interval();
-    let region = Rect::new(x.lo, x.hi, y_lo, y_hi);
-    let center = Point::new(x.representative(), (y_lo + y_hi) / 2.0);
-    Some(MaxRsResult {
-        center,
-        total_weight: best.sum,
-        region,
-    })
+    Some(best.result())
 }
 
 /// Solves MaxRS entirely in memory: transform, sweep, extract the best region.
@@ -249,6 +467,7 @@ pub fn max_rs_in_memory(objects: &[WeightedPoint], size: RectSize) -> MaxRsResul
 mod tests {
     use super::*;
     use crate::reference::{brute_force_max_rs, rect_objective};
+    use maxrs_geometry::Rect;
 
     fn units(points: &[(f64, f64)]) -> Vec<WeightedPoint> {
         points

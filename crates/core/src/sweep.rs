@@ -506,8 +506,8 @@ impl<'a> Runner<'a> {
         let rects = rects?;
         deleted?;
         // Borrow the worker thread's sweep scratch: the recursion sweeps one
-        // in-memory slab after another on this thread, and the breakpoint /
-        // event / segment-tree buffers are reused across all of them.
+        // in-memory slab after another on this thread, and its buffers are
+        // reused across all of them.
         let mut writer = self.ctx.create_writer::<SlabTuple>()?;
         with_sweep_scratch(|scratch| -> Result<()> {
             for t in scratch.sweep(&rects, slab) {

@@ -14,6 +14,10 @@ use crate::{BlockDevice, EmError, FileId, IoSnapshot, IoStats, Result};
 /// both temp-directory names and per-device file-name prefixes).
 static DEVICE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// The live devices of each directory in use, by canonical path: how many
+/// there are, and whether a device created the directory.
+static DIRECTORIES: Mutex<Option<HashMap<PathBuf, (usize, bool)>>> = Mutex::new(None);
+
 /// One backing file: its open handle plus the logical block count.  The
 /// handle sits behind an `Arc` so block transfers can run outside the
 /// directory lock (the lock is held only to look the handle up).
@@ -73,22 +77,23 @@ fn pwrite(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
 ///
 /// # RAII
 ///
-/// Dropping the device removes every backing file, and the directory too when
-/// the device created it (the default temp-directory constructor, or a
-/// [`new_in`](FsDisk::new_in) path that did not exist yet) and nothing else
-/// is left in it.  A pre-existing directory passed to `new_in` is left in
-/// place with only the device's own block files removed.
+/// Dropping the device removes every backing file.  A directory a device
+/// created (the default temp-directory constructor, or a
+/// [`new_in`](FsDisk::new_in) path that did not exist yet) goes too, when
+/// the last device using it drops and nothing else is left in it.  A
+/// directory that existed before any device used it stays, with only the
+/// devices' own block files removed.
 ///
 /// Several devices may share one directory: every device names its files
 /// with a process- and instance-unique prefix, so they never truncate or
-/// unlink each other's data, and each drop removes only its own files.  The
-/// device that created a shared directory removes it only if it is empty by
-/// then, so the other devices keep working after it drops.
+/// unlink each other's data, and each drop removes only its own files, so
+/// the other devices keep working whichever drops first.
 #[derive(Debug)]
 pub struct FsDisk {
     block_size: usize,
     dir: PathBuf,
-    owns_dir: bool,
+    /// The canonical path under which [`DIRECTORIES`] counts this device.
+    dir_key: PathBuf,
     /// Process- and instance-unique file-name prefix, so devices sharing a
     /// directory cannot clobber each other's backing files.
     prefix: String,
@@ -110,17 +115,26 @@ impl FsDisk {
     }
 
     /// Creates a device storing its files under `dir` (created if missing;
-    /// removed on drop only if this call created it and no other files
+    /// then removed when the last device using it drops, if no other files
     /// remain in it).
     pub fn new_in(dir: impl AsRef<Path>, block_size: usize) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let owns_dir = !dir.exists();
-        Self::create(block_size, dir, owns_dir)
+        Self::create(block_size, dir.as_ref().to_path_buf(), false)
     }
 
-    fn create(block_size: usize, dir: PathBuf, owns_dir: bool) -> Result<Self> {
+    /// Creates the device and counts it under `dir`, which a device created
+    /// if it did not exist or `created` is set.
+    fn create(block_size: usize, dir: PathBuf, created: bool) -> Result<Self> {
         assert!(block_size > 0, "block size must be positive");
+        let mut directories = DIRECTORIES.lock();
+        let created = created || !dir.exists();
         std::fs::create_dir_all(&dir).map_err(io_err)?;
+        let dir_key = std::fs::canonicalize(&dir).map_err(io_err)?;
+        directories
+            .get_or_insert_with(HashMap::new)
+            .entry(dir_key.clone())
+            .or_insert((0, created))
+            .0 += 1;
+        drop(directories);
         let prefix = format!(
             "blk-{}-{}",
             std::process::id(),
@@ -129,7 +143,7 @@ impl FsDisk {
         Ok(FsDisk {
             block_size,
             dir,
-            owns_dir,
+            dir_key,
             prefix,
             files: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
@@ -280,10 +294,20 @@ impl Drop for FsDisk {
             drop(file);
             let _ = std::fs::remove_file(path);
         }
-        if self.owns_dir {
-            // Not `remove_dir_all`: other devices may still keep their files
-            // in a directory this one created; it goes once it is empty.
-            let _ = std::fs::remove_dir(&self.dir);
+        drop(files);
+        let mut directories = DIRECTORIES.lock();
+        let map = directories.get_or_insert_with(HashMap::new);
+        if let Some((live, created)) = map.get_mut(&self.dir_key) {
+            *live -= 1;
+            if *live == 0 {
+                let created = *created;
+                map.remove(&self.dir_key);
+                if created {
+                    // Not `remove_dir_all`: a file no device made stays, and
+                    // so does the directory holding it.
+                    let _ = std::fs::remove_dir(&self.dir_key);
+                }
+            }
         }
     }
 }
@@ -451,20 +475,34 @@ mod tests {
         std::fs::remove_dir_all(&base).unwrap();
     }
 
-    #[test]
-    fn the_device_that_created_a_shared_directory_drops_first() {
-        let base = std::env::temp_dir().join(format!(
-            "maxrs-fsdisk-created-{}-{}",
+    /// A directory path under the temp directory that does not exist yet.
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "maxrs-fsdisk-{tag}-{}-{}",
             std::process::id(),
             DEVICE_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        assert!(!base.exists());
-        let creator = FsDisk::new_in(&base, 32).unwrap();
-        let fc = creator.create_file().unwrap();
-        creator.write_block(fc, 0, &[1u8; 32]).unwrap();
-        let other = FsDisk::new_in(&base, 32).unwrap();
-        let before = other.create_file().unwrap();
-        other.write_block(before, 0, &[2u8; 32]).unwrap();
+        assert!(!dir.exists());
+        dir
+    }
+
+    /// Two devices in `base`, each holding one written block: the first
+    /// device made there, then the second.
+    fn two_devices_in(base: &Path) -> (FsDisk, FsDisk) {
+        let first = FsDisk::new_in(base, 32).unwrap();
+        let f = first.create_file().unwrap();
+        first.write_block(f, 0, &[1u8; 32]).unwrap();
+        let second = FsDisk::new_in(base, 32).unwrap();
+        let f = second.create_file().unwrap();
+        second.write_block(f, 0, &[2u8; 32]).unwrap();
+        (first, second)
+    }
+
+    #[test]
+    fn the_device_that_created_a_shared_directory_drops_first() {
+        let base = fresh_dir("created");
+        let (creator, other) = two_devices_in(&base);
+        let before = FileId(0);
 
         drop(creator);
         // The other device's files, and the directory holding them, survive
@@ -478,8 +516,31 @@ mod tests {
         assert_eq!(out[0], 3);
         assert_eq!(block_files_in(&base), 2);
 
+        // The last device out removes the directory a device created.
         drop(other);
-        assert_eq!(block_files_in(&base), 0);
-        let _ = std::fs::remove_dir_all(&base);
+        assert!(!base.exists(), "the created directory outlived its devices");
+    }
+
+    #[test]
+    fn the_device_that_created_a_shared_directory_drops_last() {
+        let base = fresh_dir("created-last");
+        let (creator, other) = two_devices_in(&base);
+        drop(other);
+        assert!(base.exists(), "the creator still uses the directory");
+        assert_eq!(block_files_in(&base), 1);
+        drop(creator);
+        assert!(!base.exists(), "the created directory outlived its devices");
+    }
+
+    #[test]
+    fn a_preexisting_shared_directory_outlives_every_device() {
+        let base = fresh_dir("preexisting");
+        std::fs::create_dir_all(&base).unwrap();
+        let (first, second) = two_devices_in(&base);
+        drop(first);
+        drop(second);
+        assert!(base.exists(), "a directory no device created stays");
+        assert_eq!(block_files_in(&base), 0, "block files are removed");
+        std::fs::remove_dir(&base).unwrap();
     }
 }

@@ -9,7 +9,7 @@
 //! live object is routed to the cells its transformed rectangle overlaps with
 //! positive width — at most two cells under the default width, so an event
 //! dirties `O(1)` cells.  Each cell caches the result of running the
-//! *existing* plane-sweep / segment-tree machinery
+//! *existing* plane-sweep kernel
 //! ([`maxrs_core::plane_sweep_slab`]) over its members,
 //! clipped to the cell's x-interval: the cell's maximum location-weight, the
 //! first sweep `y` attaining it and the winning elementary x-interval.
@@ -143,7 +143,7 @@ pub struct StreamEngine {
     x_edges: FloatMultiset,
     /// Multiset of every live rectangle's sweep event y's.
     y_events: FloatMultiset,
-    /// Reusable plane-sweep buffers (breakpoints, events, segment tree) —
+    /// Reusable plane-sweep buffers (breakpoints, events, prefix-max tree) —
     /// cell re-sweeps allocate nothing once these reach their high-water
     /// mark.
     scratch: SweepScratch,

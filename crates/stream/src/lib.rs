@@ -5,8 +5,8 @@
 //! deletes, moving objects, decaying sliding windows.  A [`StreamEngine`]
 //! ingests timestamped [`Event`]s and maintains the current MaxRS (or top-k)
 //! answer **incrementally** — every event dirties `O(1)` grid cells, and an
-//! [`answer`](StreamEngine::answer) call re-runs the existing plane-sweep /
-//! segment-tree machinery only over dirty cells whose weight bound can still
+//! [`answer`](StreamEngine::answer) call re-runs the existing plane-sweep
+//! kernel only over dirty cells whose weight bound can still
 //! beat the incumbent, instead of recomputing the world.
 //!
 //! Answers are **bit-identical** to a from-scratch

@@ -7,12 +7,21 @@
 #   maxrs-benchmark --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0
 # alternating the order: the parent runs first on odd pairs, the change first
 # on even ones.  For every end-to-end metric of the change's BENCHMARK.json it
-# prints both sides' medians and quartiles (linear interpolation) and the
-# pairs the change won (by the metric's "better" direction; ties count for
-# neither).  It also prints each side's failed operations and whether its
-# exact I/O counts (the provenance line's "exact" record) repeated in every
-# run.  The two output lines of every run are kept in a temporary directory
-# whose path is printed last.
+# prints both sides' medians and quartiles (linear interpolation), the pairs
+# the change won (by the metric's "better" direction; ties count for
+# neither) and a verdict, checked in this order:
+#   gain              the change won at least 9 of 10 pairs and its median is
+#                     better by more than the parent's quartile spread;
+#   unresolved        the parent's quartile spread exceeds the metric's bound
+#                     (relative to its median) and not every change run beats
+#                     every parent run;
+#   worse than bound  the change's median is worse than the parent's by more
+#                     than the bound;
+#   within bound      otherwise.
+# It also prints each side's failed operations and whether its exact I/O
+# counts (the provenance line's "exact" record) repeated in every run.  The
+# two output lines of every run are kept in a temporary directory whose path
+# is printed last.
 #
 # Usage: scripts/ab_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED SECONDS PAIRS
 #   e.g. scripts/ab_pairs.sh ../parent . tiny-buffer 1 20 10
@@ -20,7 +29,7 @@
 set -eu
 
 if [ "$#" -ne 6 ]; then
-    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -88,9 +97,25 @@ def summary(values):
     return q2, q1, q3
 
 
+def verdict(parent, change, better, bound, won):
+    """One metric's verdict, by the rule in the header of this script."""
+    sign = 1 if better == "lower" else -1
+    (p_med, p_q1, p_q3), (c_med, _, _) = summary(parent), summary(change)
+    spread = p_q3 - p_q1
+    gain = sign * (p_med - c_med)
+    if won * 10 >= 9 * pairs and gain > spread:
+        return "gain"
+    every_run_better = all(sign * (p - c) > 0 for p in parent for c in change)
+    if spread > bound * abs(p_med) and not every_run_better:
+        return "unresolved"
+    if -gain > bound * abs(p_med):
+        return "worse than bound"
+    return "within bound"
+
+
 print(f"workload {workload}, seed {seed}, {seconds}-s runs, {pairs} pairs "
       "(parent first on odd pairs); median [q1, q3]")
-print(f"{'metric':<22} {'parent':>32} {'change':>32} {'change won':>12}")
+print(f"{'metric':<22} {'parent':>32} {'change':>32} {'change won':>12}  verdict")
 for m in metrics:
     name, better = m["name"], m["better"]
     vals = {s: [r[1]["metrics"].get(name, {}).get("value") for r in runs[s]]
@@ -104,7 +129,8 @@ for m in metrics:
     for s in ("parent", "change"):
         med, q1, q3 = summary(vals[s])
         cells.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
-    print(f"{name:<22} {cells[0]:>32} {cells[1]:>32} {won:>5} of {pairs}")
+    ruling = verdict(vals["parent"], vals["change"], better, m["bound"], won)
+    print(f"{name:<22} {cells[0]:>32} {cells[1]:>32} {won:>5} of {pairs}  {ruling}")
 for s in ("parent", "change"):
     failed = sum(r[1]["failed"] for r in runs[s])
     attempted = sum(r[1]["attempted"] for r in runs[s])
