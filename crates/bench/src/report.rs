@@ -129,34 +129,6 @@ impl FigureReport {
         out
     }
 
-    /// Renders the report as CSV.
-    pub fn to_csv(&self) -> String {
-        let xs = self.x_values();
-        let mut out = String::new();
-        out.push_str(&self.x_label.replace(',', ";"));
-        for s in &self.series {
-            out.push(',');
-            out.push_str(&s.name.replace(',', ";"));
-        }
-        out.push('\n');
-        for x in xs {
-            out.push_str(&format!("{x}"));
-            for s in &self.series {
-                out.push(',');
-                if let Some(v) = s.value_at(x) {
-                    out.push_str(&format!("{v}"));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the report as pretty JSON.
-    pub fn to_json(&self) -> String {
-        self.to_value().to_pretty_string()
-    }
-
     /// Converts the report into a JSON document.
     pub fn to_value(&self) -> Value {
         Value::object(vec![
@@ -232,11 +204,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_roundtrip() {
+    fn json_rendering() {
         let r = sample();
-        let csv = r.to_csv();
-        assert!(csv.starts_with("N,Naive,ExactMaxRS"));
-        assert_eq!(csv.lines().count(), 3);
         let expected = r#"{
   "id": "fig12a",
   "title": "I/O vs cardinality",
@@ -271,7 +240,7 @@ mod tests {
     }
   ]
 }"#;
-        assert_eq!(r.to_json(), expected);
+        assert_eq!(r.to_value().to_pretty_string(), expected);
     }
 
     #[test]

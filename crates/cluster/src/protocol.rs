@@ -126,8 +126,8 @@ pub enum Request {
         /// Circle diameter.
         diameter: f64,
     },
-    /// Fetch every hosted shard's object records (degenerate MinRS and
-    /// defensive fallbacks delegate to in-memory code on the coordinator).
+    /// Fetch every hosted shard's object records (a degenerate-domain MinRS
+    /// delegates to in-memory code on the coordinator).
     FetchObjects,
 }
 

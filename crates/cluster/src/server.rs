@@ -131,7 +131,7 @@ impl ShardServer {
     pub fn handle(&self, request: &Request) -> Response {
         let before = self.stats_total();
         match self.dispatch(request) {
-            Ok(resp) => resp.with_io(self.stats_total().delta(&before)),
+            Ok(resp) => resp.with_io(self.stats_total().since(&before)),
             Err(e) => Response::Error {
                 message: e.to_string(),
             },

@@ -36,7 +36,7 @@
 //! cannot drift apart.
 //!
 //! On a single file, independent groups execute concurrently on the
-//! [`parallel_map`](crate::parallel::parallel_map()) worker pool; the sharded
+//! [`parallel_map`](crate::parallel::parallel_map()) worker pool; the atomic
 //! [`IoStats`](maxrs_em::IoStats) keep the global count exact, and
 //! [`measure_thread_io`](maxrs_em::measure_thread_io()) attributes each group's
 //! transfers to its queries.  Answers are **bit-identical** to per-query
@@ -75,7 +75,7 @@
 use std::collections::HashMap;
 
 use maxrs_em::{measure_thread_io, EmContext, IoSnapshot, TupleFile};
-use maxrs_geometry::{range_sum_rect, Interval, Point, Rect, RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
 
 use crate::approx::{best_candidate, candidate_points, evaluate_candidates};
 use crate::engine::ExecutionStrategy;
@@ -86,7 +86,7 @@ use crate::parallel::parallel_map;
 use crate::query::{Query, QueryAnswer, QueryRun};
 use crate::records::{ObjectRecord, SlabTuple};
 use crate::result::{MaxCrsResult, MaxRsResult};
-use crate::sweep::{extract_best, next_breakpoint_after, BestTuple, SweepPass};
+use crate::sweep::{extract_best, next_breakpoint_after, solve_rects, transform, BestTuple};
 
 /// A validated slice of queries planned into shared sweep groups.
 ///
@@ -262,7 +262,9 @@ pub trait SweepHost {
         diameter: f64,
     ) -> std::result::Result<Vec<f64>, Self::Error>;
 
-    /// Every object, in the host's object order.
+    /// Every object, in the host's object order: what a degenerate-domain
+    /// MinRS (a point or a segment of admissible centers) hands the
+    /// in-memory delegate.  No other group reads it.
     fn objects(&self) -> std::result::Result<Vec<WeightedPoint>, Self::Error>;
 
     /// Blocks moved on the host so far; the driver meters each phase as a
@@ -270,18 +272,24 @@ pub trait SweepHost {
     fn io(&self) -> IoSnapshot;
 }
 
-/// The host over one object file swept by a [`SweepPass`]: what
-/// [`PreparedDataset`](crate::PreparedDataset) and
-/// [`DeltaDataset`](crate::DeltaDataset) run on, and what
-/// [`SweepPass::max_rs`] runs on for a single query.
+/// The host over one object file: the one local sweep host.  Every local
+/// query runs on it — through [`PreparedDataset`](crate::PreparedDataset),
+/// which [`MaxRsEngine::run_batch`](crate::MaxRsEngine::run_batch) and
+/// [`DeltaDataset`](crate::DeltaDataset) answer through — and so does
+/// [`SweepPass::max_rs`](crate::sweep::SweepPass::max_rs) for a single query.
 pub(crate) struct FileHost<'a> {
-    pass: SweepPass<'a>,
+    ctx: &'a EmContext,
+    opts: ExactMaxRsOptions,
     objects: &'a TupleFile<ObjectRecord>,
 }
 
 impl<'a> FileHost<'a> {
-    pub(crate) fn new(pass: SweepPass<'a>, objects: &'a TupleFile<ObjectRecord>) -> Self {
-        FileHost { pass, objects }
+    pub(crate) fn new(
+        ctx: &'a EmContext,
+        opts: ExactMaxRsOptions,
+        objects: &'a TupleFile<ObjectRecord>,
+    ) -> Self {
+        FileHost { ctx, opts, objects }
     }
 }
 
@@ -293,9 +301,12 @@ impl SweepHost for FileHost<'_> {
     }
 
     fn scratch(&self) -> &EmContext {
-        self.pass.ctx()
+        self.ctx
     }
 
+    /// The transform scan, then the recursion over `root` on up to
+    /// `opts.parallelism` workers (capped by the buffer,
+    /// [`ExactMaxRsOptions::effective_parallelism`]).
     fn sweep(
         &self,
         size: RectSize,
@@ -304,12 +315,9 @@ impl SweepHost for FileHost<'_> {
         suppressed: &[Rect],
         band: Interval,
     ) -> Result<TupleFile<SlabTuple>> {
-        self.pass
-            .with_weight_scale(weight_scale)
-            .with_root(root)
-            .with_suppressed(suppressed)
-            .with_band(band)
-            .slab_file(self.objects, size)
+        let rects = transform(self.ctx, self.objects, size, weight_scale, suppressed, band)?;
+        let workers = self.opts.effective_parallelism(self.ctx.config());
+        solve_rects(self.ctx, &self.opts, rects, root, false, workers)
     }
 
     fn next_breakpoint(
@@ -319,20 +327,20 @@ impl SweepHost for FileHost<'_> {
         suppressed: &[Rect],
         x: f64,
     ) -> Result<f64> {
-        next_breakpoint_after(self.pass.ctx(), self.objects, size, root, suppressed, x)
+        next_breakpoint_after(self.ctx, self.objects, size, root, suppressed, x)
     }
 
     fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
-        evaluate_candidates(self.pass.ctx(), self.objects, candidates, diameter)
+        evaluate_candidates(self.ctx, self.objects, candidates, diameter)
     }
 
     fn objects(&self) -> Result<Vec<WeightedPoint>> {
-        let records = self.pass.ctx().read_all(self.objects)?;
+        let records = self.ctx.read_all(self.objects)?;
         Ok(records.iter().map(|r| r.0).collect())
     }
 
     fn io(&self) -> IoSnapshot {
-        self.pass.ctx().stats()
+        self.ctx.stats()
     }
 }
 
@@ -352,11 +360,10 @@ pub fn run_on_host<H: SweepHost>(
     collect_runs(batch, outcomes, strategy, workers)
 }
 
-/// Executes a planned batch over an object file in any order (the retained
-/// file of a [`PreparedDataset`](crate::PreparedDataset), the net file of a
-/// [`DeltaDataset`](crate::DeltaDataset)): one
-/// kernel pass per sweep group, groups concurrent on the `parallel_map` pool
-/// when more than one group and more than one worker exist.  `strategy` is
+/// Executes a planned batch over the retained object file (in any order)
+/// of an external [`PreparedDataset`](crate::PreparedDataset): one kernel
+/// pass per sweep group, groups concurrent on the `parallel_map` pool when
+/// more than one group and more than one worker exist.  `strategy` is
 /// the external strategy and worker count
 /// [`MaxRsEngine::select_strategy`](crate::MaxRsEngine::select_strategy)
 /// picked for the file, reported on every run.  Reports I/O per query under
@@ -380,7 +387,7 @@ pub(crate) fn run_batch_external(
             parallelism: 1,
             ..*base
         };
-        let host = FileHost::new(SweepPass::new(ctx, &group_opts), objects);
+        let host = FileHost::new(ctx, group_opts, objects);
         let outcomes = parallel_map(
             workers.min(batch.groups.len()),
             batch.groups.iter().collect(),
@@ -392,7 +399,7 @@ pub(crate) fn run_batch_external(
             parallelism: workers,
             ..*base
         };
-        let host = FileHost::new(SweepPass::new(ctx, &exact_opts), objects);
+        let host = FileHost::new(ctx, exact_opts, objects);
         run_on_host(&host, batch, strategy, workers)
     }
 }
@@ -426,7 +433,7 @@ fn measured<H: SweepHost, R>(
         Meter::Host => {
             let before = host.io();
             let out = f()?;
-            Ok((out, host.io().delta(&before)))
+            Ok((out, host.io().since(&before)))
         }
     }
 }
@@ -538,9 +545,8 @@ fn shared_group<H: SweepHost>(
 
     // The shared phase: the full pipeline once, charged to the leader.  Its
     // slab-file outlives it when later top-k rounds splice into it.
-    let ((best, slab_file), shared_io) = measured(host, meter, || {
-        placement(host, size, 1.0, Interval::UNBOUNDED, &[], max_k > 1)
-    })?;
+    let ((best, slab_file), shared_io) =
+        measured(host, meter, || placement(host, size, max_k > 1))?;
     let (rounds, rounds_io) = measured(host, meter, || {
         top_k_rounds(host, size, max_k, best, slab_file)
     })?;
@@ -662,7 +668,7 @@ fn next_round<H: SweepHost>(
         }
         return Err(CoreError::from(e).into());
     }
-    finish_round(host, size, Interval::UNBOUNDED, suppressed, best, kept)
+    finish_round(host, size, suppressed, best, kept)
 }
 
 /// Canonicalizes a round's best and pairs it with `kept`, the round's
@@ -670,12 +676,11 @@ fn next_round<H: SweepHost>(
 fn finish_round<H: SweepHost>(
     host: &H,
     size: RectSize,
-    root: Interval,
     suppressed: &[Rect],
     best: MaxRsResult,
     kept: Option<TupleFile<SlabTuple>>,
 ) -> std::result::Result<(MaxRsResult, Option<TupleFile<SlabTuple>>), H::Error> {
-    match canonicalize(host, size, root, suppressed, best) {
+    match canonicalize(host, size, suppressed, best) {
         Ok(best) => Ok((best, kept)),
         Err(e) => {
             if let Some(file) = kept {
@@ -823,17 +828,11 @@ fn finalize_min_rs<H: SweepHost>(
     domain: Rect,
     best: Option<MinStrip>,
 ) -> std::result::Result<MaxRsResult, H::Error> {
-    let Some((negated_sum, x, y, from_tuple)) = best else {
-        // Unreachable for a non-degenerate domain (the strips partition the
-        // plane, so one of them clips to positive height), but kept as a
-        // mirror of the in-memory fallback: evaluate the domain center.
-        let center = domain.center();
-        return Ok(MaxRsResult {
-            center,
-            total_weight: range_sum_rect(&host.objects()?, center, size),
-            region: domain,
-        });
-    };
+    // Degenerate domains never reach the strip scan, and the strips below,
+    // between and above the h-lines cover a positive-height y-range, so one
+    // of them clips to a positive height.
+    let (negated_sum, x, y, from_tuple) =
+        best.expect("a domain of positive height keeps a strip of positive height");
     let x = if from_tuple {
         canonical_x(host, size, slab, &[], x.lo)?
     } else {
@@ -854,30 +853,29 @@ fn finalize_min_rs<H: SweepHost>(
 }
 
 /// One MaxRS pass on `host` — sweep, extract the best tuple, canonicalize —
-/// in the block sequence of the kernel's stages.
+/// in the block sequence of the kernel's stages; the empty result, at zero
+/// I/O, when the host holds no objects.
 pub(crate) fn best_placement<H: SweepHost>(
     host: &H,
     size: RectSize,
-    weight_scale: f64,
-    root: Interval,
-    suppressed: &[Rect],
 ) -> std::result::Result<MaxRsResult, H::Error> {
-    placement(host, size, weight_scale, root, suppressed, false).map(|(best, _)| best)
+    if host.is_empty() {
+        return Ok(MaxRsResult::empty());
+    }
+    placement(host, size, false).map(|(best, _)| best)
 }
 
-/// [`best_placement`], keeping the slab-file for the next top-k round when
-/// `keep` and the best weight is positive.  Otherwise the file is deleted
-/// before canonicalization, as a lone pass does.
+/// [`best_placement`] of a non-empty host, keeping the slab-file for the
+/// next top-k round when `keep` and the best weight is positive.  Otherwise
+/// the file is deleted before canonicalization, as a lone pass does.
 fn placement<H: SweepHost>(
     host: &H,
     size: RectSize,
-    weight_scale: f64,
-    root: Interval,
-    suppressed: &[Rect],
     keep: bool,
 ) -> std::result::Result<(MaxRsResult, Option<TupleFile<SlabTuple>>), H::Error> {
     let ctx = host.scratch();
-    let slab_file = host.sweep(size, weight_scale, root, suppressed, Interval::UNBOUNDED)?;
+    let all = Interval::UNBOUNDED;
+    let slab_file = host.sweep(size, 1.0, all, &[], all)?;
     let best = extract_best(ctx, &slab_file);
     let kept = match &best {
         Ok(best) if keep && best.total_weight > 0.0 => Some(slab_file),
@@ -886,16 +884,15 @@ fn placement<H: SweepHost>(
             None
         }
     };
-    finish_round(host, size, root, suppressed, best?, kept)
+    finish_round(host, size, &[], best?, kept)
 }
 
-/// Stage 4b of the kernel on any host: gives a sweep result the canonical
-/// x-interval of its arrangement cell (see [`crate::sweep`], "Canonical
-/// max-regions").
+/// Stage 4 of the kernel on any host: gives the result of a pass over the
+/// unbounded root the canonical x-interval of its arrangement cell (see
+/// [`crate::sweep`], "Canonical max-regions").
 pub(crate) fn canonicalize<H: SweepHost>(
     host: &H,
     size: RectSize,
-    root: Interval,
     suppressed: &[Rect],
     result: MaxRsResult,
 ) -> std::result::Result<MaxRsResult, H::Error> {
@@ -903,7 +900,13 @@ pub(crate) fn canonicalize<H: SweepHost>(
         // The empty-dataset sentinel; nothing to widen.
         return Ok(result);
     }
-    let x = canonical_x(host, size, root, suppressed, result.region.x_lo)?;
+    let x = canonical_x(
+        host,
+        size,
+        Interval::UNBOUNDED,
+        suppressed,
+        result.region.x_lo,
+    )?;
     Ok(MaxRsResult {
         center: Point::new(x.representative(), result.center.y),
         total_weight: result.total_weight,
@@ -942,10 +945,10 @@ mod tests {
         let ctx = EmContext::new(EmConfig::new(1024, 8 * 1024).unwrap());
         let file = load_objects(&ctx, objects).unwrap();
         let opts = ExactMaxRsOptions::sequential();
-        let host = FileHost::new(SweepPass::new(&ctx, &opts), &file);
+        let host = FileHost::new(&ctx, opts, &file);
         let all = Interval::UNBOUNDED;
         let key = |t: &SlabTuple| (t.y, t.sum, t.x_lo);
-        let (mut best, mut slab_file) = placement(&host, size, 1.0, all, &[], true).unwrap();
+        let (mut best, mut slab_file) = placement(&host, size, true).unwrap();
         let mut suppressed = Vec::new();
         for round in 2..rounds + 2 {
             suppressed.push(Rect::centered_at(best.center, size));

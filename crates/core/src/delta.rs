@@ -8,12 +8,14 @@
 //! arrival order, deletions of base-resident objects as a tombstone multiset
 //! — and every [`Query`] variant is answered over the **net file**: the base
 //! minus its tombstones followed by the delta inserts, written in one read
-//! of the base and one write.  No stage of the
-//! [`SweepPass`](crate::sweep::SweepPass) kernel reads the order of its
-//! input, so nothing is ever sorted, and canonical max-regions (see
-//! [`crate::sweep`]) make the answers bit-identical to preparing the net
-//! survivor set from scratch — the property the `delta_determinism`
-//! differential suite replays ≥10k-event sequences to enforce.
+//! of the base and one write.  A query batch runs on a
+//! [`snapshot`](DeltaDataset::snapshot), a [`PreparedDataset`] of the net
+//! file in a fresh context, through the one local query path.  No stage of
+//! the sweep kernel ([`crate::sweep`]) reads the order of its input, so
+//! nothing is ever sorted, and canonical max-regions make the answers
+//! bit-identical to preparing the net survivor set from scratch — the
+//! property the `delta_determinism` differential suite replays ≥10k-event
+//! sequences to enforce.
 //!
 //! # Compaction
 //!
@@ -48,8 +50,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use maxrs_em::{EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::WeightedPoint;
 
-use crate::batch::{run_batch_external, QueryBatch};
-use crate::engine::{runs_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
+use crate::batch::QueryBatch;
+use crate::engine::{EngineOptions, ExecutionStrategy, MaxRsEngine};
 use crate::error::{CoreError, Result};
 use crate::events::{Event, EventOutcome, LiveRecord, LiveSet};
 use crate::prepared::PreparedDataset;
@@ -166,10 +168,12 @@ impl DeltaDataset {
 
     /// [`new`](DeltaDataset::new) on a context the caller built — say, over
     /// a block device of its choice ([`EmContext::with_device`]) — the
-    /// delta's analogue of [`MaxRsEngine::prepare_file`].  The base run, the
-    /// per-query net files and the compactions live in `ctx`, whose
-    /// configuration also sets the in-memory cutoff and the snapshots'
-    /// contexts; the engine contributes the rest of its options.
+    /// delta's analogue of [`MaxRsEngine::prepare_file`].  The base run and
+    /// the compactions live in `ctx`, whose configuration also sets the
+    /// in-memory cutoff and the snapshots' contexts; each query batch reads
+    /// the base from `ctx` into a snapshot of its own context, so no query
+    /// leaves a file in `ctx`.  The engine contributes the rest of its
+    /// options.
     pub fn with_context(
         engine: &MaxRsEngine,
         options: DeltaOptions,
@@ -297,9 +301,9 @@ impl DeltaDataset {
         Ok(runs.pop().expect("one run per query"))
     }
 
-    /// Answers a batch of queries in shared sweep passes over the **net
-    /// file** (module docs), written once per batch; with an empty delta the
-    /// base run is swept directly.  Answers are bit-identical to a
+    /// Answers a batch of queries in shared sweep passes over a
+    /// [`snapshot`](DeltaDataset::snapshot) of the net dataset, taken for
+    /// this batch and dropped after it.  Answers are bit-identical to a
     /// from-scratch [`MaxRsEngine::prepare`] over
     /// [`survivors`](DeltaDataset::survivors) — canonical max-regions make
     /// them independent of the file's order.
@@ -310,32 +314,7 @@ impl DeltaDataset {
     /// [`run_batch`](DeltaDataset::run_batch) for a pre-planned
     /// [`QueryBatch`].
     pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
-        let strategy =
-            MaxRsEngine::with_options(self.opts).select_strategy(self.len(), self.ctx.config())?;
-        if strategy.0 == ExecutionStrategy::InMemory {
-            // Mirror `prepare`: small nets are answered in memory at zero
-            // I/O (bit-identical either way, by canonicalization).
-            return Ok(runs_in_memory(&self.survivors(), batch));
-        }
-        let net_file = if self.delta_len() == 0 {
-            None
-        } else {
-            Some(self.build_net(&self.ctx)?)
-        };
-        let file = match &net_file {
-            Some(f) => f,
-            None => self.base.as_ref().expect("base present until drop"),
-        };
-        let runs = run_batch_external(&self.ctx, file, batch, strategy, &self.opts.exact);
-        if let Some(f) = net_file {
-            // Delete the per-query net file before propagating any run
-            // error, so failed queries leave no orphans.
-            let deleted = self.ctx.delete_file(f);
-            let runs = runs?;
-            deleted?;
-            return Ok(runs);
-        }
-        runs
+        self.snapshot()?.run_planned(batch)
     }
 
     /// Propagates the delta into the base: the net file (module docs) is
@@ -637,7 +616,7 @@ mod tests {
             assert!(ctx_probe > 0);
         }
         // The context died with the dataset; nothing to leak.  The stronger
-        // invariant — net files never outlive their query — is
+        // invariant — a query leaves no file beside the base run — is
         // asserted against a live context:
         let mut delta = DeltaDataset::new(&engine, DeltaOptions::default()).unwrap();
         delta.apply(&insert_events(400, 11)).unwrap();
@@ -663,7 +642,7 @@ mod tests {
         let query = Query::max_rs(RectSize::square(100.0));
         delta.run(&query).unwrap();
         delta.context().flush_all().unwrap();
-        assert_eq!(delta.context().num_files(), files, "net file leaked");
+        assert_eq!(delta.context().num_files(), files, "a query left a file");
         assert_eq!(delta.context().disk_blocks(), baseline, "blocks leaked");
     }
 }

@@ -34,7 +34,6 @@ use crate::error::{EngineError, Result};
 use crate::exact::ExactMaxRsOptions;
 use crate::extensions::{max_k_rs_in_memory, min_rs_in_memory};
 use crate::plane_sweep::max_rs_in_memory;
-use crate::prepared::PreparedDataset;
 use crate::query::{Query, QueryAnswer, QueryRun};
 use crate::records::{ObjectRecord, RectRecord};
 
@@ -299,27 +298,19 @@ impl MaxRsEngine {
     /// per-query [`run`](MaxRsEngine::run) calls on the same data for any
     /// weights; runs come back in query order.
     ///
-    /// The in-memory strategy answers straight from the borrowed slice.  The
-    /// external strategies load the objects into a fresh context and answer
-    /// through a [`PreparedDataset`]; its one-time preparation I/O (the
-    /// object file's flush) and each group's shared pass are attributed to
-    /// the first query they serve, so the runs' I/O sums to the true total
-    /// (see [`crate::batch`], "I/O attribution").
+    /// The batch runs on a throwaway [`prepare`](MaxRsEngine::prepare) of the
+    /// objects: an in-memory dataset keeps a copy of the slice, an external
+    /// one is loaded into a fresh context.  The one-time preparation I/O
+    /// (the object file's flush) and each group's shared pass are attributed
+    /// to the first query they serve, so the runs' I/O sums to the true
+    /// total (see [`crate::batch`], "I/O attribution").
     pub fn run_batch(&self, objects: &[WeightedPoint], queries: &[Query]) -> Result<Vec<QueryRun>> {
         let batch = QueryBatch::new(queries)?;
         if batch.is_empty() {
             // Nothing to answer: don't prepare for no one.
             return Ok(Vec::new());
         }
-        let strategy = self.select_strategy(objects.len() as u64, self.opts.em_config)?;
-        if strategy.0 == ExecutionStrategy::InMemory {
-            // Answer directly from the borrowed slice: building a throwaway
-            // prepared dataset here would copy the whole dataset per call
-            // for no benefit.
-            return Ok(runs_in_memory(objects, &batch));
-        }
-        let ctx = Box::new(EmContext::new(self.opts.em_config));
-        let prepared = PreparedDataset::load_owned(self.opts, ctx, objects, strategy)?;
+        let prepared = self.prepare(objects)?;
         let mut runs = prepared.run_planned(&batch)?;
         if let Some(first) = runs.first_mut() {
             first.io = first.io + prepared.prepare_io();

@@ -21,13 +21,14 @@
 //! reads the input's order and nothing is sorted by x; the recursion, and
 //! with it the `O((N/B) log_{M/B}(N/B))` bound, is the same.
 //!
-//! All stages live in the **sweep kernel** ([`crate::sweep::SweepPass`]);
-//! this module keeps the classic entry point [`exact_max_rs`] — one kernel
-//! pass with identity weights over an unbounded root slab — together with its
-//! tuning knobs ([`ExactMaxRsOptions`]) and the object-file helpers.  Callers
-//! that need a weight scale or a root slab (MinRS, the batched executor)
-//! parameterize a [`SweepPass`] directly instead of going through
-//! per-variant forks of this pipeline.
+//! All stages live in the **sweep kernel** ([`crate::sweep`]); this module
+//! keeps the classic entry point [`exact_max_rs`] — one kernel pass with
+//! identity weights over an unbounded root slab,
+//! [`SweepPass::max_rs`](crate::sweep::SweepPass::max_rs) — together with its
+//! tuning knobs ([`ExactMaxRsOptions`]) and the object-file helpers.  A pass
+//! with a weight scale, a root slab or suppressed objects (MinRS, top-k
+//! rounds) runs on the query driver's one file host ([`crate::batch`]), not
+//! on a per-variant fork of this pipeline.
 
 use maxrs_em::{EmConfig, EmContext, TupleFile};
 use maxrs_geometry::{RectSize, WeightedPoint};
@@ -44,8 +45,8 @@ use crate::sweep::SweepPass;
 /// [`ExactMaxRsOptions::effective_parallelism`] caps the worker count.
 const MIN_POOL_BLOCKS_PER_WORKER: usize = 8;
 
-/// Tuning knobs of [`exact_max_rs`] and every other [`SweepPass`]-based
-/// pipeline.  The defaults follow the EM configuration of the context (`M`
+/// Tuning knobs of [`exact_max_rs`] and of every other run of the sweep
+/// kernel.  The defaults follow the EM configuration of the context (`M`
 /// and `m` derived from the buffer size), exactly like the paper's
 /// experiments; overrides exist for tests and ablation studies.
 #[derive(Debug, Clone, Copy)]

@@ -152,31 +152,21 @@ pub fn min_rs_in_memory(objects: &[WeightedPoint], size: RectSize, domain: Rect)
     let best = min_strip_scan(tuples.into_iter().map(Ok), slab, domain)
         .expect("in-memory tuple stream is infallible");
 
-    match best {
-        None => {
-            // Unreachable for a non-degenerate domain (the strips partition
-            // the plane), kept as a defensive fallback: evaluate the domain
-            // center directly.
-            let center = domain.center();
-            MaxRsResult {
-                center,
-                total_weight: maxrs_geometry::range_sum_rect(objects, center, size),
-                region: domain,
-            }
-        }
-        Some((negated_sum, x, y, _from_tuple)) => {
-            let center = Point::new(
-                x.representative().clamp(domain.x_lo, domain.x_hi),
-                y.representative().clamp(domain.y_lo, domain.y_hi),
-            );
-            MaxRsResult {
-                center,
-                // `0.0 - x` rather than `-x`: an uncovered minimum is +0.0,
-                // not the confusing "-0" a plain negation would display.
-                total_weight: 0.0 - negated_sum,
-                region: Rect::new(x.lo, x.hi, y.lo, y.hi),
-            }
-        }
+    // The degenerate domains returned above; the strips below, between and
+    // above the h-lines cover a positive-height y-range, so one of them clips
+    // to a positive height.
+    let (negated_sum, x, y, _from_tuple) =
+        best.expect("a domain of positive height keeps a strip of positive height");
+    let center = Point::new(
+        x.representative().clamp(domain.x_lo, domain.x_hi),
+        y.representative().clamp(domain.y_lo, domain.y_hi),
+    );
+    MaxRsResult {
+        center,
+        // `0.0 - x` rather than `-x`: an uncovered minimum is +0.0, not the
+        // confusing "-0" a plain negation would display.
+        total_weight: 0.0 - negated_sum,
+        region: Rect::new(x.lo, x.hi, y.lo, y.hi),
     }
 }
 

@@ -24,8 +24,9 @@
 //! * [`PreparedDataset`] — load-once repeated querying: the object file
 //!   written at [`MaxRsEngine::prepare`] time serves every subsequent
 //!   [`Query`] variant ([`crate::prepared`]),
-//! * [`SweepPass`] — the parameterized sweep kernel every strategy and every
-//!   query variant instantiates ([`crate::sweep`]),
+//! * [`SweepPass`] — the stages of the sweep kernel every strategy and
+//!   every query variant runs ([`crate::sweep`]), with [`solve_rects`] the
+//!   one way into the distribution-sweep recursion,
 //! * [`QueryBatch`] / [`PreparedDataset::run_batch`] — batched multi-query
 //!   execution: M queries answered in shared sweep passes, grouped by
 //!   rectangle size, by the one query driver every dataset layout runs

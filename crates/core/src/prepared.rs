@@ -186,8 +186,7 @@ impl PreparedDataset<'static> {
 
     /// Loads `objects` into `ctx`, which the dataset takes ownership of, and
     /// flushes the file — the external body of
-    /// [`prepare`](MaxRsEngine::prepare) and
-    /// [`run_batch`](MaxRsEngine::run_batch), and of
+    /// [`prepare`](MaxRsEngine::prepare) and of
     /// [`prepare_shard`](crate::prepare_shard), which builds the shards of
     /// `maxrs-cluster`'s servers.  Queries run with the external `strategy`
     /// and worker count the caller selected.  Loading is excluded from the

@@ -37,7 +37,7 @@ use crate::error::Result;
 use crate::prepared::PreparedDataset;
 use crate::query::Query;
 use crate::records::{ObjectRecord, RectRecord, SpanEvent};
-use crate::slab::SlabPartition;
+use crate::slab::{Reservoir, SlabPartition};
 use crate::sweep::swept_rect;
 
 /// How one sweep pass routes over an x-sharded dataset — the routing rule
@@ -187,40 +187,20 @@ pub fn shard_slab(boundaries: &[f64], i: usize) -> Interval {
 /// Picks up to `k - 1` strictly increasing interior boundaries from the
 /// x-quantiles of a deterministic sample, so the shards hold roughly equal
 /// object counts even on skewed inputs.  Datasets within the sampling cap
-/// are quantiled exactly; larger ones go through the same xorshift reservoir
-/// idiom as [`compute_partition`](crate::slab::compute_partition), so the
-/// result is a pure function of the input.  `maxrs-cluster`'s
+/// are quantiled exactly; larger ones through the deterministic reservoir of
+/// [`compute_partition`](crate::slab::compute_partition), so the result is a
+/// pure function of the input.  `maxrs-cluster`'s
 /// `partition_objects` splits a dataset into its shards with it.
 pub fn select_shard_boundaries(objects: &[WeightedPoint], k: usize, sample_cap: usize) -> Vec<f64> {
     if k <= 1 || objects.len() < 2 {
         return Vec::new();
     }
     let cap = sample_cap.max(k * 4);
-    let mut sample: Vec<f64> = if objects.len() <= cap {
-        objects.iter().map(|o| o.point.x).collect()
-    } else {
-        let mut state =
-            0x9E3779B97F4A7C15u64 ^ (objects.len() as u64).wrapping_mul(0x2545F4914F6CDD1D);
-        let mut next_rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut sample = Vec::with_capacity(cap);
-        for (seen, o) in objects.iter().enumerate() {
-            if sample.len() < cap {
-                sample.push(o.point.x);
-            } else {
-                let j = (next_rand() % (seen as u64 + 1)) as usize;
-                if j < cap {
-                    sample[j] = o.point.x;
-                }
-            }
-        }
-        sample
-    };
-    sample.sort_unstable_by(f64::total_cmp);
+    let mut reservoir = Reservoir::new(objects.len() as u64, cap);
+    for o in objects {
+        reservoir.push(o.point.x);
+    }
+    let sample = reservoir.into_sorted();
     let len = sample.len();
     // Quantile boundaries, deduplicated to a strictly increasing run; a
     // boundary at the global minimum would leave an empty leading shard

@@ -133,7 +133,7 @@ pub struct Crop {
 }
 
 /// The reservoir size of [`BoundarySource::SortedExact`], and of the
-/// [`BoundarySource::Sampled`] reservoir every recursion child draws from.
+/// [`BoundarySource::Sampled`] reservoir every recursion node draws from.
 pub(crate) const DEFAULT_BOUNDARY_SAMPLE: usize = 8192;
 
 /// How large a reservoir [`compute_partition`] draws its edge sample from.
@@ -141,9 +141,9 @@ pub(crate) const DEFAULT_BOUNDARY_SAMPLE: usize = 8192;
 /// reservoir; neither reads the file's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundarySource {
-    /// The root of a sweep pass: a reservoir of 8,192 edges, the same size
-    /// every recursion child samples.  The name is left from when a pass's
-    /// root was x-sorted; it stays because the benchmark package
+    /// A reservoir of 8,192 edges, the size every recursion node samples.
+    /// No path in this crate passes it: the name is left from when a pass's
+    /// root was x-sorted, and stays because the benchmark package
     /// (`benchmark/src/em.rs`) still passes it.
     SortedExact,
     /// A reservoir of at most the given size.
@@ -184,34 +184,16 @@ pub fn compute_partition(
     }
     .max(m * 4);
 
-    let mut sample: Vec<f64> = Vec::with_capacity(cap.min(2 * n as usize));
+    let mut reservoir = Reservoir::new(n, cap);
     let mut reader = ctx.open_reader(file);
-    let mut seen: u64 = 0;
-    // Deterministic xorshift so experiments are reproducible.
-    let mut state: u64 = 0x9E3779B97F4A7C15 ^ (n.wrapping_mul(0x2545F4914F6CDD1D));
-    let mut next_rand = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
     while let Some(rec) = reader.next_record()? {
         for edge in [rec.rect.x_lo, rec.rect.x_hi] {
-            if !outer.contains_open(edge) {
-                continue;
-            }
-            seen += 1;
-            if sample.len() < cap {
-                sample.push(edge);
-            } else {
-                let j = next_rand() % seen;
-                if (j as usize) < cap {
-                    sample[j as usize] = edge;
-                }
+            if outer.contains_open(edge) {
+                reservoir.push(edge);
             }
         }
     }
-    sample.sort_unstable_by(f64::total_cmp);
+    let sample = reservoir.into_sorted();
     // With no edge inside, the midpoint (NaN or infinite on an unbounded
     // side, and then skipped) still splits a bounded slab.
     let cuts: Vec<f64> = if sample.is_empty() {
@@ -229,6 +211,54 @@ pub fn compute_partition(
     }
     boundaries.push(outer.hi);
     Ok(SlabPartition::new(boundaries))
+}
+
+/// A deterministic reservoir sample: the first `cap` values, then each later
+/// value replaces a uniformly drawn slot with probability `cap / seen`, the
+/// draws coming from an xorshift generator seeded by the stream's length `n`
+/// — so the sample is a pure function of the stream.  The edge sample of
+/// [`compute_partition`] and the x sample of
+/// [`select_shard_boundaries`](crate::shard::select_shard_boundaries).
+pub(crate) struct Reservoir {
+    sample: Vec<f64>,
+    cap: usize,
+    seen: u64,
+    state: u64,
+}
+
+impl Reservoir {
+    /// An empty reservoir of at most `cap` values over a stream of `n`
+    /// items, each yielding at most two values.
+    pub(crate) fn new(n: u64, cap: usize) -> Self {
+        Reservoir {
+            sample: Vec::with_capacity(cap.min(2 * n as usize)),
+            cap,
+            seen: 0,
+            state: 0x9E3779B97F4A7C15 ^ n.wrapping_mul(0x2545F4914F6CDD1D),
+        }
+    }
+
+    /// Offers the next value of the stream.
+    pub(crate) fn push(&mut self, value: f64) {
+        self.seen += 1;
+        if self.sample.len() < self.cap {
+            self.sample.push(value);
+            return;
+        }
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        let j = self.state % self.seen;
+        if (j as usize) < self.cap {
+            self.sample[j as usize] = value;
+        }
+    }
+
+    /// The sample in ascending order.
+    pub(crate) fn into_sorted(mut self) -> Vec<f64> {
+        self.sample.sort_unstable_by(f64::total_cmp);
+        self.sample
+    }
 }
 
 /// Output of [`distribute`]: per-slab input files plus the y-sorted spanning

@@ -1,16 +1,16 @@
-//! The **sweep kernel**: one parameterized distribution-sweep pipeline that
-//! every query variant and every execution strategy instantiates.
+//! The **sweep kernel**: one distribution-sweep pipeline that every query
+//! variant and every execution strategy runs.
 //!
-//! [`SweepPass`] is one parameterized object with the pipeline's four stages
-//! as composable methods:
+//! A pass has four stages:
 //!
 //! 1. **transform** — stream the object file into query-sized rectangles
-//!    ([`SweepPass::transform`]), optionally scaling weights (`-1` is the
-//!    MinRS reduction);
+//!    ([`transform_to_rect_file`] at identity weights), keeping only the
+//!    rectangles the pass sweeps ([`swept_rect`]) and scaling their weights
+//!    (`-1` is the MinRS reduction);
 //! 2. **slab partition + strip sweep** — the distribution-sweep recursion
-//!    over the rectangles ([`SweepPass::sweep_rects`]);
+//!    over the rectangles ([`solve_rects`], the one way into it);
 //! 3. **extract** — the best tuple of the final slab-file
-//!    ([`SweepPass::extract_best`]);
+//!    ([`extract_best`]);
 //! 4. **canonicalize** — give the winning interval the full arrangement
 //!    cell ([`SweepPass::canonicalize`]) so every strategy and every input
 //!    order reports the identical max-region.
@@ -22,14 +22,14 @@
 //! pass sorts its input, and a file in any order yields the same answer —
 //! bit for bit for integer weights, whose sums are exact in any grouping.
 //!
-//! [`SweepPass::max_rs`] composes all four; the query driver
-//! ([`crate::batch`]) runs the stages separately so several queries can share
-//! stages 1–3 of one pass.  A pass can also skip objects: top-k suppression
-//! rounds hand it the chosen rectangles ([`SweepPass::with_suppressed`]), and
-//! the transform and breakpoint scans leave out every object strictly inside
-//! one of them; a round after the first also restricts its transform to the
-//! rectangles meeting a y-band ([`SweepPass::with_band`]), the only strips
-//! its pick can change (see [`crate::batch`]).
+//! The query driver ([`crate::batch`]) runs stages 1–2 through its one host
+//! over an object file, whose sweep takes the pass's parameters per call: a
+//! weight scale, a root slab (the query domain's x-slab for MinRS), the
+//! rectangles earlier top-k rounds chose (the transform and breakpoint scans
+//! leave out every object strictly inside one of them) and a y-band (a
+//! round after the first transforms only the rectangles meeting it, the
+//! only strips its pick can change).  [`SweepPass`] names the stages of a
+//! plain MaxRS pass, one call each into that same code.
 //!
 //! # Canonical max-regions
 //!
@@ -60,13 +60,9 @@ use crate::records::{ObjectRecord, RectRecord, SlabTuple};
 use crate::result::MaxRsResult;
 use crate::slab::{compute_partition, distribute, BoundarySource, DEFAULT_BOUNDARY_SAMPLE};
 
-/// One parameterized distribution-sweep pass: the sweep kernel.
-///
-/// A pass captures everything the pipeline varies over — the EM context, the
-/// tuning [`ExactMaxRsOptions`], a weight scale (`-1.0` turns MaxRS into
-/// MinRS) and a root slab (the query domain's x-interval for MinRS, unbounded
-/// otherwise) — so callers state *what* to sweep and never re-implement
-/// *how*.  The object file may be in any order:
+/// The stages of a plain MaxRS pass — identity weights over an unbounded
+/// root slab — over one object file in any order, each a call into the
+/// kernel's own code:
 ///
 /// ```
 /// use maxrs_core::{load_objects, ExactMaxRsOptions, SweepPass};
@@ -93,24 +89,12 @@ use crate::slab::{compute_partition, distribute, BoundarySource, DEFAULT_BOUNDAR
 pub struct SweepPass<'a> {
     ctx: &'a EmContext,
     opts: ExactMaxRsOptions,
-    weight_scale: f64,
-    root: Interval,
-    suppressed: &'a [Rect],
-    band: Interval,
 }
 
 impl<'a> SweepPass<'a> {
-    /// A pass with identity weights over an unbounded root slab — the
-    /// classic ExactMaxRS configuration.
+    /// A pass over `ctx` with the tuning `opts`.
     pub fn new(ctx: &'a EmContext, opts: &ExactMaxRsOptions) -> Self {
-        SweepPass {
-            ctx,
-            opts: *opts,
-            weight_scale: 1.0,
-            root: Interval::UNBOUNDED,
-            suppressed: &[],
-            band: Interval::UNBOUNDED,
-        }
+        SweepPass { ctx, opts: *opts }
     }
 
     /// The same pass as [`new`](SweepPass::new): no pass reads its file's
@@ -120,141 +104,52 @@ impl<'a> SweepPass<'a> {
         SweepPass::new(ctx, opts)
     }
 
-    /// Multiplies every object weight by `scale` during the transform scan.
-    /// `-1.0` is the MinRS reduction: the maximum of the negated instance is
-    /// the negated minimum of the original one, so the unmodified pipeline
-    /// answers MinRS queries.
-    pub fn with_weight_scale(mut self, scale: f64) -> Self {
-        self.weight_scale = scale;
-        self
-    }
-
-    /// Restricts the sweep (and the canonicalization) to a root x-slab — the
-    /// query domain's x-interval for MinRS.  Default: unbounded.
-    pub fn with_root(mut self, root: Interval) -> Self {
-        self.root = root;
-        self
-    }
-
-    /// Leaves out every object strictly inside one of `suppressed` — the
-    /// rectangles earlier top-k rounds chose — in the transform and
-    /// breakpoint scans.  Default: none.
-    pub fn with_suppressed(mut self, suppressed: &'a [Rect]) -> Self {
-        self.suppressed = suppressed;
-        self
-    }
-
-    /// Restricts the transform (and so [`slab_file`](SweepPass::slab_file))
-    /// to the objects whose rectangle meets the closed y-band `band` (see
-    /// [`swept_rect`]): every tuple of the slab-file whose `y` lies in `band`
-    /// is then the unrestricted pass's tuple — same `y`, sum and `x_lo` for
-    /// integer weights — because every rectangle active at such a `y` meets
-    /// the band.  [`max_rs`](SweepPass::max_rs) and the breakpoint scan
-    /// ignore the band.  Default: [`Interval::UNBOUNDED`], every object.
-    pub fn with_band(mut self, band: Interval) -> Self {
-        self.band = band;
-        self
-    }
-
-    /// The context this pass runs against.
-    pub fn ctx(&self) -> &'a EmContext {
-        self.ctx
-    }
-
-    /// The root x-slab of this pass.
+    /// The root x-slab of the pass: unbounded.
     pub fn root(&self) -> Interval {
-        self.root
+        Interval::UNBOUNDED
     }
 
-    /// Stage 1 — streams the object file into a rectangle file of the query
-    /// size, scaling weights by the pass's weight scale and keeping only the
-    /// rectangles the pass sweeps ([`swept_rect`]: not suppressed, meeting
-    /// the band).  One transform-aware scan ([`EmContext::filter_map_file`]):
-    /// `O(N/B)` I/Os, no intermediate staging.  The input file is left
-    /// untouched.
+    /// Stage 1 — [`transform_to_rect_file`].
     pub fn transform(
         &self,
         objects: &TupleFile<ObjectRecord>,
         size: RectSize,
     ) -> Result<TupleFile<RectRecord>> {
-        let (scale, suppressed, band) = (self.weight_scale, self.suppressed, self.band);
-        self.ctx
-            .filter_map_file(objects, |rec: ObjectRecord| {
-                swept_rect(suppressed, band, &rec, size)
-                    .map(|rect| RectRecord::new(rect, scale * rec.0.weight))
-            })
-            .map_err(CoreError::from)
+        transform_to_rect_file(self.ctx, objects, size)
     }
 
-    /// Stages 2–3 — runs the distribution-sweep recursion over the
-    /// rectangles, in whatever order they come, returning the final
-    /// slab-file of the pass's root slab (the y-sorted
-    /// `⟨y, max-interval, sum⟩` tuples).  The input file is consumed;
-    /// rectangle weights may be negative (only `WeightedPoint` insists on
-    /// non-negativity).  `opts.parallelism` caps the workers that solve the
-    /// top-level sub-slabs concurrently; the slab-file is the same for every
-    /// worker count.
-    pub fn sweep_rects(&self, rects: TupleFile<RectRecord>) -> Result<TupleFile<SlabTuple>> {
-        let runner = Runner {
-            ctx: self.ctx,
-            opts: self.opts,
-            workers: self.opts.effective_parallelism(self.ctx.config()),
-        };
-        runner.solve(rects, self.root, BoundarySource::SortedExact)
-    }
-
-    /// Stages 1–3 composed: transform, then sweep.
-    pub fn slab_file(
-        &self,
-        objects: &TupleFile<ObjectRecord>,
-        size: RectSize,
-    ) -> Result<TupleFile<SlabTuple>> {
-        let rects = self.transform(objects, size)?;
-        self.sweep_rects(rects)
-    }
-
-    /// Stage 4a — scans a final slab-file for the best tuple and converts it
-    /// into a (not yet canonicalized) result.
+    /// Stage 3 — [`extract_best`].
     pub fn extract_best(&self, slab_file: &TupleFile<SlabTuple>) -> Result<MaxRsResult> {
         extract_best(self.ctx, slab_file)
     }
 
-    /// Stage 4b — sets a sweep result's max-interval to the full
-    /// arrangement cell of the pass's root slab so it matches the in-memory
-    /// sweep's report (module docs, "Canonical max-regions").  The winning
-    /// `y`-strip, weight and lower x bound are already canonical; only the
-    /// upper x bound (and with it the representative center) can sit on a
-    /// slab boundary instead of a rectangle edge.
+    /// Stage 4 — sets a sweep result's max-interval to the full arrangement
+    /// cell so it matches the in-memory sweep's report (module docs,
+    /// "Canonical max-regions").  The winning `y`-strip, weight and lower x
+    /// bound are already canonical; only the upper x bound (and with it the
+    /// representative center) can sit on a slab boundary instead of a
+    /// rectangle edge.
     pub fn canonicalize(
         &self,
         objects: &TupleFile<ObjectRecord>,
         size: RectSize,
         result: MaxRsResult,
     ) -> Result<MaxRsResult> {
-        canonicalize(
-            &FileHost::new(*self, objects),
-            size,
-            self.root,
-            self.suppressed,
-            result,
-        )
+        canonicalize(&self.host(objects), size, &[], result)
     }
 
     /// The full pipeline: transform → sweep → extract → canonicalize.
     /// Returns the optimal location, the maximum range sum and the canonical
     /// max-region; all temporary files are deleted before returning and the
-    /// input file is left untouched.
+    /// input file is left untouched.  `opts.parallelism` caps the workers
+    /// that solve the top-level sub-slabs; the answer is the same for every
+    /// worker count.
     pub fn max_rs(&self, objects: &TupleFile<ObjectRecord>, size: RectSize) -> Result<MaxRsResult> {
-        if objects.is_empty() {
-            return Ok(MaxRsResult::empty());
-        }
-        best_placement(
-            &FileHost::new(*self, objects),
-            size,
-            self.weight_scale,
-            self.root,
-            self.suppressed,
-        )
+        best_placement(&self.host(objects), size)
+    }
+
+    fn host(&self, objects: &'a TupleFile<ObjectRecord>) -> FileHost<'a> {
+        FileHost::new(self.ctx, self.opts, objects)
     }
 }
 
@@ -267,7 +162,7 @@ pub fn is_suppressed(suppressed: &[Rect], rec: &ObjectRecord) -> bool {
 /// The `size` rectangle of `rec` when a sweep pass takes it in: the object
 /// is not suppressed ([`is_suppressed`]) and its rectangle meets the closed
 /// y-band `band` ([`Interval::UNBOUNDED`] keeps every rectangle).  The one
-/// object filter of the transform ([`SweepPass::transform`]) and of the
+/// object filter of the transform ([`transform_to_rect_file`]) and of the
 /// sharded crop scan ([`crate::shard::crop_scan`]).
 pub fn swept_rect(
     suppressed: &[Rect],
@@ -282,15 +177,34 @@ pub fn swept_rect(
     rect.y_interval().intersects(&band).then_some(rect)
 }
 
-/// Streams an object file into a rectangle file of the query size (stage 1 of
-/// the kernel with identity weights) — kept as a free function for callers
-/// outside the pipeline.
+/// Stage 1 of the kernel at identity weights: streams an object file into a
+/// rectangle file of the query size, every object kept.  The input file is
+/// left untouched.
 pub fn transform_to_rect_file(
     ctx: &EmContext,
     objects: &TupleFile<ObjectRecord>,
     size: RectSize,
 ) -> Result<TupleFile<RectRecord>> {
-    SweepPass::new(ctx, &ExactMaxRsOptions::default()).transform(objects, size)
+    transform(ctx, objects, size, 1.0, &[], Interval::UNBOUNDED)
+}
+
+/// The transform scan: the `size` rectangle of every object a pass sweeps
+/// ([`swept_rect`]: not suppressed, meeting the closed y-band `band`), its
+/// weight multiplied by `weight_scale`.  One transform-aware scan
+/// ([`EmContext::filter_map_file`]): `O(N/B)` I/Os, no intermediate staging.
+pub(crate) fn transform(
+    ctx: &EmContext,
+    objects: &TupleFile<ObjectRecord>,
+    size: RectSize,
+    weight_scale: f64,
+    suppressed: &[Rect],
+    band: Interval,
+) -> Result<TupleFile<RectRecord>> {
+    ctx.filter_map_file(objects, |rec: ObjectRecord| {
+        swept_rect(suppressed, band, &rec, size)
+            .map(|rect| RectRecord::new(rect, weight_scale * rec.0.weight))
+    })
+    .map_err(CoreError::from)
 }
 
 /// The smallest x-arrangement breakpoint strictly greater than `x`: the edge
@@ -332,24 +246,27 @@ pub fn next_breakpoint_after(
     Ok(best)
 }
 
-/// Runs the distribution-sweep recursion over an **already distributed**
-/// rectangle file: the caller has cropped the rectangles to `slab` (and
-/// routed away anything outside it), so no transform happens here.  The
-/// file's order is never read.  `sorted` names the variant of the first
-/// node's [`BoundarySource`] — [`BoundarySource::SortedExact`] for `true`,
-/// a [`BoundarySource::Sampled`] reservoir for `false` — but both draw from
-/// a reservoir of the same 8,192 edges; the flag stays only because the
-/// benchmark package (`benchmark/src/em.rs`) still passes it.  This is the
-/// per-shard entry point of the sharded pass
-/// ([`crate::shard`]): `maxrs-cluster`'s shard servers run one such solve
-/// per owned slab, and the coordinator combines the slab-files through the
-/// same span-event MergeSweep the recursion itself uses.
+/// Stage 2 — runs the distribution-sweep recursion over a rectangle file in
+/// any order and returns the slab-file of `slab` (the y-sorted
+/// `⟨y, max-interval, sum⟩` tuples), consuming the input; rectangle weights
+/// may be negative (only `WeightedPoint` insists on non-negativity).  The
+/// caller has cropped the rectangles to `slab` (or the slab is unbounded),
+/// so no transform happens here.  The only way into the recursion: a sweep
+/// pass of the query driver's file host runs it over the pass's root, and
+/// `maxrs-cluster`'s shard servers run one per owned slab, whose slab-files
+/// the coordinator combines through the same span-event MergeSweep the
+/// recursion itself uses.  Up to `workers` threads solve the top-level
+/// sub-slabs concurrently; the slab-file is the same for every worker count.
+///
+/// Every node draws its boundaries from a reservoir of 8,192 rectangle
+/// edges ([`BoundarySource::Sampled`]); `_sorted` is not read and stays only
+/// because the benchmark package (`benchmark/src/em.rs`) still passes it.
 pub fn solve_rects(
     ctx: &EmContext,
     opts: &ExactMaxRsOptions,
     rects: TupleFile<RectRecord>,
     slab: Interval,
-    sorted: bool,
+    _sorted: bool,
     workers: usize,
 ) -> Result<TupleFile<SlabTuple>> {
     let runner = Runner {
@@ -357,12 +274,7 @@ pub fn solve_rects(
         opts: *opts,
         workers: workers.max(1),
     };
-    let source = if sorted {
-        BoundarySource::SortedExact
-    } else {
-        BoundarySource::Sampled(DEFAULT_BOUNDARY_SAMPLE)
-    };
-    runner.solve(rects, slab, source)
+    runner.solve(rects, slab)
 }
 
 struct Runner<'a> {
@@ -390,14 +302,8 @@ impl<'a> Runner<'a> {
     }
 
     /// Solves one recursion node: consumes `input` (the rectangles of `slab`)
-    /// and returns the slab-file of `slab`.  `source` sizes the edge
-    /// reservoir of this node's boundaries.
-    fn solve(
-        &self,
-        input: TupleFile<RectRecord>,
-        slab: Interval,
-        source: BoundarySource,
-    ) -> Result<TupleFile<SlabTuple>> {
+    /// and returns the slab-file of `slab`.
+    fn solve(&self, input: TupleFile<RectRecord>, slab: Interval) -> Result<TupleFile<SlabTuple>> {
         let n = input.len() as usize;
         if n <= self.memory_rects() {
             return self.solve_in_memory(input, slab);
@@ -405,6 +311,7 @@ impl<'a> Runner<'a> {
 
         // Divide the slab into at most m sub-slabs, fewer for a small slab,
         // with roughly equal rectangle-edge counts.
+        let source = BoundarySource::Sampled(DEFAULT_BOUNDARY_SAMPLE);
         let dist = match compute_partition(self.ctx, &input, slab, self.fanout(), source) {
             // Heavy ties on x: no vertical split can make progress.  Fall back
             // to the in-memory sweep (documented guard; never triggered by the
@@ -491,8 +398,7 @@ impl<'a> Runner<'a> {
         if input.len() as usize >= parent_size && input.len() as usize > self.memory_rects() {
             return self.solve_in_memory(input, slab);
         }
-        let source = BoundarySource::Sampled(DEFAULT_BOUNDARY_SAMPLE);
-        self.solve(input, slab, source)
+        self.solve(input, slab)
     }
 
     fn solve_in_memory(
@@ -571,6 +477,7 @@ impl BestTuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::SweepHost;
     use crate::exact::load_objects;
     use maxrs_em::EmConfig;
     use maxrs_geometry::WeightedPoint;
@@ -603,16 +510,15 @@ mod tests {
         let ctx = tiny_ctx();
         let objects = pseudo_random_objects(200, 5, 300.0);
         let size = RectSize::square(40.0);
-        let opts = ExactMaxRsOptions::sequential();
         let file = load_objects(&ctx, &objects).unwrap();
+        let host = FileHost::new(&ctx, ExactMaxRsOptions::sequential(), &file);
 
         // A weight scale of -1 turns the max into the (negated) min; over an
         // unbounded root the least-covered placement covers nothing.
-        let negated = SweepPass::new(&ctx, &opts)
-            .with_weight_scale(-1.0)
-            .max_rs(&file, size)
-            .unwrap();
-        assert_eq!(negated.total_weight, 0.0);
+        let all = Interval::UNBOUNDED;
+        let slab_file = host.sweep(size, -1.0, all, &[], all).unwrap();
+        assert_eq!(extract_best(&ctx, &slab_file).unwrap().total_weight, 0.0);
+        ctx.delete_file(slab_file).unwrap();
         ctx.delete_file(file).unwrap();
     }
 
@@ -633,11 +539,17 @@ mod tests {
             ..ExactMaxRsOptions::sequential()
         };
         let file = load_objects(&ctx, &objects).unwrap();
-        let everywhere = SweepPass::new(&ctx, &opts).max_rs(&file, size).unwrap();
-        let right_only = SweepPass::new(&ctx, &opts)
-            .with_root(Interval::new(400.0, 600.0))
-            .max_rs(&file, size)
-            .unwrap();
+        let host = FileHost::new(&ctx, opts, &file);
+        let best_in = |root: Interval| {
+            let slab_file = host
+                .sweep(size, 1.0, root, &[], Interval::UNBOUNDED)
+                .unwrap();
+            let best = extract_best(&ctx, &slab_file).unwrap();
+            ctx.delete_file(slab_file).unwrap();
+            best
+        };
+        let everywhere = best_in(Interval::UNBOUNDED);
+        let right_only = best_in(Interval::new(400.0, 600.0));
         assert_eq!(everywhere.total_weight, 60.0);
         assert_eq!(right_only.total_weight, 10.0);
         assert!(right_only.center.x >= 400.0 && right_only.center.x <= 600.0);
@@ -655,7 +567,8 @@ mod tests {
 
         let composed = pass.max_rs(&file, size).unwrap();
 
-        let slab_file = pass.slab_file(&file, size).unwrap();
+        let rects = pass.transform(&file, size).unwrap();
+        let slab_file = solve_rects(&ctx, &opts, rects, pass.root(), false, 1).unwrap();
         let extracted = pass.extract_best(&slab_file).unwrap();
         ctx.delete_file(slab_file).unwrap();
         let staged = pass.canonicalize(&file, size, extracted).unwrap();

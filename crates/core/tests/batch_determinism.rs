@@ -242,7 +242,7 @@ fn batched_execution_reads_strictly_fewer_blocks_than_independent_runs() {
     // runs, making the strict inequality below conservative.
     let before = ctx.stats();
     let batched = prepared.run_planned(&batch).unwrap();
-    let batch_io = ctx.stats().delta(&before);
+    let batch_io = ctx.stats().since(&before);
 
     // Leader attribution: the per-run I/O sums to the measured batch total.
     let attributed: IoSnapshot = batched
@@ -255,7 +255,7 @@ fn batched_execution_reads_strictly_fewer_blocks_than_independent_runs() {
 
     let before = ctx.stats();
     let independent: Vec<_> = queries.iter().map(|q| prepared.run(q).unwrap()).collect();
-    let independent_io = ctx.stats().delta(&before);
+    let independent_io = ctx.stats().since(&before);
 
     for ((query, batched), single) in queries.iter().zip(&batched).zip(&independent) {
         assert_eq!(batched.answer, single.answer, "{}", query.name());
@@ -286,11 +286,11 @@ fn identical_queries_in_a_batch_cost_nothing_extra() {
 
     let before = ctx.stats();
     let one = prepared.run_batch(std::slice::from_ref(&q)).unwrap();
-    let one_io = ctx.stats().delta(&before);
+    let one_io = ctx.stats().since(&before);
 
     let before = ctx.stats();
     let five = prepared.run_batch(&[q, q, q, q, q]).unwrap();
-    let five_io = ctx.stats().delta(&before);
+    let five_io = ctx.stats().since(&before);
 
     for run in &five {
         assert_eq!(run.answer, one[0].answer);

@@ -79,7 +79,7 @@ impl BlockDevice for FaultyDisk {
     }
     fn create_file(&self) -> maxrs_em::Result<FileId> {
         self.faults.tick(Fault::Allocation)?;
-        Ok(self.disk.create_file())
+        self.disk.create_file()
     }
     fn delete_file(&self, id: FileId) -> maxrs_em::Result<()> {
         if let Err(e) = self.faults.tick(Fault::Delete) {
@@ -394,5 +394,53 @@ fn failed_compactions_leave_a_consistent_dataset() {
                 "{fault:?} {k} of {operations}: answers after the failed compaction"
             );
         }
+    }
+}
+
+/// Fails each read a delta query makes on the delta's own context — the
+/// snapshot's reads of the base run — in turn: the error comes back typed,
+/// the context holds the base run alone, and a retry answers like a fresh
+/// prepare of the survivors.
+#[test]
+fn failed_delta_queries_leave_only_the_base_run() {
+    let objects = Dataset::generate(DatasetKind::Uniform, 300, 5).objects;
+    let size = RectSize::square(40_000.0);
+    let queries = [
+        Query::max_rs(size),
+        Query::top_k(size, 3),
+        Query::min_rs(size, Rect::new(2e5, 8e5, 2e5, 8e5)),
+        Query::approx_max_crs(40_000.0),
+    ];
+    let answers =
+        |runs: Vec<QueryRun>| -> Vec<QueryAnswer> { runs.into_iter().map(|r| r.answer).collect() };
+    let (delta, faults, engine) = pending_delta(&objects);
+    let fresh = engine.prepare(&delta.survivors()).unwrap();
+    let want = answers(fresh.run_batch(&queries).unwrap());
+    let ctx = delta.context();
+    let base_only = (1, ctx.config().blocks_for::<ObjectRecord>(delta.base_len()));
+
+    faults.arm(Fault::Read, 0);
+    assert_eq!(answers(delta.run_batch(&queries).unwrap()), want);
+    let reads = faults.count(Fault::Read);
+    assert!(reads > 0, "a delta query reads no block of its base run");
+    for k in 1..=reads {
+        faults.arm(Fault::Read, k);
+        let failed = delta.run_batch(&queries);
+        faults.arm(Fault::Read, 0);
+        assert!(
+            matches!(failed, Err(maxrs_core::CoreError::Em(_))),
+            "read {k} of {reads}: {failed:?}"
+        );
+        ctx.flush_all().unwrap();
+        assert_eq!(
+            (ctx.num_files(), ctx.disk_blocks()),
+            base_only,
+            "read {k} of {reads}: files beside the base run"
+        );
+        assert_eq!(
+            answers(delta.run_batch(&queries).unwrap()),
+            want,
+            "read {k} of {reads}: answers after the failed query"
+        );
     }
 }

@@ -50,11 +50,6 @@ impl DatasetKind {
             DatasetKind::Ne => NE_CARDINALITY,
         }
     }
-
-    /// `true` for the two real-data surrogates.
-    pub fn is_real(&self) -> bool {
-        matches!(self, DatasetKind::Ux | DatasetKind::Ne)
-    }
 }
 
 /// How object weights are assigned.
@@ -111,11 +106,6 @@ impl Dataset {
         }
     }
 
-    /// Generates the dataset at the exact size used by the paper.
-    pub fn paper_scale(kind: DatasetKind, seed: u64) -> Self {
-        Dataset::generate(kind, kind.paper_cardinality(), seed)
-    }
-
     /// Number of objects.
     pub fn len(&self) -> usize {
         self.objects.len()
@@ -167,8 +157,6 @@ mod tests {
         assert_eq!(DatasetKind::Ux.paper_cardinality(), 19_499);
         assert_eq!(DatasetKind::Ne.paper_cardinality(), 123_593);
         assert_eq!(DatasetKind::Gaussian.paper_cardinality(), 250_000);
-        assert!(DatasetKind::Ux.is_real());
-        assert!(!DatasetKind::Uniform.is_real());
         assert_eq!(DatasetKind::ALL.len(), 4);
     }
 

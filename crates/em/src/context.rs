@@ -18,8 +18,8 @@ use crate::{
 ///
 /// The context is `Send + Sync` and may be **shared across threads** (by
 /// reference from scoped threads, or behind an `Arc`): the disk directory and
-/// the buffer pool are guarded by internal mutexes, and the I/O counters are
-/// sharded per thread and merged on [`stats`](EmContext::stats).  This is what
+/// the buffer pool are guarded by internal mutexes, and the device's I/O
+/// counters are atomic (read by [`stats`](EmContext::stats)).  This is what
 /// the parallel slab stage of ExactMaxRS relies on — each worker creates,
 /// reads and deletes its own temporary files concurrently.  Block-level
 /// accesses are serialized by the pool lock, so the *counted* I/O stays exact;
@@ -92,12 +92,6 @@ impl EmContext {
     /// only the algorithm under test is measured).
     pub fn reset_stats(&self) {
         self.disk.reset_stats();
-    }
-
-    /// (cached blocks, pool capacity) — diagnostic information.
-    pub fn pool_usage(&self) -> (usize, usize) {
-        let pool = self.pool.lock();
-        (pool.len(), pool.capacity())
     }
 
     /// (pool hits, pool misses) — diagnostic information.
@@ -216,11 +210,6 @@ impl EmContext {
         self.disk.delete_file(file)
     }
 
-    /// Number of blocks of a raw file currently on disk.
-    pub fn raw_file_blocks(&self, file: FileId) -> Result<u64> {
-        self.disk.num_blocks(file)
-    }
-
     /// Reads block `block` of `file` through the pool.
     pub fn with_block_read<R>(
         &self,
@@ -301,7 +290,7 @@ mod tests {
         let v = ctx.with_block_read(f, 0, |b| b[0]).unwrap();
         assert_eq!(v, 9);
         ctx.flush_all().unwrap();
-        assert_eq!(ctx.raw_file_blocks(f).unwrap(), 1);
+        assert_eq!(ctx.disk_blocks(), 1);
         ctx.delete_raw_file(f).unwrap();
         assert!(ctx.delete_raw_file(f).is_err());
     }
@@ -336,12 +325,7 @@ mod tests {
     #[test]
     fn pool_diagnostics() {
         let ctx = EmContext::new(EmConfig::new(64, 256).unwrap());
-        let (len, cap) = ctx.pool_usage();
-        assert_eq!(len, 0);
-        assert_eq!(cap, 4);
         let _ = ctx.write_all(&(0..8u64).collect::<Vec<_>>()).unwrap();
-        let (len, _) = ctx.pool_usage();
-        assert!(len >= 1);
         let (_hits, misses) = ctx.pool_hit_stats();
         assert!(misses >= 1);
         assert!(ctx.disk_blocks() <= 1);

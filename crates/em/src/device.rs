@@ -8,8 +8,8 @@ use crate::{FileId, IoSnapshot, Result};
 /// the device interface is exactly the EM model's: growable files of
 /// fixed-size blocks, addressed by `(file, block index)`, with every
 /// [`read_block`](BlockDevice::read_block) /
-/// [`write_block`](BlockDevice::write_block) recorded in shared [`IoStats`]
-/// counters.  Two implementations exist:
+/// [`write_block`](BlockDevice::write_block) recorded in the device's
+/// [`IoStats`] counters.  Two implementations exist:
 ///
 /// * [`SimDisk`](crate::SimDisk) — RAM-backed, deterministic, the default;
 ///   what every experiment and test runs against unless told otherwise.

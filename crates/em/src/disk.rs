@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -15,17 +14,18 @@ pub struct FileId(pub u64);
 /// A simulated disk.
 ///
 /// Files are growable sequences of fixed-size blocks stored in RAM.  Every
-/// [`read_block`](SimDisk::read_block) and [`write_block`](SimDisk::write_block)
-/// increments the shared [`IoStats`] counters, which is how the experiments
-/// measure the paper's I/O-cost metric.  The disk itself performs no caching —
-/// that is the [`BufferPool`](crate::BufferPool)'s job — so every call here
-/// corresponds to one real block transfer.
+/// [`read_block`](BlockDevice::read_block) and
+/// [`write_block`](BlockDevice::write_block) increments the disk's
+/// [`IoStats`] counters, which is how the experiments measure the paper's
+/// I/O-cost metric.  The disk itself performs no caching — that is the
+/// [`BufferPool`](crate::BufferPool)'s job — so every call here corresponds
+/// to one real block transfer.
 #[derive(Debug)]
 pub struct SimDisk {
     block_size: usize,
     files: Mutex<HashMap<FileId, Vec<Box<[u8]>>>>,
     next_id: AtomicU64,
-    stats: Arc<IoStats>,
+    stats: IoStats,
 }
 
 impl SimDisk {
@@ -35,53 +35,38 @@ impl SimDisk {
             block_size,
             files: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
-            stats: Arc::new(IoStats::new()),
+            stats: IoStats::new(),
         }
     }
+}
 
-    /// The block size in bytes.
-    pub fn block_size(&self) -> usize {
+impl BlockDevice for SimDisk {
+    fn backend_name(&self) -> &'static str {
+        "sim"
+    }
+
+    fn block_size(&self) -> usize {
         self.block_size
     }
 
-    /// Shared handle to the I/O counters.
-    pub fn stats_handle(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Current I/O counter values.
-    pub fn stats(&self) -> IoSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Resets the I/O counters.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    /// Allocates a new, empty file and returns its id.
-    pub fn create_file(&self) -> FileId {
+    fn create_file(&self) -> Result<FileId> {
         let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.files.lock().insert(id, Vec::new());
-        id
+        Ok(id)
     }
 
-    /// Removes a file and frees its blocks.  Deleting an unknown file is an
-    /// error so that double-deletes are caught early.
-    pub fn delete_file(&self, id: FileId) -> Result<()> {
+    fn delete_file(&self, id: FileId) -> Result<()> {
         match self.files.lock().remove(&id) {
             Some(_) => Ok(()),
             None => Err(EmError::FileNotFound(id)),
         }
     }
 
-    /// `true` if the file exists.
-    pub fn file_exists(&self, id: FileId) -> bool {
+    fn file_exists(&self, id: FileId) -> bool {
         self.files.lock().contains_key(&id)
     }
 
-    /// Number of blocks currently stored for the file.
-    pub fn num_blocks(&self, id: FileId) -> Result<u64> {
+    fn num_blocks(&self, id: FileId) -> Result<u64> {
         self.files
             .lock()
             .get(&id)
@@ -89,8 +74,7 @@ impl SimDisk {
             .ok_or(EmError::FileNotFound(id))
     }
 
-    /// `true` if block `idx` of the file has been written to disk.
-    pub fn block_exists(&self, id: FileId, idx: u64) -> bool {
+    fn block_exists(&self, id: FileId, idx: u64) -> bool {
         self.files
             .lock()
             .get(&id)
@@ -98,9 +82,7 @@ impl SimDisk {
             .unwrap_or(false)
     }
 
-    /// Reads block `idx` of the file into `dst` (which must be exactly one
-    /// block long).  Counts one read I/O.
-    pub fn read_block(&self, id: FileId, idx: u64, dst: &mut [u8]) -> Result<()> {
+    fn read_block(&self, id: FileId, idx: u64, dst: &mut [u8]) -> Result<()> {
         assert_eq!(dst.len(), self.block_size, "destination must be one block");
         let files = self.files.lock();
         let blocks = files.get(&id).ok_or(EmError::FileNotFound(id))?;
@@ -114,11 +96,7 @@ impl SimDisk {
         Ok(())
     }
 
-    /// Writes `src` (exactly one block) as block `idx` of the file, growing
-    /// the file with zero blocks if `idx` is past the current end (sparse
-    /// writes happen when the buffer pool evicts blocks out of order).
-    /// Counts one write I/O.
-    pub fn write_block(&self, id: FileId, idx: u64, src: &[u8]) -> Result<()> {
+    fn write_block(&self, id: FileId, idx: u64, src: &[u8]) -> Result<()> {
         assert_eq!(src.len(), self.block_size, "source must be one block");
         let mut files = self.files.lock();
         let blocks = files.get_mut(&id).ok_or(EmError::FileNotFound(id))?;
@@ -131,9 +109,7 @@ impl SimDisk {
         Ok(())
     }
 
-    /// Total number of blocks currently allocated across all files (used by
-    /// tests and by the experiment harness to report space usage).
-    pub fn total_blocks(&self) -> u64 {
+    fn total_blocks(&self) -> u64 {
         self.files
             .lock()
             .values()
@@ -141,65 +117,16 @@ impl SimDisk {
             .sum()
     }
 
-    /// Number of files currently allocated.
-    pub fn num_files(&self) -> usize {
-        self.files.lock().len()
-    }
-}
-
-/// The trait surface simply delegates to the inherent methods, which remain
-/// available for code that works with a concrete `SimDisk`.
-impl BlockDevice for SimDisk {
-    fn backend_name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn block_size(&self) -> usize {
-        SimDisk::block_size(self)
-    }
-
-    fn create_file(&self) -> Result<FileId> {
-        Ok(SimDisk::create_file(self))
-    }
-
-    fn delete_file(&self, id: FileId) -> Result<()> {
-        SimDisk::delete_file(self, id)
-    }
-
-    fn file_exists(&self, id: FileId) -> bool {
-        SimDisk::file_exists(self, id)
-    }
-
-    fn num_blocks(&self, id: FileId) -> Result<u64> {
-        SimDisk::num_blocks(self, id)
-    }
-
-    fn block_exists(&self, id: FileId, idx: u64) -> bool {
-        SimDisk::block_exists(self, id, idx)
-    }
-
-    fn read_block(&self, id: FileId, idx: u64, dst: &mut [u8]) -> Result<()> {
-        SimDisk::read_block(self, id, idx, dst)
-    }
-
-    fn write_block(&self, id: FileId, idx: u64, src: &[u8]) -> Result<()> {
-        SimDisk::write_block(self, id, idx, src)
-    }
-
-    fn total_blocks(&self) -> u64 {
-        SimDisk::total_blocks(self)
-    }
-
     fn num_files(&self) -> usize {
-        SimDisk::num_files(self)
+        self.files.lock().len()
     }
 
     fn stats(&self) -> IoSnapshot {
-        SimDisk::stats(self)
+        self.stats.snapshot()
     }
 
     fn reset_stats(&self) {
-        SimDisk::reset_stats(self)
+        self.stats.reset();
     }
 }
 
@@ -210,7 +137,7 @@ mod tests {
     #[test]
     fn create_write_read_roundtrip() {
         let disk = SimDisk::new(64);
-        let f = disk.create_file();
+        let f = disk.create_file().unwrap();
         assert!(disk.file_exists(f));
         assert_eq!(disk.num_blocks(f).unwrap(), 0);
 
@@ -233,7 +160,7 @@ mod tests {
     #[test]
     fn sparse_writes_extend_with_zeros() {
         let disk = SimDisk::new(16);
-        let f = disk.create_file();
+        let f = disk.create_file().unwrap();
         disk.write_block(f, 3, &[1u8; 16]).unwrap();
         assert_eq!(disk.num_blocks(f).unwrap(), 4);
         let mut out = vec![2u8; 16];
@@ -244,7 +171,7 @@ mod tests {
     #[test]
     fn errors() {
         let disk = SimDisk::new(16);
-        let f = disk.create_file();
+        let f = disk.create_file().unwrap();
         let mut buf = vec![0u8; 16];
         assert!(matches!(
             disk.read_block(f, 0, &mut buf),
@@ -264,8 +191,8 @@ mod tests {
     #[test]
     fn ids_are_unique_and_counts_accumulate() {
         let disk = SimDisk::new(16);
-        let a = disk.create_file();
-        let b = disk.create_file();
+        let a = disk.create_file().unwrap();
+        let b = disk.create_file().unwrap();
         assert_ne!(a, b);
         assert_eq!(disk.num_files(), 2);
         disk.write_block(a, 0, &[0u8; 16]).unwrap();

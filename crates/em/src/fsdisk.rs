@@ -99,7 +99,7 @@ pub struct FsDisk {
     prefix: String,
     files: Mutex<HashMap<FileId, FsFile>>,
     next_id: AtomicU64,
-    stats: Arc<IoStats>,
+    stats: IoStats,
 }
 
 impl FsDisk {
@@ -147,18 +147,13 @@ impl FsDisk {
             prefix,
             files: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
-            stats: Arc::new(IoStats::new()),
+            stats: IoStats::new(),
         })
     }
 
     /// The directory holding the backing files.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Shared handle to the I/O counters.
-    pub fn stats_handle(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
     }
 }
 
@@ -433,16 +428,16 @@ mod tests {
             assert_eq!(buf, vec![i as u8; 32], "block {i} content");
         }
         // Every transfer counts exactly once.
-        let delta = disk.stats().delta(&before);
-        assert_eq!(delta.reads, BLOCKS);
-        assert_eq!(delta.writes, 0);
+        let moved = disk.stats().since(&before);
+        assert_eq!(moved.reads, BLOCKS);
+        assert_eq!(moved.writes, 0);
 
         // A second pass is identical.
         for i in 0..BLOCKS {
             disk.read_block(f, i, &mut buf).unwrap();
             assert_eq!(buf, vec![i as u8; 32]);
         }
-        assert_eq!(disk.stats().delta(&before).reads, 2 * BLOCKS);
+        assert_eq!(disk.stats().since(&before).reads, 2 * BLOCKS);
     }
 
     #[test]

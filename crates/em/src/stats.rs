@@ -1,48 +1,25 @@
 //! I/O accounting.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of counter shards.  Each thread is pinned to one shard, so
-/// concurrent slab workers never contend on the same cache line; snapshots
-/// merge all shards into one global view.
-const SHARDS: usize = 16;
-
-/// One cache-line-aligned pair of counters, owned (in the common case) by the
-/// threads hashed onto it.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Shard {
-    reads: AtomicU64,
-    writes: AtomicU64,
-}
-
-/// Thread-safe counters of block transfers, shared between the simulated disk
-/// and the context that owns it.
+/// Thread-safe counters of block transfers, kept by a block device.
 ///
 /// Every block read from the disk into the buffer pool and every block written
 /// back (on dirty eviction or explicit flush) increments the respective
 /// counter.  The paper's performance metric is exactly `reads + writes`
 /// ("the number of transferred blocks during the entire process").
 ///
-/// # Concurrency
-///
-/// Counters are **sharded per thread**: each recording thread increments a
-/// private cache-line-aligned shard chosen on first use, and
-/// [`snapshot`](IoStats::snapshot) merges the shards.  This keeps the
-/// accounting exact under the parallel slab stage of ExactMaxRS without
-/// serializing workers on a single hot atomic.
+/// Two relaxed atomics: every transfer an [`EmContext`](crate::EmContext)
+/// counts happens inside its buffer pool, which its workers reach through
+/// one lock, so the counters see no contention of their own.
 #[derive(Debug, Default)]
 pub struct IoStats {
-    shards: [Shard; SHARDS],
+    reads: AtomicU64,
+    writes: AtomicU64,
 }
 
-/// Round-robin assignment of threads to shards.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-
     /// Stack of active per-thread meters (see [`measure_thread_io`]); every
     /// block transfer recorded by the current thread also increments each
     /// active meter.
@@ -63,8 +40,8 @@ fn bump_thread_meters(reads: u64, writes: u64) {
 /// runs, returning `f`'s result together with the observed [`IoSnapshot`].
 ///
 /// This is the per-task accounting primitive for concurrent workloads: the
-/// global [`IoStats`] shards stay exact under parallelism but merge into one
-/// total, so a worker that wants to know what *its own* work cost wraps it in
+/// global [`IoStats`] stay exact under parallelism but count one total, so
+/// a worker that wants to know what *its own* work cost wraps it in
 /// `measure_thread_io` (the batched query executor attributes per-group I/O
 /// this way while groups run on the `parallel_map` pool).  The meter counts
 /// every transfer the current thread triggers — including evictions of other
@@ -96,38 +73,30 @@ impl IoStats {
         IoStats::default()
     }
 
-    fn my_shard(&self) -> &Shard {
-        &self.shards[MY_SHARD.with(|&s| s)]
-    }
-
     /// Records one block read.
     pub fn record_read(&self) {
-        self.my_shard().reads.fetch_add(1, Ordering::Relaxed);
+        self.reads.fetch_add(1, Ordering::Relaxed);
         bump_thread_meters(1, 0);
     }
 
     /// Records one block write.
     pub fn record_write(&self) {
-        self.my_shard().writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.fetch_add(1, Ordering::Relaxed);
         bump_thread_meters(0, 1);
     }
 
-    /// Returns the current counter values, merged over all per-thread shards.
+    /// Returns the current counter values.
     pub fn snapshot(&self) -> IoSnapshot {
-        let mut snap = IoSnapshot::default();
-        for shard in &self.shards {
-            snap.reads += shard.reads.load(Ordering::Relaxed);
-            snap.writes += shard.writes.load(Ordering::Relaxed);
+        IoSnapshot {
+            reads: self.reads.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
         }
-        snap
     }
 
-    /// Resets all shards to zero.
+    /// Resets both counters to zero.
     pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.reads.store(0, Ordering::Relaxed);
-            shard.writes.store(0, Ordering::Relaxed);
-        }
+        self.reads.store(0, Ordering::Relaxed);
+        self.writes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -146,26 +115,18 @@ impl IoSnapshot {
         self.reads + self.writes
     }
 
-    /// The transfers `self` performed beyond `baseline`, per counter
-    /// (saturating at zero) — the canonical snapshot subtraction.
-    ///
-    /// Use this instead of hand-rolling `saturating_sub` on the fields: it
-    /// keeps reads and writes paired and composes with [`total`]
-    /// (`a.delta(&b).total()` is "how many more blocks did `a` move").
+    /// The transfers `self` performed beyond `earlier`, per counter
+    /// (saturating at zero) — the one snapshot subtraction: it keeps reads
+    /// and writes paired and composes with [`total`]
+    /// (`after.since(&before).total()` is "how many blocks moved between the
+    /// two readings").
     ///
     /// [`total`]: IoSnapshot::total
-    pub fn delta(&self, baseline: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads.saturating_sub(baseline.reads),
-            writes: self.writes.saturating_sub(baseline.writes),
-        }
-    }
-
-    /// Difference between two snapshots (`self` taken after `earlier`):
-    /// alias of [`delta`](IoSnapshot::delta) reading naturally when the
-    /// receiver is the later counter reading.
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        self.delta(earlier)
+        IoSnapshot {
+            reads: self.reads.saturating_sub(earlier.reads),
+            writes: self.writes.saturating_sub(earlier.writes),
+        }
     }
 }
 
@@ -238,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_is_the_canonical_subtraction() {
+    fn since_saturates_per_counter() {
         let after = IoSnapshot {
             reads: 10,
             writes: 4,
@@ -249,13 +210,12 @@ mod tests {
         };
         // Per-counter saturation: mixed over/undershoot never wraps.
         assert_eq!(
-            after.delta(&before),
+            after.since(&before),
             IoSnapshot {
                 reads: 7,
                 writes: 0
             }
         );
-        assert_eq!(after.since(&before), after.delta(&before));
     }
 
     #[test]
@@ -279,7 +239,7 @@ mod tests {
         });
         assert_eq!(io.reads, 3);
         assert_eq!(io.writes, 1);
-        // The global shards still saw everything.
+        // The global counters still saw everything.
         assert_eq!(stats.snapshot().reads, 503);
         assert_eq!(stats.snapshot().writes, 501);
     }
@@ -330,27 +290,31 @@ mod tests {
     }
 
     #[test]
-    fn shards_merge_into_one_exact_total() {
+    fn concurrent_counts_are_exact() {
         use std::sync::Arc;
-        // More threads than shards: wrap-around assignment must still produce
-        // an exact global count.
+        // Threads recording reads and writes side by side: relaxed atomics
+        // still produce an exact total.
         let stats = Arc::new(IoStats::new());
-        let handles: Vec<_> = (0..SHARDS * 2 + 3)
+        let handles: Vec<_> = (0..8)
             .map(|_| {
                 let s = Arc::clone(&stats);
                 std::thread::spawn(move || {
-                    for _ in 0..100 {
+                    for _ in 0..1000 {
                         s.record_read();
                         s.record_write();
                     }
                 })
             })
             .collect();
-        let n = handles.len() as u64;
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(stats.snapshot().reads, 100 * n);
-        assert_eq!(stats.snapshot().writes, 100 * n);
+        assert_eq!(
+            stats.snapshot(),
+            IoSnapshot {
+                reads: 8000,
+                writes: 8000
+            }
+        );
     }
 }

@@ -51,18 +51,6 @@ impl Circle {
         Rect::centered_at(self.center, RectSize::square(self.diameter()))
     }
 
-    /// `true` when the interiors of the two disks intersect.
-    pub fn intersects_open(&self, other: &Circle) -> bool {
-        let r = self.radius + other.radius;
-        self.center.distance_sq(&other.center) < r * r
-    }
-
-    /// `true` when the closed disks intersect (they touch or overlap).
-    pub fn intersects_closed(&self, other: &Circle) -> bool {
-        let r = self.radius + other.radius;
-        self.center.distance_sq(&other.center) <= r * r
-    }
-
     /// Intersection points of the two circle *boundaries*.
     ///
     /// Returns `None` when the boundaries do not intersect or the circles are
@@ -119,18 +107,6 @@ mod tests {
         assert_eq!(r, Rect::new(3.0, 7.0, 3.0, 7.0));
         assert_eq!(r.width(), c.diameter());
         assert_eq!(r.height(), c.diameter());
-    }
-
-    #[test]
-    fn disk_intersection_predicates() {
-        let a = Circle::new(Point::new(0.0, 0.0), 1.0);
-        let b = Circle::new(Point::new(1.5, 0.0), 1.0);
-        let c = Circle::new(Point::new(2.0, 0.0), 1.0);
-        let d = Circle::new(Point::new(5.0, 0.0), 1.0);
-        assert!(a.intersects_open(&b));
-        assert!(!a.intersects_open(&c)); // tangent: interiors do not meet
-        assert!(a.intersects_closed(&c));
-        assert!(!a.intersects_closed(&d));
     }
 
     #[test]

@@ -37,19 +37,9 @@ impl Interval {
         hi: f64::INFINITY,
     };
 
-    /// An empty sentinel interval (used before any tuple has been seen).
-    pub fn empty_at(x: Coord) -> Self {
-        Interval { lo: x, hi: x }
-    }
-
     /// Length of the interval (`+∞` for unbounded intervals).
     pub fn length(&self) -> Coord {
         self.hi - self.lo
-    }
-
-    /// `true` if the interval has zero length.
-    pub fn is_degenerate(&self) -> bool {
-        self.lo == self.hi
     }
 
     /// `true` when `x` lies in the closed interval.
@@ -143,8 +133,6 @@ mod tests {
         assert!(i.contains_open(2.0));
         assert!(!i.contains(3.5));
         assert_eq!(i.length(), 2.0);
-        assert!(!i.is_degenerate());
-        assert!(Interval::empty_at(2.0).is_degenerate());
     }
 
     #[test]

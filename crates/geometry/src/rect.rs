@@ -69,11 +69,6 @@ impl Rect {
         )
     }
 
-    /// The rectangle spanning the two intervals.
-    pub fn from_intervals(x: Interval, y: Interval) -> Self {
-        Rect::new(x.lo, x.hi, y.lo, y.hi)
-    }
-
     /// Center point of the rectangle.
     pub fn center(&self) -> Point {
         Point::new((self.x_lo + self.x_hi) / 2.0, (self.y_lo + self.y_hi) / 2.0)
@@ -260,9 +255,5 @@ mod tests {
         assert!(!inner.contains_rect(&outer));
         assert_eq!(outer.x_interval(), Interval::new(0.0, 10.0));
         assert_eq!(inner.y_interval(), Interval::new(4.0, 5.0));
-        assert_eq!(
-            Rect::from_intervals(Interval::new(0.0, 1.0), Interval::new(2.0, 3.0)),
-            Rect::new(0.0, 1.0, 2.0, 3.0)
-        );
     }
 }

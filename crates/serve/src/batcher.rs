@@ -50,11 +50,6 @@ impl<T> MicroBatcher<T> {
         }
     }
 
-    /// Number of entries waiting for a flush.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// `true` when no entries are pending.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
