@@ -80,8 +80,8 @@ impl ShardServer {
 
     /// Prepares and hosts shard `id` with its block device rooted in
     /// `directory` (filesystem backend).  Every shard gets its own device
-    /// with a unique file prefix, so shards can share a directory; a device
-    /// deletes its block files when its shard drops.
+    /// with a uniquely named backing file, so shards can share a directory;
+    /// a device deletes its backing file when its shard drops.
     pub fn host_in(
         &mut self,
         id: usize,

@@ -9,7 +9,7 @@
 //! shard (no piece is exported, round 2 re-derives every piece); empty
 //! datasets and tie-collapsed (empty) shards answer like the unsharded
 //! pipeline.  Shards hosted in one directory run on filesystem devices and
-//! leave no block file behind, and preparing moves each shard block at most
+//! leave no backing file behind, and preparing moves each shard block at most
 //! once.  The aggregated `IoSnapshot` of a cluster query is invariant across
 //! server topologies, transports and storage backends, and a batch shares
 //! its sweep passes on the cluster as on a prepared dataset.
@@ -280,8 +280,9 @@ fn one_server_hosting_every_shard_matches_the_prepared_dataset() {
 }
 
 /// Shards hosted with `host_in` in one existing directory share it on
-/// filesystem devices of their own, answer like the prepared dataset, and
-/// delete every block file when the cluster drops.
+/// filesystem devices of their own, one backing file per shard device,
+/// answer like the prepared dataset, and delete every backing file when the
+/// cluster drops.
 #[test]
 fn shards_hosted_in_one_directory_run_on_fs_devices() {
     let dir = std::env::temp_dir().join(format!(

@@ -21,8 +21,8 @@ pub enum StorageBackend {
     /// interaction, the default.
     #[default]
     Sim,
-    /// Filesystem-backed [`FsDisk`](crate::FsDisk): real files under a temp
-    /// directory (or a caller-chosen one via
+    /// Filesystem-backed [`FsDisk`](crate::FsDisk): one backing file under a
+    /// temp directory (or a caller-chosen one via
     /// [`EmContext::with_device`](crate::EmContext::with_device)).
     Fs,
 }

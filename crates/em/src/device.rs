@@ -13,8 +13,10 @@ use crate::{FileId, IoSnapshot, Result};
 ///
 /// * [`SimDisk`](crate::SimDisk) — RAM-backed, deterministic, the default;
 ///   what every experiment and test runs against unless told otherwise.
-/// * [`FsDisk`](crate::FsDisk) — real files under a temp/configurable
-///   directory via `std::fs`, with block-aligned positioned reads and writes.
+/// * [`FsDisk`](crate::FsDisk) — one backing file per device under a
+///   temp/configurable directory via `std::fs`, each file of the device a
+///   table of block slots in it, with block-aligned positioned reads and
+///   writes.
 ///
 /// Both backends share the *logical* I/O accounting: a block transfer counts
 /// as one I/O no matter what the host OS does underneath (page cache,

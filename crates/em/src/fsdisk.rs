@@ -1,31 +1,96 @@
-//! Filesystem-backed block device.
+//! Filesystem-backed block device: a block store in one backing file.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::{BlockDevice, EmError, FileId, IoSnapshot, IoStats, Result};
 
 /// Process-wide counter making concurrently created devices unique (used for
-/// both temp-directory names and per-device file-name prefixes).
+/// both temp-directory names and backing-file names).
 static DEVICE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The live devices of each directory in use, by canonical path: how many
 /// there are, and whether a device created the directory.
 static DIRECTORIES: Mutex<Option<HashMap<PathBuf, (usize, bool)>>> = Mutex::new(None);
 
-/// One backing file: its open handle plus the logical block count.  The
-/// handle sits behind an `Arc` so block transfers can run outside the
-/// directory lock (the lock is held only to look the handle up).
+/// The slot-table entry of a hole: a block inside a file that no write
+/// reached, which maps no slot and reads back as zeros.
+const HOLE: u64 = u64::MAX;
+
+/// Where every block of every EM file lives in the backing file.
+#[derive(Debug, Default)]
+struct SlotTable {
+    /// Each EM file's blocks: the backing-file slot of each, or [`HOLE`].
+    files: HashMap<FileId, Vec<u64>>,
+    /// Slots no file maps, reused last freed first before the backing file
+    /// grows.
+    free: Vec<u64>,
+    /// Slots handed out so far, free ones included: the backing file holds
+    /// no block past them.
+    slots: u64,
+}
+
+impl SlotTable {
+    /// A slot for a block no slot holds yet: a free one, else a new one at
+    /// the end of the backing file.
+    fn take(&mut self) -> u64 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slots += 1;
+            self.slots - 1
+        })
+    }
+
+    /// Maps block `idx` of file `id` to `slot`, which a write has just
+    /// filled, growing the file with holes up to it.  A slot the block held
+    /// before, or `slot` itself if the file was deleted meanwhile, goes back
+    /// on the free list.
+    fn map(&mut self, id: FileId, idx: u64, slot: u64) {
+        let Some(blocks) = self.files.get_mut(&id) else {
+            return self.free.push(slot);
+        };
+        let idx = idx as usize;
+        if blocks.len() <= idx {
+            blocks.resize(idx + 1, HOLE);
+        }
+        let old = std::mem::replace(&mut blocks[idx], slot);
+        if old != HOLE {
+            self.free.push(old);
+        }
+    }
+}
+
+/// A device's backing-file path and its count in [`DIRECTORIES`].  Dropping
+/// it removes the backing file, and the directory too when it was the
+/// directory's last device and a device created the directory.
 #[derive(Debug)]
-struct FsFile {
-    handle: Arc<File>,
+struct Lease {
     path: PathBuf,
-    blocks: u64,
+    /// The canonical path under which [`DIRECTORIES`] counts the device.
+    dir_key: PathBuf,
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+        let mut directories = DIRECTORIES.lock();
+        let map = directories.get_or_insert_with(HashMap::new);
+        if let Some((live, created)) = map.get_mut(&self.dir_key) {
+            *live -= 1;
+            if *live == 0 {
+                let created = *created;
+                map.remove(&self.dir_key);
+                if created {
+                    // Not `remove_dir_all`: a file no device made stays, and
+                    // so does the directory holding it.
+                    let _ = std::fs::remove_dir(&self.dir_key);
+                }
+            }
+        }
+    }
 }
 
 /// Positioned one-block read: no shared seek cursor on Unix; elsewhere a
@@ -61,43 +126,62 @@ fn pwrite(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
     }
 }
 
-/// A block device backed by real files under a directory via `std::fs`.
+/// A block device storing every EM file in one backing file via `std::fs`.
 ///
-/// Each EM file becomes one file `blk-<id>.bin` in the device directory;
-/// block `idx` lives at byte offset `idx * block_size`, so every access is a
-/// block-aligned positioned read or write.  Sparse writes (block written past
-/// the current end) leave a hole the filesystem reads back as zeros — the
-/// same semantics as [`SimDisk`](crate::SimDisk)'s zero-fill growth.
+/// The device keeps one backing file, `blk-<pid>-<n>.bin` in its directory,
+/// made when the device is.  Every EM file is a table of slot numbers into
+/// it: the block in slot `s` lives at byte offset `s * block_size`, so every
+/// counted transfer is one block-aligned positioned read or write.  Creating
+/// an EM file adds an empty table; deleting one puts its slots on a free
+/// list, and a write that needs a slot takes the last one freed before it
+/// grows the backing file.  No EM file creates or unlinks an OS file.
+///
+/// A write past a file's end extends its table with holes, which map no slot
+/// and read back as zeros — the same semantics as
+/// [`SimDisk`](crate::SimDisk)'s zero-fill growth; the block counts include
+/// them.  A block is mapped to a slot only after a full-block write into
+/// that slot succeeded (a failed write leaves the table as it was and frees
+/// the slot), so a file never reads another file's old bytes.  Slot lookup
+/// and allocation run under the device's lock, the transfers outside it, so
+/// a file must not be deleted while a transfer on it is in flight: the
+/// transfer could land in a slot another file has since taken.
 ///
 /// The *logical* I/O accounting is identical to the simulated backend: one
-/// counted read/write per block transfer, regardless of what the OS page
-/// cache does underneath.  Answers and I/O counts are therefore
-/// backend-invariant (the backend-parity tests assert exactly that); what
-/// changes is that blocks genuinely hit the filesystem.
+/// counted read/write per block transfer (reading a hole counts one read),
+/// regardless of what the OS page cache does underneath.  Answers and I/O
+/// counts are therefore backend-invariant (the backend-parity tests assert
+/// exactly that); what changes is that blocks genuinely hit the filesystem.
+///
+/// # Space
+///
+/// The backing file never shrinks while the device lives: its length is the
+/// high-water mark of live blocks (written blocks of files not yet deleted;
+/// holes take no space), and the slot tables cost 8 bytes of memory per
+/// block, holes included.
 ///
 /// # RAII
 ///
-/// Dropping the device removes every backing file.  A directory a device
+/// Dropping the device removes its backing file.  A directory a device
 /// created (the default temp-directory constructor, or a
 /// [`new_in`](FsDisk::new_in) path that did not exist yet) goes too, when
 /// the last device using it drops and nothing else is left in it.  A
 /// directory that existed before any device used it stays, with only the
-/// devices' own block files removed.
+/// devices' own backing files removed.
 ///
-/// Several devices may share one directory: every device names its files
-/// with a process- and instance-unique prefix, so they never truncate or
-/// unlink each other's data, and each drop removes only its own files, so
-/// the other devices keep working whichever drops first.
+/// Several devices may share one directory: every device names its backing
+/// file with a process- and instance-unique prefix, so they never truncate or
+/// unlink each other's data, and each drop removes only its own file, so the
+/// other devices keep working whichever drops first.
 #[derive(Debug)]
 pub struct FsDisk {
     block_size: usize,
     dir: PathBuf,
-    /// The canonical path under which [`DIRECTORIES`] counts this device.
-    dir_key: PathBuf,
-    /// Process- and instance-unique file-name prefix, so devices sharing a
-    /// directory cannot clobber each other's backing files.
-    prefix: String,
-    files: Mutex<HashMap<FileId, FsFile>>,
+    /// The backing file; declared before `_lease` so that it closes before
+    /// the lease removes it.
+    backing: File,
+    /// Held for its drop, which removes the backing file.
+    _lease: Lease,
+    table: Mutex<SlotTable>,
     next_id: AtomicU64,
     stats: IoStats,
 }
@@ -114,15 +198,15 @@ impl FsDisk {
         Self::create(block_size, dir, true)
     }
 
-    /// Creates a device storing its files under `dir` (created if missing;
-    /// then removed when the last device using it drops, if no other files
-    /// remain in it).
+    /// Creates a device storing its backing file under `dir` (created if
+    /// missing; then removed when the last device using it drops, if no
+    /// other files remain in it).
     pub fn new_in(dir: impl AsRef<Path>, block_size: usize) -> Result<Self> {
         Self::create(block_size, dir.as_ref().to_path_buf(), false)
     }
 
-    /// Creates the device and counts it under `dir`, which a device created
-    /// if it did not exist or `created` is set.
+    /// Creates the device and its backing file, and counts it under `dir`,
+    /// which a device created if it did not exist or `created` is set.
     fn create(block_size: usize, dir: PathBuf, created: bool) -> Result<Self> {
         assert!(block_size > 0, "block size must be positive");
         let mut directories = DIRECTORIES.lock();
@@ -135,25 +219,41 @@ impl FsDisk {
             .or_insert((0, created))
             .0 += 1;
         drop(directories);
-        let prefix = format!(
-            "blk-{}-{}",
-            std::process::id(),
-            DEVICE_COUNTER.fetch_add(1, Ordering::Relaxed)
-        );
+        // From here on a failure drops the lease, which undoes the count.
+        let lease = Lease {
+            path: dir.join(format!(
+                "blk-{}-{}.bin",
+                std::process::id(),
+                DEVICE_COUNTER.fetch_add(1, Ordering::Relaxed)
+            )),
+            dir_key,
+        };
+        let backing = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&lease.path)
+            .map_err(io_err)?;
         Ok(FsDisk {
             block_size,
             dir,
-            dir_key,
-            prefix,
-            files: Mutex::new(HashMap::new()),
+            backing,
+            _lease: lease,
+            table: Mutex::new(SlotTable::default()),
             next_id: AtomicU64::new(0),
             stats: IoStats::new(),
         })
     }
 
-    /// The directory holding the backing files.
+    /// The directory holding the backing file.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The byte offset of a slot in the backing file.
+    fn offset(&self, slot: u64) -> u64 {
+        slot * self.block_size as u64
     }
 }
 
@@ -173,103 +273,95 @@ impl BlockDevice for FsDisk {
 
     fn create_file(&self) -> Result<FileId> {
         let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let path = self.dir.join(format!("{}-{}.bin", self.prefix, id.0));
-        let handle = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(io_err)?;
-        self.files.lock().insert(
-            id,
-            FsFile {
-                handle: Arc::new(handle),
-                path,
-                blocks: 0,
-            },
-        );
+        self.table.lock().files.insert(id, Vec::new());
         Ok(id)
     }
 
     fn delete_file(&self, id: FileId) -> Result<()> {
-        match self.files.lock().remove(&id) {
-            Some(file) => {
-                // Close the handle before unlinking (drop order), then remove
-                // the backing file; a file the OS already lost is not an
-                // error the EM layer can act on.
-                let path = file.path.clone();
-                drop(file);
-                std::fs::remove_file(path).map_err(io_err)
-            }
-            None => Err(EmError::FileNotFound(id)),
-        }
+        let mut table = self.table.lock();
+        let blocks = table.files.remove(&id).ok_or(EmError::FileNotFound(id))?;
+        // Reversed, so the next file takes the slots in the order this one
+        // held them.
+        table
+            .free
+            .extend(blocks.into_iter().rev().filter(|&slot| slot != HOLE));
+        Ok(())
     }
 
     fn file_exists(&self, id: FileId) -> bool {
-        self.files.lock().contains_key(&id)
+        self.table.lock().files.contains_key(&id)
     }
 
     fn num_blocks(&self, id: FileId) -> Result<u64> {
-        self.files
+        self.table
             .lock()
+            .files
             .get(&id)
-            .map(|f| f.blocks)
+            .map(|blocks| blocks.len() as u64)
             .ok_or(EmError::FileNotFound(id))
     }
 
     fn block_exists(&self, id: FileId, idx: u64) -> bool {
-        self.files
+        self.table
             .lock()
+            .files
             .get(&id)
-            .map(|f| idx < f.blocks)
+            .map(|blocks| (idx as usize) < blocks.len())
             .unwrap_or(false)
     }
 
     fn read_block(&self, id: FileId, idx: u64, dst: &mut [u8]) -> Result<()> {
         assert_eq!(dst.len(), self.block_size, "destination must be one block");
-        // Look the handle up under the lock, transfer outside it: the
-        // directory mutex never spans a blocking syscall.
-        let handle = {
-            let files = self.files.lock();
-            let file = files.get(&id).ok_or(EmError::FileNotFound(id))?;
-            if idx >= file.blocks {
-                return Err(EmError::BlockOutOfRange {
-                    file: id,
-                    block: idx,
-                    len: file.blocks,
-                });
-            }
-            Arc::clone(&file.handle)
+        let slot = {
+            let table = self.table.lock();
+            let blocks = table.files.get(&id).ok_or(EmError::FileNotFound(id))?;
+            *blocks.get(idx as usize).ok_or(EmError::BlockOutOfRange {
+                file: id,
+                block: idx,
+                len: blocks.len() as u64,
+            })?
         };
-        pread(&handle, dst, idx * self.block_size as u64).map_err(io_err)?;
+        if slot == HOLE {
+            dst.fill(0);
+        } else {
+            pread(&self.backing, dst, self.offset(slot)).map_err(io_err)?;
+        }
         self.stats.record_read();
         Ok(())
     }
 
     fn write_block(&self, id: FileId, idx: u64, src: &[u8]) -> Result<()> {
         assert_eq!(src.len(), self.block_size, "source must be one block");
-        let handle = {
-            let files = self.files.lock();
-            let file = files.get(&id).ok_or(EmError::FileNotFound(id))?;
-            Arc::clone(&file.handle)
+        // A mapped block is overwritten in place.  Any other block takes a
+        // slot here but is mapped to it only after the write succeeded.
+        let (slot, fresh) = {
+            let mut table = self.table.lock();
+            let blocks = table.files.get(&id).ok_or(EmError::FileNotFound(id))?;
+            match blocks.get(idx as usize) {
+                Some(&slot) if slot != HOLE => (slot, false),
+                _ => (table.take(), true),
+            }
         };
-        // Writing past EOF extends the file with a zero-filled hole, matching
-        // the simulated backend's sparse growth.
-        pwrite(&handle, src, idx * self.block_size as u64).map_err(io_err)?;
-        if let Some(file) = self.files.lock().get_mut(&id) {
-            file.blocks = file.blocks.max(idx + 1);
+        let written = pwrite(&self.backing, src, self.offset(slot));
+        if fresh {
+            let mut table = self.table.lock();
+            match written {
+                Ok(()) => table.map(id, idx, slot),
+                Err(_) => table.free.push(slot),
+            }
         }
+        written.map_err(io_err)?;
         self.stats.record_write();
         Ok(())
     }
 
     fn total_blocks(&self) -> u64 {
-        self.files.lock().values().map(|f| f.blocks).sum()
+        let table = self.table.lock();
+        table.files.values().map(|blocks| blocks.len() as u64).sum()
     }
 
     fn num_files(&self) -> usize {
-        self.files.lock().len()
+        self.table.lock().files.len()
     }
 
     fn stats(&self) -> IoSnapshot {
@@ -281,35 +373,10 @@ impl BlockDevice for FsDisk {
     }
 }
 
-impl Drop for FsDisk {
-    fn drop(&mut self) {
-        let mut files = self.files.lock();
-        for (_, file) in files.drain() {
-            let path = file.path.clone();
-            drop(file);
-            let _ = std::fs::remove_file(path);
-        }
-        drop(files);
-        let mut directories = DIRECTORIES.lock();
-        let map = directories.get_or_insert_with(HashMap::new);
-        if let Some((live, created)) = map.get_mut(&self.dir_key) {
-            *live -= 1;
-            if *live == 0 {
-                let created = *created;
-                map.remove(&self.dir_key);
-                if created {
-                    // Not `remove_dir_all`: a file no device made stays, and
-                    // so does the directory holding it.
-                    let _ = std::fs::remove_dir(&self.dir_key);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimDisk;
 
     #[test]
     fn create_write_read_roundtrip() {
@@ -342,7 +409,7 @@ mod tests {
         assert_eq!(disk.num_blocks(f).unwrap(), 4);
         let mut out = vec![2u8; 16];
         disk.read_block(f, 1, &mut out).unwrap();
-        assert_eq!(out, vec![0u8; 16], "filesystem holes read back as zeros");
+        assert_eq!(out, vec![0u8; 16], "holes read back as zeros");
     }
 
     #[test]
@@ -380,6 +447,7 @@ mod tests {
     fn drop_removes_backing_files_and_owned_dir() {
         let disk = FsDisk::new(32).unwrap();
         let dir = disk.dir().to_path_buf();
+        assert_eq!(block_files_in(&dir), 1, "the device makes its backing file");
         let f = disk.create_file().unwrap();
         disk.write_block(f, 0, &[1u8; 32]).unwrap();
         assert_eq!(block_files_in(&dir), 1);
@@ -402,15 +470,68 @@ mod tests {
         std::fs::remove_dir_all(&base).unwrap();
     }
 
+    /// The backing file's length in bytes.
+    fn backing_len(disk: &FsDisk) -> u64 {
+        disk.backing.metadata().unwrap().len()
+    }
+
     #[test]
-    fn delete_file_unlinks_on_disk() {
+    fn deleted_slots_are_reused_and_the_backing_file_does_not_grow() {
         let disk = FsDisk::new(32).unwrap();
-        let f = disk.create_file().unwrap();
-        disk.write_block(f, 0, &[1u8; 32]).unwrap();
-        assert_eq!(block_files_in(disk.dir()), 1);
-        disk.delete_file(f).unwrap();
-        assert_eq!(block_files_in(disk.dir()), 0);
-        assert_eq!(disk.total_blocks(), 0);
+        let dir = disk.dir().to_path_buf();
+        let mut file = disk.create_file().unwrap();
+        for idx in 0..4 {
+            disk.write_block(file, idx, &[1u8; 32]).unwrap();
+        }
+        assert_eq!(backing_len(&disk), 4 * 32);
+        // Each new EM file reuses the slots its predecessor freed, and none
+        // of them is an OS file of its own.
+        let mut out = vec![0u8; 32];
+        for round in 2..50u8 {
+            disk.delete_file(file).unwrap();
+            assert_eq!(disk.total_blocks(), 0);
+            file = disk.create_file().unwrap();
+            for idx in 0..4 {
+                disk.write_block(file, idx, &[round; 32]).unwrap();
+            }
+            assert_eq!(backing_len(&disk), 4 * 32, "round {round} grew the file");
+            assert_eq!(block_files_in(&dir), 1, "an EM file made an OS file");
+            for idx in 0..4 {
+                disk.read_block(file, idx, &mut out).unwrap();
+                assert_eq!(out, vec![round; 32]);
+            }
+        }
+        drop(disk);
+        assert!(!dir.exists());
+    }
+
+    #[test]
+    fn a_failed_write_maps_nothing_and_frees_its_slot() {
+        let mut disk = FsDisk::new(32).unwrap();
+        let file = disk.create_file().unwrap();
+        disk.write_block(file, 0, &[1u8; 32]).unwrap();
+        // A read-only handle makes every write into the backing file fail.
+        let path = disk._lease.path.clone();
+        disk.backing = File::open(&path).unwrap();
+        assert!(matches!(
+            disk.write_block(file, 3, &[2u8; 32]),
+            Err(EmError::Io(_))
+        ));
+        assert_eq!(
+            disk.num_blocks(file).unwrap(),
+            1,
+            "the failed write grew the file"
+        );
+        assert_eq!(disk.table.lock().free, vec![1], "the slot was not freed");
+        assert_eq!(disk.stats().writes, 1, "a failed write was counted");
+
+        disk.backing = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        disk.write_block(file, 3, &[2u8; 32]).unwrap();
+        assert_eq!(disk.table.lock().files[&file], vec![0, HOLE, HOLE, 1]);
     }
 
     #[test]
@@ -509,7 +630,7 @@ mod tests {
         other.write_block(after, 0, &[3u8; 32]).unwrap();
         other.read_block(after, 0, &mut out).unwrap();
         assert_eq!(out[0], 3);
-        assert_eq!(block_files_in(&base), 2);
+        assert_eq!(block_files_in(&base), 1, "one backing file per device");
 
         // The last device out removes the directory a device created.
         drop(other);
@@ -537,5 +658,136 @@ mod tests {
         assert!(base.exists(), "a directory no device created stays");
         assert_eq!(block_files_in(&base), 0, "block files are removed");
         std::fs::remove_dir(&base).unwrap();
+    }
+
+    /// One SplitMix64 step: the differential test's seeded generator.
+    fn next_random(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Asserts that the devices agree on everything a caller observes about
+    /// `files` and about the device as a whole.
+    fn assert_same_state(sim: &SimDisk, fs: &FsDisk, files: &[FileId]) {
+        assert_eq!(sim.num_files(), fs.num_files());
+        assert_eq!(sim.total_blocks(), fs.total_blocks());
+        assert_eq!(sim.stats(), fs.stats());
+        for &file in files {
+            assert_eq!(sim.file_exists(file), fs.file_exists(file));
+            assert_eq!(sim.num_blocks(file), fs.num_blocks(file));
+            for idx in 0..sim.num_blocks(file).unwrap_or(0) + 2 {
+                assert_eq!(sim.block_exists(file, idx), fs.block_exists(file, idx));
+            }
+        }
+    }
+
+    /// Asserts that every slot handed out is mapped by exactly one block or
+    /// is on the free list.
+    fn assert_slots_accounted(disk: &FsDisk) {
+        let table = disk.table.lock();
+        let mut held: Vec<u64> = table.files.values().flatten().copied().collect();
+        held.retain(|&slot| slot != HOLE);
+        held.extend(&table.free);
+        held.sort_unstable();
+        assert_eq!(
+            held,
+            (0..table.slots).collect::<Vec<_>>(),
+            "slot lost or shared"
+        );
+    }
+
+    #[test]
+    fn matches_the_simulated_disk_under_random_operations() {
+        const BS: usize = 16;
+        let sim = SimDisk::new(BS);
+        let fs = FsDisk::new(BS).unwrap();
+        let mut state = 0x5EED;
+        let (mut sim_out, mut fs_out) = (vec![0u8; BS], vec![0u8; BS]);
+        let create = || {
+            let file = sim.create_file().unwrap();
+            assert_eq!(fs.create_file(), Ok(file));
+            file
+        };
+
+        // A hole reads zeros although the slots beside it were reused from
+        // a deleted file that held non-zero bytes.
+        let old = create();
+        for idx in 0..3 {
+            sim.write_block(old, idx, &[0xAB; BS]).unwrap();
+            fs.write_block(old, idx, &[0xAB; BS]).unwrap();
+        }
+        assert_eq!(sim.delete_file(old), fs.delete_file(old));
+        let new = create();
+        for idx in [1, 3] {
+            sim.write_block(new, idx, &[7; BS]).unwrap();
+            fs.write_block(new, idx, &[7; BS]).unwrap();
+        }
+        assert_eq!(
+            fs.table.lock().slots,
+            3,
+            "the new file reused the old slots"
+        );
+        for idx in [0, 2] {
+            fs.read_block(new, idx, &mut fs_out).unwrap();
+            assert_eq!(
+                fs_out,
+                vec![0u8; BS],
+                "hole {idx} read another file's bytes"
+            );
+        }
+        assert_eq!(sim.delete_file(new), fs.delete_file(new));
+        sim.reset_stats();
+        fs.reset_stats();
+
+        // 100 cycles of create, random writes (up to two blocks past the
+        // end) and reads (one block past it), and a delete, compared after
+        // every operation.  `written` holds the written blocks of live files,
+        // whose peak count (3 so far, `old`'s) the backing file's length
+        // must follow.
+        let mut files = vec![old, new];
+        let mut live = Vec::new();
+        let mut written = std::collections::HashSet::new();
+        let (mut high_water, mut fresh_writes, mut hole_reads) = (3, 0, 0);
+        for _cycle in 0..100 {
+            let file = create();
+            files.push(file);
+            live.push(file);
+            for step in 0..9 {
+                let file = live[next_random(&mut state) as usize % live.len()];
+                let len = sim.num_blocks(file).unwrap();
+                if step < 8 && !next_random(&mut state).is_multiple_of(3) {
+                    let idx = next_random(&mut state) % (len + 3);
+                    let data = vec![next_random(&mut state) as u8 | 1; BS];
+                    sim.write_block(file, idx, &data).unwrap();
+                    fs.write_block(file, idx, &data).unwrap();
+                    fresh_writes += usize::from(written.insert((file, idx)));
+                } else {
+                    let idx = next_random(&mut state) % (len + 1);
+                    hole_reads += usize::from(idx < len && !written.contains(&(file, idx)));
+                    let sim_read = sim.read_block(file, idx, &mut sim_out);
+                    assert_eq!(sim_read, fs.read_block(file, idx, &mut fs_out));
+                    assert_eq!(sim_out, fs_out, "block {idx} of {file:?}");
+                }
+                if step == 8 && live.len() > 1 + next_random(&mut state) as usize % 4 {
+                    let gone = live.swap_remove(next_random(&mut state) as usize % live.len());
+                    assert_eq!(sim.delete_file(gone), fs.delete_file(gone));
+                    assert_eq!(sim.delete_file(gone), fs.delete_file(gone));
+                    written.retain(|&(file, _)| file != gone);
+                }
+                assert_same_state(&sim, &fs, &files);
+                assert_slots_accounted(&fs);
+                high_water = high_water.max(written.len() as u64);
+                assert_eq!(backing_len(&fs), high_water * BS as u64);
+                assert_eq!(block_files_in(fs.dir()), 1);
+            }
+        }
+        assert!(hole_reads > 0, "the sequence read no hole");
+        assert!(
+            high_water < fresh_writes as u64,
+            "the sequence reused no slot"
+        );
     }
 }

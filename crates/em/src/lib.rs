@@ -13,10 +13,10 @@
 //! * [`BlockDevice`] — the block-device trait every backend implements, with
 //!   every block read and write counted in an [`IoStats`] counter,
 //! * [`SimDisk`] — the RAM-backed simulated device (default backend),
-//! * [`FsDisk`] — a filesystem-backed device storing blocks in real files
-//!   under a temp/configurable directory (select with
-//!   [`StorageBackend::Fs`] or `MAXRS_BACKEND=fs`); logical I/O counts are
-//!   identical across backends,
+//! * [`FsDisk`] — a filesystem-backed block store: one backing file per
+//!   device under a temp/configurable directory, each EM file a table of
+//!   block slots in it (select with [`StorageBackend::Fs`] or
+//!   `MAXRS_BACKEND=fs`); logical I/O counts are identical across backends,
 //! * [`BufferPool`] — a bounded buffer of block frames with CLOCK
 //!   (second-chance) replacement; only pool *misses* and dirty *evictions*
 //!   touch the disk and therefore cost I/O,

@@ -93,10 +93,11 @@ impl BufferPool {
 
     /// Runs `f` on the mutable contents of a block and marks it dirty.
     ///
-    /// When `create` is `true` and the block is neither cached nor on disk,
-    /// the frame is zero-initialized instead of being read (used by appending
-    /// writers); otherwise a miss fetches the current contents from disk
-    /// (read-modify-write, used by the update-in-place index baselines).
+    /// On a miss with `create` set, the frame is zero-initialized instead of
+    /// being read, whether or not the block is on disk (used by appending
+    /// writers, which overwrite the whole block); without it a miss fetches
+    /// the current contents from disk (read-modify-write, used by the
+    /// update-in-place index baselines).
     pub fn with_write<R>(
         &mut self,
         disk: &dyn BlockDevice,
@@ -168,13 +169,10 @@ impl BufferPool {
         }
         self.misses += 1;
         let slot = self.free_slot(disk)?;
-        if !create && disk.block_exists(file, block) {
-            // Split borrow: read into the frame buffer directly.
-            disk.read_block(file, block, &mut self.frames[slot].data)?;
-        } else if create {
+        if create {
             self.frames[slot].data.fill(0);
         } else {
-            // Reading a block that exists neither in the pool nor on disk.
+            // Split borrow: read into the frame buffer directly.
             disk.read_block(file, block, &mut self.frames[slot].data)?;
         }
         self.frames[slot].key = Some((file, block));
