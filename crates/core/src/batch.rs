@@ -28,9 +28,9 @@
 //! ApproxMaxCRS candidate sums, the objects themselves and an I/O meter.
 //! Top-k suppression is a scan predicate — every scan of a round leaves out
 //! the objects strictly inside an already chosen rectangle — so no host
-//! materializes per-round copies of its data.  A single object file
-//! ([`PreparedDataset`](crate::PreparedDataset),
-//! [`DeltaDataset`](crate::DeltaDataset)) and the shards behind
+//! materializes per-round copies of its data.  A single object file (a
+//! [`PreparedDataset`](crate::PreparedDataset), also the per-batch snapshot
+//! of a [`DeltaDataset`](crate::DeltaDataset)) and the shards behind
 //! `maxrs-cluster`'s coordinator both implement it, and [`run_on_host`]
 //! answers every variant on each of them with the same code, so the paths
 //! cannot drift apart.
@@ -210,9 +210,9 @@ impl QueryBatch {
 /// variant reduces to, whatever the dataset's layout (see the
 /// [module docs](crate::batch)).
 ///
-/// Implemented for a single object file (the prepared and delta
-/// datasets) and for `maxrs-cluster`'s coordinator; [`run_on_host`] drives
-/// either.
+/// Implemented for a single object file (a prepared dataset, or a delta
+/// dataset's snapshot) and for `maxrs-cluster`'s coordinator;
+/// [`run_on_host`] drives either.
 pub trait SweepHost {
     /// The host's error type; core errors convert into it, host-specific
     /// ones (say, an unavailable server) pass through the driver unchanged.
@@ -274,9 +274,10 @@ pub trait SweepHost {
 
 /// The host over one object file: the one local sweep host.  Every local
 /// query runs on it — through [`PreparedDataset`](crate::PreparedDataset),
-/// which [`MaxRsEngine::run_batch`](crate::MaxRsEngine::run_batch) and
-/// [`DeltaDataset`](crate::DeltaDataset) answer through — and so does
-/// [`SweepPass::max_rs`](crate::sweep::SweepPass::max_rs) for a single query.
+/// which [`MaxRsEngine::run_batch`](crate::MaxRsEngine::run_batch) and the
+/// snapshots of a [`DeltaDataset`](crate::DeltaDataset) answer through — and
+/// so does [`SweepPass::max_rs`](crate::sweep::SweepPass::max_rs) for a
+/// single query.
 pub(crate) struct FileHost<'a> {
     ctx: &'a EmContext,
     opts: ExactMaxRsOptions,

@@ -3,7 +3,7 @@
 //!
 //! Two engines in this workspace consume streams of timestamped
 //! [`Event`]s: the in-memory incremental engine (`maxrs-stream`'s
-//! `StreamEngine`) and the external-memory delta-main dataset
+//! `StreamEngine`) and the dynamic dataset of the external-memory path
 //! ([`DeltaDataset`](crate::DeltaDataset)).  Both must agree — exactly — on
 //! the fiddly rules that make replays deterministic:
 //!
@@ -160,8 +160,8 @@ pub fn validate_object(x: f64, y: f64, weight: f64) -> Result<(), EventError> {
     Ok(())
 }
 
-/// An `(id, object)` pair reported by [`LiveSet`] mutations — an expired or
-/// deleted object leaving the set, or a (normalized) object entering it.
+/// An `(id, object)` pair a [`LiveSet`] reports for an object leaving the
+/// set: expired by the window or removed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveRecord {
     /// The object's caller-chosen identifier.
@@ -169,22 +169,6 @@ pub struct LiveRecord {
     /// The object as stored (insert weights normalized, see
     /// [`LiveSet::check_insert`]).
     pub object: WeightedPoint,
-}
-
-/// Everything one [`LiveSet::apply`] call changed, for consumers that
-/// maintain derived structures (grids, deltas, tombstones) next to the set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventReport {
-    /// The outcome summary ([`EventOutcome::applied`] / count of expired).
-    pub outcome: EventOutcome,
-    /// Window-expired objects removed while advancing the clock, in expiry
-    /// order.
-    pub expired: Vec<LiveRecord>,
-    /// The object a delete removed (`None` for a no-op delete or a
-    /// non-delete event).
-    pub deleted: Option<LiveRecord>,
-    /// The normalized object an insert added (`None` for non-inserts).
-    pub inserted: Option<LiveRecord>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -223,12 +207,12 @@ pub fn total_order_bits(t: f64) -> u64 {
 /// live.apply(&Event::insert(2, 5.0, 5.0, 1.0, 3.0)).unwrap();
 ///
 /// // Unknown deletes are no-ops, reported through `applied`.
-/// let report = live.apply(&Event::delete(99, 4.0)).unwrap();
-/// assert!(!report.outcome.applied);
+/// let outcome = live.apply(&Event::delete(99, 4.0)).unwrap();
+/// assert!(!outcome.applied);
 ///
 /// // At t = 10 the first object's lifetime [0, 10) is over.
-/// let report = live.apply(&Event::tick(10.0)).unwrap();
-/// assert_eq!(report.outcome.expired, 1);
+/// let outcome = live.apply(&Event::tick(10.0)).unwrap();
+/// assert_eq!(outcome.expired, 1);
 /// assert!(!live.contains(1) && live.contains(2));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -293,17 +277,13 @@ impl LiveSet {
         self.entries.get(&id).map(|e| &e.object)
     }
 
-    /// The ids of the live objects, in no particular order.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.keys().copied()
-    }
-
     /// The live objects in insertion order — exactly the slice a batch
     /// engine would be given to answer the same question.
     pub fn survivors(&self) -> Vec<WeightedPoint> {
         let mut with_seq: Vec<(u64, WeightedPoint)> =
             self.entries.values().map(|e| (e.seq, e.object)).collect();
-        with_seq.sort_by_key(|&(seq, _)| seq);
+        // Sequence numbers are unique, so no order between equal keys is lost.
+        with_seq.sort_unstable_by_key(|&(seq, _)| seq);
         with_seq.into_iter().map(|(_, o)| o).collect()
     }
 
@@ -407,30 +387,17 @@ impl LiveSet {
     /// Errors leave the set unchanged **except** for the clock advance (and
     /// any expirations it triggered) — exactly the contract engines must
     /// share.
-    pub fn apply(&mut self, event: &Event) -> Result<EventReport, EventError> {
-        let expired = self.advance(event.at())?;
-        let mut report = EventReport {
-            outcome: EventOutcome {
-                applied: true,
-                expired: expired.len(),
-            },
-            expired,
-            deleted: None,
-            inserted: None,
-        };
-        match *event {
+    pub fn apply(&mut self, event: &Event) -> Result<EventOutcome, EventError> {
+        let expired = self.advance(event.at())?.len();
+        let applied = match *event {
             Event::Insert { id, object, .. } => {
-                let object = self.check_insert(id, object)?;
-                self.commit_insert(id, object);
-                report.inserted = Some(LiveRecord { id, object });
+                self.insert(id, object)?;
+                true
             }
-            Event::Delete { id, .. } => match self.remove(id) {
-                Some(removed) => report.deleted = Some(removed),
-                None => report.outcome.applied = false,
-            },
-            Event::Tick { .. } => {}
-        }
-        Ok(report)
+            Event::Delete { id, .. } => self.remove(id).is_some(),
+            Event::Tick { .. } => true,
+        };
+        Ok(EventOutcome { applied, expired })
     }
 }
 
@@ -500,9 +467,9 @@ mod tests {
         // The duplicate's timestamp still advances the clock and expires the
         // original before the duplicate check can even see it: the insert
         // then SUCCEEDS — dup-checking happens after expiry, by design.
-        let report = live.apply(&Event::insert(1, 1.0, 1.0, 1.0, 10.0)).unwrap();
-        assert_eq!(report.outcome.expired, 1);
-        assert!(report.inserted.is_some());
+        let outcome = live.apply(&Event::insert(1, 1.0, 1.0, 1.0, 10.0)).unwrap();
+        assert_eq!(outcome.expired, 1);
+        assert_eq!(live.get(1).unwrap().point.x, 1.0);
         // A true duplicate (both alive) errors, and the clock still sticks.
         let err = live.apply(&Event::insert(1, 2.0, 2.0, 1.0, 12.0));
         assert_eq!(err, Err(EventError::DuplicateId(1)));
@@ -513,9 +480,9 @@ mod tests {
     #[test]
     fn unknown_delete_is_a_noop() {
         let mut live = LiveSet::new(None).unwrap();
-        let report = live.apply(&Event::delete(7, 0.0)).unwrap();
-        assert!(!report.outcome.applied);
-        assert!(report.deleted.is_none());
+        let outcome = live.apply(&Event::delete(7, 0.0)).unwrap();
+        assert!(!outcome.applied);
+        assert!(live.is_empty());
     }
 
     #[test]
@@ -529,8 +496,8 @@ mod tests {
         assert_eq!(live.now(), 10.0);
         live.apply(&Event::tick(14.9)).unwrap();
         assert_eq!(live.len(), 2);
-        let report = live.apply(&Event::tick(15.0)).unwrap();
-        assert_eq!(report.outcome.expired, 2);
+        let outcome = live.apply(&Event::tick(15.0)).unwrap();
+        assert_eq!(outcome.expired, 2);
         assert!(live.is_empty());
     }
 
@@ -568,7 +535,7 @@ mod tests {
         live.apply(&Event::delete(1, 3.0)).unwrap();
         let xs: Vec<f64> = live.survivors().iter().map(|o| o.point.x).collect();
         assert_eq!(xs, vec![5.0, 9.0]);
-        assert_eq!(live.ids().count(), 2);
+        assert_eq!(live.len(), 2);
         assert_eq!(live.get(0).unwrap().point.x, 5.0);
         assert!(live.get(1).is_none());
     }

@@ -133,12 +133,11 @@ pub use approx::{
 };
 pub use batch::{run_on_host, QueryBatch, SweepHost};
 pub use crs_exact::{closed_disk_weight, exact_max_crs_in_memory};
-pub use delta::{CompactionPolicy, CompactionReport, DeltaDataset, DeltaOptions};
+pub use delta::{CompactionPolicy, DeltaDataset, DeltaOptions};
 pub use engine::{EngineOptions, ExecutionStrategy, MaxRsEngine};
 pub use error::{CoreError, EngineError, Result};
 pub use events::{
-    total_order_bits, validate_object, Event, EventError, EventOutcome, EventReport, LiveRecord,
-    LiveSet,
+    total_order_bits, validate_object, Event, EventError, EventOutcome, LiveRecord, LiveSet,
 };
 pub use exact::{exact_max_rs, exact_max_rs_from_objects, load_objects, ExactMaxRsOptions};
 pub use extensions::{max_k_rs_in_memory, min_rs_in_memory, min_strip_scan, MinStrip};

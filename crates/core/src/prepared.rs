@@ -115,7 +115,12 @@ impl MaxRsEngine {
         let opts = *self.options();
         let strategy = self.select_strategy(objects.len() as u64, opts.em_config)?;
         if strategy.0 == ExecutionStrategy::InMemory {
-            return Ok(PreparedDataset::from_memory(opts, objects.to_vec()));
+            return Ok(PreparedDataset {
+                opts,
+                source: Source::Memory(objects.to_vec()),
+                len: objects.len() as u64,
+                prepare_io: IoSnapshot::default(),
+            });
         }
         let ctx = Box::new(EmContext::new(opts.em_config));
         PreparedDataset::load_owned(opts, ctx, objects, strategy)
@@ -170,20 +175,6 @@ impl MaxRsEngine {
 }
 
 impl PreparedDataset<'static> {
-    /// Builds a prepared dataset from an in-memory object vector, for which
-    /// [`MaxRsEngine::select_strategy`] picked the in-memory strategy — the
-    /// in-memory body of [`prepare`](MaxRsEngine::prepare) and the snapshot
-    /// path of [`DeltaDataset`](crate::DeltaDataset) for small nets.
-    pub(crate) fn from_memory(opts: EngineOptions, objects: Vec<WeightedPoint>) -> Self {
-        let len = objects.len() as u64;
-        PreparedDataset {
-            opts,
-            source: Source::Memory(objects),
-            len,
-            prepare_io: IoSnapshot::default(),
-        }
-    }
-
     /// Loads `objects` into `ctx`, which the dataset takes ownership of, and
     /// flushes the file — the external body of
     /// [`prepare`](MaxRsEngine::prepare) and of
@@ -203,33 +194,16 @@ impl PreparedDataset<'static> {
         let before = ctx.stats();
         ctx.flush_file(&file)?;
         let prepare_io = ctx.stats().since(&before);
-        Ok(PreparedDataset::from_owned(
-            opts, ctx, file, prepare_io, strategy,
-        ))
-    }
-
-    /// Builds a prepared dataset around an object file in a context it takes
-    /// ownership of, queried with the external `strategy` and worker count
-    /// the caller selected — the snapshot path of
-    /// [`DeltaDataset`](crate::DeltaDataset).
-    pub(crate) fn from_owned(
-        opts: EngineOptions,
-        ctx: Box<EmContext>,
-        file: TupleFile<ObjectRecord>,
-        prepare_io: IoSnapshot,
-        strategy: (ExecutionStrategy, usize),
-    ) -> Self {
-        let len = file.len();
-        PreparedDataset {
+        Ok(PreparedDataset {
             opts,
-            len,
+            len: file.len(),
             source: Source::External {
                 ctx: CtxHandle::Owned(ctx),
                 file: Some(file),
                 strategy,
             },
             prepare_io,
-        }
+        })
     }
 }
 

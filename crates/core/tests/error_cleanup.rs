@@ -10,13 +10,12 @@ use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
 use maxrs_core::{
-    exact_max_rs, load_objects, max_k_rs_in_memory, solve_rects, transform_objects, DeltaDataset,
-    DeltaOptions, EngineOptions, Event, ExactMaxRsOptions, MaxRsEngine, ObjectRecord, Query,
-    QueryAnswer, QueryRun, Result,
+    exact_max_rs, load_objects, max_k_rs_in_memory, solve_rects, transform_objects, EngineOptions,
+    ExactMaxRsOptions, MaxRsEngine, Query, Result,
 };
 use maxrs_datagen::{Dataset, DatasetKind};
 use maxrs_em::{BlockDevice, EmConfig, EmContext, EmError, FileId, IoSnapshot, SimDisk};
-use maxrs_geometry::{Interval, Rect, RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, Rect, RectSize};
 
 /// The device operation a sweep fails.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -310,137 +309,4 @@ fn a_failed_eviction_write_keeps_the_victim() {
         "{wrong} of {} values read back wrong",
         values.len()
     );
-}
-
-/// A delta dataset on a faulty context, one compaction in, with inserts and
-/// tombstones pending for the next: the state every compaction sweep step
-/// starts from.
-fn pending_delta(objects: &[WeightedPoint]) -> (DeltaDataset, Arc<Faults>, MaxRsEngine) {
-    let (ctx, faults) = faulty_context();
-    let engine = MaxRsEngine::with_options(EngineOptions {
-        em_config: ctx.config(),
-        exact: ExactMaxRsOptions::sequential(),
-        force_strategy: None,
-    });
-    let mut delta = DeltaDataset::with_context(&engine, DeltaOptions::default(), ctx).unwrap();
-    let insert = |from: usize, to: usize| -> Vec<Event> {
-        (from..to)
-            .map(|i| Event::insert(i as u64, objects[i].point.x, objects[i].point.y, 1.0, 0.0))
-            .collect()
-    };
-    let half = objects.len() / 2;
-    delta.apply(&insert(0, half)).unwrap();
-    delta.compact().unwrap();
-    delta.apply(&insert(half, objects.len())).unwrap();
-    let deletes: Vec<Event> = (0..half)
-        .step_by(5)
-        .map(|i| Event::delete(i as u64, 1.0))
-        .collect();
-    delta.apply(&deletes).unwrap();
-    delta.context().flush_all().unwrap();
-    (delta, faults, engine)
-}
-
-/// Fails each write and each delete of a compaction in turn: the error comes
-/// back typed, the dataset still answers like a fresh prepare of its
-/// survivors, and the context holds the base run alone — plus any file whose
-/// delete the device refused.
-#[test]
-fn failed_compactions_leave_a_consistent_dataset() {
-    let objects = Dataset::generate(DatasetKind::Uniform, 300, 5).objects;
-    let size = RectSize::square(40_000.0);
-    let queries = [
-        Query::max_rs(size),
-        Query::top_k(size, 3),
-        Query::min_rs(size, Rect::new(2e5, 8e5, 2e5, 8e5)),
-        Query::approx_max_crs(40_000.0),
-    ];
-    for fault in [Fault::Write, Fault::Delete] {
-        let operations = {
-            let (mut delta, faults, _) = pending_delta(&objects);
-            faults.arm(fault, 0);
-            delta.compact().unwrap();
-            faults.count(fault)
-        };
-        assert!(operations > 0, "a compaction makes no {fault:?}");
-        for k in 1..=operations {
-            let (mut delta, faults, engine) = pending_delta(&objects);
-            let survivors = delta.survivors();
-            faults.arm(fault, k);
-            let failed = delta.compact();
-            faults.arm(fault, 0);
-            assert!(
-                matches!(failed, Err(maxrs_core::CoreError::Em(_))),
-                "{fault:?} {k} of {operations}: {failed:?}"
-            );
-            let ctx = delta.context();
-            for id in faults.refused.lock().unwrap().drain(..) {
-                assert!(ctx.num_files() > 1, "{fault:?} {k}: refused file gone");
-                ctx.delete_raw_file(id).unwrap();
-            }
-            ctx.flush_all().unwrap();
-            assert_eq!(
-                (ctx.num_files(), ctx.disk_blocks()),
-                (1, ctx.config().blocks_for::<ObjectRecord>(delta.base_len())),
-                "{fault:?} {k} of {operations}: files beside the base run"
-            );
-            let answers = |runs: Vec<QueryRun>| -> Vec<QueryAnswer> {
-                runs.into_iter().map(|r| r.answer).collect()
-            };
-            let fresh = engine.prepare(&survivors).unwrap();
-            assert_eq!(
-                answers(delta.run_batch(&queries).unwrap()),
-                answers(fresh.run_batch(&queries).unwrap()),
-                "{fault:?} {k} of {operations}: answers after the failed compaction"
-            );
-        }
-    }
-}
-
-/// Fails each read a delta query makes on the delta's own context — the
-/// snapshot's reads of the base run — in turn: the error comes back typed,
-/// the context holds the base run alone, and a retry answers like a fresh
-/// prepare of the survivors.
-#[test]
-fn failed_delta_queries_leave_only_the_base_run() {
-    let objects = Dataset::generate(DatasetKind::Uniform, 300, 5).objects;
-    let size = RectSize::square(40_000.0);
-    let queries = [
-        Query::max_rs(size),
-        Query::top_k(size, 3),
-        Query::min_rs(size, Rect::new(2e5, 8e5, 2e5, 8e5)),
-        Query::approx_max_crs(40_000.0),
-    ];
-    let answers =
-        |runs: Vec<QueryRun>| -> Vec<QueryAnswer> { runs.into_iter().map(|r| r.answer).collect() };
-    let (delta, faults, engine) = pending_delta(&objects);
-    let fresh = engine.prepare(&delta.survivors()).unwrap();
-    let want = answers(fresh.run_batch(&queries).unwrap());
-    let ctx = delta.context();
-    let base_only = (1, ctx.config().blocks_for::<ObjectRecord>(delta.base_len()));
-
-    faults.arm(Fault::Read, 0);
-    assert_eq!(answers(delta.run_batch(&queries).unwrap()), want);
-    let reads = faults.count(Fault::Read);
-    assert!(reads > 0, "a delta query reads no block of its base run");
-    for k in 1..=reads {
-        faults.arm(Fault::Read, k);
-        let failed = delta.run_batch(&queries);
-        faults.arm(Fault::Read, 0);
-        assert!(
-            matches!(failed, Err(maxrs_core::CoreError::Em(_))),
-            "read {k} of {reads}: {failed:?}"
-        );
-        ctx.flush_all().unwrap();
-        assert_eq!(
-            (ctx.num_files(), ctx.disk_blocks()),
-            base_only,
-            "read {k} of {reads}: files beside the base run"
-        );
-        assert_eq!(
-            answers(delta.run_batch(&queries).unwrap()),
-            want,
-            "read {k} of {reads}: answers after the failed query"
-        );
-    }
 }

@@ -25,13 +25,12 @@
 //! # Dynamic datasets
 //!
 //! An entry registered with [`DatasetRegistry::insert_dynamic`] additionally
-//! carries a live [`DeltaDataset`]: [`DatasetRegistry::apply`] routes a batch
-//! of [`Event`]s into its delta, takes a fresh immutable snapshot and swaps
-//! it in as the entry's served dataset.  Readers are never torn: queries in
-//! flight keep their pre-update snapshot handle, queries admitted after the
-//! swap see the post-update snapshot, and nothing in between exists.  The
-//! delta's own compaction (policy-driven or explicit) happens behind the same
-//! per-dataset lock, invisible to readers for the same reason.
+//! carries a live [`DeltaDataset`]: [`DatasetRegistry::apply`] applies a
+//! batch of [`Event`]s to its live objects, takes a fresh immutable snapshot
+//! (a prepare of the live objects) and swaps it in as the entry's served
+//! dataset.  Readers are never torn: queries in flight keep their pre-update
+//! snapshot handle, queries admitted after the swap see the post-update
+//! snapshot, and nothing in between exists.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -157,7 +156,7 @@ impl ServedDataset {
 
 struct Entry {
     data: DatasetHandle,
-    /// The live delta-main dataset behind a dynamic entry; `None` for static
+    /// The [`DeltaDataset`] behind a dynamic entry; `None` for static
     /// datasets registered with [`DatasetRegistry::insert`].
     dynamic: Option<Arc<Mutex<DeltaDataset>>>,
     bytes: u64,
@@ -265,7 +264,7 @@ impl DatasetRegistry {
     /// Registers a **dynamic** dataset under `id`: a [`DeltaDataset`] seeded
     /// by replaying `events`, whose current snapshot is cached and served
     /// exactly like a static dataset.  Later [`apply`](DatasetRegistry::apply)
-    /// calls route further events into the delta and swap in fresh snapshots.
+    /// calls apply further events to it and swap in fresh snapshots.
     /// Replaces any dataset (static or dynamic) already cached under the id.
     pub fn insert_dynamic(
         &self,
@@ -282,10 +281,10 @@ impl DatasetRegistry {
     /// Applies a batch of events to the dynamic dataset under `id` and swaps
     /// a fresh snapshot in as the served dataset, returning a handle to it.
     ///
-    /// The delta update, any policy-triggered compaction and the snapshot all
-    /// run under a **per-dataset** lock, outside the registry lock: lookups
-    /// and queries against other datasets never stall, and queries against
-    /// this one keep answering from the pre-update snapshot until the swap.
+    /// The update and the snapshot both run under a **per-dataset** lock,
+    /// outside the registry lock: lookups and queries against other datasets
+    /// never stall, and queries against this one keep answering from the
+    /// pre-update snapshot until the swap.
     /// Every concurrent reader therefore sees exactly one of the two legal
     /// snapshots — pre-batch or post-batch — never a torn intermediate.
     ///
@@ -546,7 +545,7 @@ mod tests {
 
     #[test]
     fn dynamic_datasets_apply_events_and_swap_snapshots() {
-        use maxrs_core::{CompactionPolicy, Event};
+        use maxrs_core::{DeltaOptions, Event};
 
         let registry = DatasetRegistry::new(external_engine());
         let seed: Vec<Event> = objects(600, 21)
@@ -554,11 +553,9 @@ mod tests {
             .enumerate()
             .map(|(i, o)| Event::insert(i as u64, o.point.x, o.point.y, o.weight, i as f64))
             .collect();
-        let options = maxrs_core::DeltaOptions {
-            policy: CompactionPolicy::DeltaThreshold { max_delta: 200 },
-            window: None,
-        };
-        let before = registry.insert_dynamic("live", &seed, options).unwrap();
+        let before = registry
+            .insert_dynamic("live", &seed, DeltaOptions::default())
+            .unwrap();
         assert!(registry.is_dynamic("live"));
         assert!(!registry.is_dynamic("missing"));
 

@@ -11,8 +11,9 @@
 //!   sweep and the exact MaxCRS reference, all asked through one query
 //!   surface ([`MaxRsEngine`] and [`Query`]); plus [`PreparedDataset`] for
 //!   load-once repeated querying and [`DeltaDataset`] for streaming updates
-//!   over the external path (delta-main + compaction).  The zero-alloc
-//!   [`SweepScratch`] arena the slab sweeps run on is re-exported here too.
+//!   over the external path (the live objects in memory, each query batch on
+//!   a fresh prepare of them).  The zero-alloc [`SweepScratch`] arena the
+//!   slab sweeps run on is re-exported here too.
 //! * [`stream`] — incremental MaxRS over dynamic data: the sliding-window
 //!   event engine ([`StreamEngine`]) maintaining answers under inserts,
 //!   deletes and window expiry.
@@ -80,10 +81,10 @@ pub use maxrs_cluster::{
 };
 pub use maxrs_core::{
     approx_max_crs_in_memory, exact_max_crs_in_memory, exact_max_rs, exact_max_rs_from_objects,
-    load_objects, max_k_rs_in_memory, max_rs_in_memory, min_rs_in_memory, CompactionPolicy,
-    CompactionReport, DeltaDataset, DeltaOptions, EngineError, EngineOptions, ExactMaxRsOptions,
-    ExecutionStrategy, LiveSet, MaxCrsResult, MaxRsEngine, MaxRsResult, PreparedDataset, Query,
-    QueryAnswer, QueryBatch, QueryRun, SweepPass, SweepScratch,
+    load_objects, max_k_rs_in_memory, max_rs_in_memory, min_rs_in_memory, DeltaDataset,
+    DeltaOptions, EngineError, EngineOptions, ExactMaxRsOptions, ExecutionStrategy, LiveSet,
+    MaxCrsResult, MaxRsEngine, MaxRsResult, PreparedDataset, Query, QueryAnswer, QueryBatch,
+    QueryRun, SweepPass, SweepScratch,
 };
 pub use maxrs_em::{BlockDevice, EmConfig, EmContext, FsDisk, IoSnapshot, SimDisk, StorageBackend};
 pub use maxrs_geometry::{Circle, Interval, Point, Rect, RectSize, WeightedPoint};

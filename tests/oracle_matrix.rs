@@ -2,9 +2,9 @@
 //! for all four query variants.
 //!
 //! Paths: one-shot external runs (sequential, and parallel with a buffer
-//! that really admits two workers), a prepared batch, a delta dataset after
-//! compaction, and an in-process cluster of three shards, hosted on one
-//! server and on three.
+//! that really admits two workers), a prepared batch, a delta dataset whose
+//! inserts included since-deleted decoys, and an in-process cluster of three
+//! shards, hosted on one server and on three.
 //! The data is Gaussian, so the MinRS domains' corners fall in sparse
 //! regions where whole sub-slabs are empty — where a sweep's slab sentinel
 //! can win and a max-region must still end at the next arrangement
@@ -163,39 +163,29 @@ fn cluster(opts: EngineOptions, objects: &[WeightedPoint], servers: usize) -> Cl
     ClusterCoordinator::connect(opts, config, transports).unwrap()
 }
 
-/// A delta dataset holding `objects` after a compaction that also dropped a
-/// batch of inserted-then-deleted decoys.
-fn compacted_delta(engine: &MaxRsEngine, objects: &[WeightedPoint]) -> DeltaDataset {
+/// A delta dataset holding `objects` in their order, after heavy decoys
+/// were inserted among them and deleted again.
+fn delta_with_deleted_decoys(engine: &MaxRsEngine, objects: &[WeightedPoint]) -> DeltaDataset {
     let mut delta = DeltaDataset::new(engine, DeltaOptions::default()).unwrap();
-    let n = objects.len() as u64;
-    let mut events: Vec<Event> = objects
-        .iter()
-        .enumerate()
-        .map(|(i, &object)| Event::Insert {
-            id: i as u64,
-            object,
-            at: 0.0,
-        })
-        .collect();
-    for (i, o) in objects.iter().enumerate().step_by(7) {
-        let decoy = WeightedPoint::unit(EXTENT - o.point.x, o.point.y);
-        events.push(Event::Insert {
-            id: n + i as u64,
-            object: decoy,
-            at: 1.0,
-        });
-    }
+    let n = objects.len();
+    let insert = |id: usize, object: WeightedPoint| Event::Insert {
+        id: id as u64,
+        object,
+        at: 0.0,
+    };
+    let decoys = (0..n).step_by(9);
+    let mut events: Vec<Event> = (0..n / 2).map(|i| insert(i, objects[i])).collect();
+    events.extend(decoys.clone().map(|i| {
+        let o = objects[i].point;
+        insert(n + i, WeightedPoint::at(o.y, o.x, 5.0))
+    }));
+    events.extend((n / 2..n).map(|i| insert(i, objects[i])));
+    events.extend(decoys.map(|i| Event::Delete {
+        id: (n + i) as u64,
+        at: 1.0,
+    }));
     delta.apply(&events).unwrap();
-    delta.compact().unwrap();
-    let deletes: Vec<Event> = (0..objects.len())
-        .step_by(7)
-        .map(|i| Event::Delete {
-            id: n + i as u64,
-            at: 2.0,
-        })
-        .collect();
-    delta.apply(&deletes).unwrap();
-    delta.compact().unwrap();
+    assert_eq!(delta.len(), n as u64);
     delta
 }
 
@@ -237,8 +227,10 @@ fn every_path_matches_the_in_memory_references() {
                     .unwrap(),
             ));
             paths.push((
-                "delta after compaction",
-                compacted_delta(&seq, &objects).run_batch(&queries).unwrap(),
+                "delta",
+                delta_with_deleted_decoys(&seq, &objects)
+                    .run_batch(&queries)
+                    .unwrap(),
             ));
             paths.push((
                 "cluster",
@@ -299,9 +291,9 @@ fn bands(objects: &[WeightedPoint], size: RectSize, picks: &[MaxRsResult]) -> Ba
 /// Top-k over data built so the later rounds' bands overlap, cover every
 /// strip, tie on an integer lattice, or hold only suppressed objects (an
 /// empty band sweep), on every path that splices — prepared on both storage
-/// backends, parallel, delta after compaction, and clustered on one server
-/// and on three — against the in-memory greedy.  Each row first asserts, on the
-/// reference's picks, that it really exercises its case.
+/// backends, parallel, delta, and clustered on one server and on three —
+/// against the in-memory greedy.  Each row first asserts, on the reference's
+/// picks, that it really exercises its case.
 #[test]
 fn top_k_splices_match_the_greedy_reference() {
     let squash = |objects: Vec<WeightedPoint>, factor: f64| -> Vec<WeightedPoint> {
@@ -410,8 +402,10 @@ fn top_k_splices_match_the_greedy_reference() {
             ),
             ("em-par", par_run),
             (
-                "delta after compaction",
-                compacted_delta(&seq, &objects).run(&query).unwrap(),
+                "delta",
+                delta_with_deleted_decoys(&seq, &objects)
+                    .run(&query)
+                    .unwrap(),
             ),
             (
                 "one-server cluster",
@@ -451,47 +445,6 @@ fn orders(objects: &[WeightedPoint]) -> [(&'static str, Vec<WeightedPoint>); 3] 
     ]
 }
 
-/// A delta dataset over `objects` whose inserts span two compactions: the
-/// first third compacted, then the second, and the last third still pending
-/// in the delta, beside tombstones of decoys inserted with the first third.
-fn delta_in_thirds(engine: &MaxRsEngine, objects: &[WeightedPoint]) -> DeltaDataset {
-    let mut delta = DeltaDataset::new(engine, DeltaOptions::default()).unwrap();
-    let n = objects.len();
-    let insert = |ids: std::ops::Range<usize>| -> Vec<Event> {
-        ids.map(|i| Event::Insert {
-            id: i as u64,
-            object: objects[i],
-            at: 0.0,
-        })
-        .collect()
-    };
-    let decoys: Vec<Event> = (0..n)
-        .step_by(9)
-        .map(|i| Event::Insert {
-            id: (n + i) as u64,
-            object: WeightedPoint::at(objects[i].point.y, objects[i].point.x, 5.0),
-            at: 0.0,
-        })
-        .collect();
-    delta.apply(&insert(0..n / 3)).unwrap();
-    delta.apply(&decoys).unwrap();
-    delta.compact().unwrap();
-    delta.apply(&insert(n / 3..2 * n / 3)).unwrap();
-    delta.compact().unwrap();
-    delta.apply(&insert(2 * n / 3..n)).unwrap();
-    let deletes: Vec<Event> = (0..n)
-        .step_by(9)
-        .map(|i| Event::Delete {
-            id: (n + i) as u64,
-            at: 1.0,
-        })
-        .collect();
-    delta.apply(&deletes).unwrap();
-    assert_eq!(delta.len(), n as u64);
-    assert!(delta.base_len() > 0 && delta.delta_len() > 0);
-    delta
-}
-
 /// Runs every path over every order of `objects` and returns one line per
 /// answer that differs from the reference over the objects as generated.
 fn check_every_order(name: &str, objects: &[WeightedPoint], queries: &[Query]) -> Vec<String> {
@@ -514,7 +467,9 @@ fn check_every_order(name: &str, objects: &[WeightedPoint], queries: &[Query]) -
             ),
             (
                 "delta",
-                delta_in_thirds(&seq, &ordered).run_batch(queries).unwrap(),
+                delta_with_deleted_decoys(&seq, &ordered)
+                    .run_batch(queries)
+                    .unwrap(),
             ),
             (
                 "one-server cluster",
@@ -555,8 +510,8 @@ fn check_every_order(name: &str, objects: &[WeightedPoint], queries: &[Query]) -
 
 /// All four variants over one object set in three arrival orders, on the
 /// one-shot `exact_max_rs` (MaxRS), prepared on both storage backends, a
-/// delta whose inserts span two compactions (tombstones and pending inserts
-/// at query time), and the in-process cluster on one server and on three.
+/// delta whose inserts included since-deleted decoys, and the in-process
+/// cluster on one server and on three.
 /// Uniform points and an integer lattice with ties, both with integer
 /// weights, so every sum is exact in any grouping and every answer must
 /// equal the reference.
